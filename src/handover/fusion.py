@@ -2,18 +2,20 @@
 
 Torque classifications (one per sliding window) are paired with the
 nearest vision verdict inside a bounded timestamp skew, each pair fusing
-the two modality votes with AND. The state machine walks
-holding-idle -> contact-pending -> release-armed -> released, requiring a
-run of consecutive agreeing fused votes (debounce) before it commits to
-the single, terminal release decision of an episode.
+the two modality votes with AND. ``ReleaseFsm`` is every pipeline's one
+decision core: idle -> contact-pending -> armed -> released, releasing on
+a run of agreeing votes consecutive in time (an unpaired torque event
+breaks the run). Episode logs hold every FSM input and transition, so
+replay re-runs the core over any pipeline's log and diffs the outcome.
 """
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -109,7 +111,7 @@ class FusedSample:
 @dataclass
 class SyncResult:
     samples: list[FusedSample]
-    dropped_torque_events: int
+    unpaired_ms: list[int]  # stamps of torque events with no partner, in order
 
 
 def _check_ordered(stamps: Sequence[int], name: str) -> None:
@@ -130,13 +132,13 @@ def synchronize(
 
     Eligible partners lie within ``pairing_window_ms`` of the torque
     timestamp; the closest wins, ties going to the later verdict. Torque
-    events with no eligible partner are dropped and counted. Both input
-    streams must be individually time-ordered.
+    events with no eligible partner are dropped and their stamps reported.
+    Both input streams must be individually time-ordered.
     """
     _check_ordered([e.timestamp for e in torque_events], "torque")
     _check_ordered([v.evaluated_at for v in vision_verdicts], "vision")
     samples: list[FusedSample] = []
-    dropped = 0
+    unpaired: list[int] = []
     v_stamps = np.asarray([v.evaluated_at for v in vision_verdicts], dtype=np.int64)
     for event in torque_events:
         idx = int(np.searchsorted(v_stamps, event.timestamp))
@@ -149,7 +151,7 @@ def synchronize(
                     if best is None or key < best:
                         best = key
         if best is None:
-            dropped += 1
+            unpaired.append(event.timestamp)
             continue
         verdict = vision_verdicts[best[2]]
         samples.append(FusedSample(
@@ -158,71 +160,123 @@ def synchronize(
             fused_vote=torque_vote(event.scores) and verdict.vote,
             skew_ms=event.timestamp - verdict.evaluated_at,
         ))
-    return SyncResult(samples=samples, dropped_torque_events=dropped)
-
-
-class DebounceGate:
-    """Fires once after ``frames`` consecutive true votes; false resets."""
-
-    def __init__(self, frames: int) -> None:
-        if frames < 1:
-            raise ValueError("debounce frames must be >= 1")
-        self.frames = frames
-        self.consecutive = 0
-
-    def update(self, vote: bool) -> bool:
-        self.consecutive = self.consecutive + 1 if vote else 0
-        return self.consecutive >= self.frames
+    return SyncResult(samples=samples, unpaired_ms=unpaired)
 
 
 class ReleaseFsm:
-    """Four-state release automaton over fused samples.
+    """Four-state release automaton, the package's only debounce.
 
-    Contact (any in-slab finger) moves holding-idle to contact-pending;
-    the debounce run of fused-true samples then arms and fires the release
-    in a single step. Released is terminal: stepping it is an error and at
-    most one decision is ever emitted.
+    ``advance`` takes one (time, vote, contact) step. Contact moves
+    holding-idle to contact-pending; before contact, votes are ignored.
+    An agreeing vote moves contact-pending to release-armed, a disagreeing
+    one moves release-armed back to contact-pending and restarts the
+    count, and the ``debounce_frames``-th consecutive agreeing vote moves
+    to released. Released is terminal: stepping it is an error and at most
+    one release is ever emitted.
     """
 
     def __init__(self, config: SyncConfig = SyncConfig()) -> None:
         self.config = config
         self.state = FsmState.HOLDING_IDLE
         self.transitions: list[tuple[int, FsmState, FsmState]] = []
-        self._gate = DebounceGate(config.debounce_frames)
+        self._agreeing = 0
 
     def _move(self, at_ms: int, new_state: FsmState) -> None:
         self.transitions.append((at_ms, self.state, new_state))
         self.state = new_state
 
-    def step(self, sample: FusedSample) -> ReleaseDecision | None:
+    def advance(self, at_ms: int, vote: bool, contact: bool) -> bool:
+        """Feed one step; True when it releases."""
         if self.state is FsmState.RELEASED:
             raise ValueError("FSM already released; start a new episode")
-        ts = sample.torque.timestamp
-        if self.state is FsmState.HOLDING_IDLE and sample.vision.fingers_in_slab >= 1:
-            self._move(ts, FsmState.CONTACT_PENDING)
+        if self.state is FsmState.HOLDING_IDLE:
+            if not contact:
+                return False
+            self._move(at_ms, FsmState.CONTACT_PENDING)
+        if not vote:
+            self._agreeing = 0
+            if self.state is FsmState.RELEASE_ARMED:
+                self._move(at_ms, FsmState.CONTACT_PENDING)
+            return False
+        self._agreeing += 1
         if self.state is FsmState.CONTACT_PENDING:
-            if self._gate.update(sample.fused_vote):
-                self._move(ts, FsmState.RELEASE_ARMED)
-                self._move(ts, FsmState.RELEASED)
-                return ReleaseDecision(
-                    release=True,
-                    torque_vote=True,
-                    vision_vote=True,
-                    action=sample.torque.scores.predicted,
-                    decided_at=ts,
-                )
-        return None
+            self._move(at_ms, FsmState.RELEASE_ARMED)
+        if self._agreeing >= self.config.debounce_frames:
+            self._move(at_ms, FsmState.RELEASED)
+        return self.state is FsmState.RELEASED
 
-
-def fsm_step(fsm: ReleaseFsm, sample: FusedSample) -> tuple[FsmState, ReleaseDecision | None]:
-    """Step the automaton; returns the new state and any emitted decision."""
-    decision = fsm.step(sample)
-    return fsm.state, decision
+    def step(self, sample: FusedSample) -> ReleaseDecision | None:
+        """Advance on a fused sample (contact: any in-slab finger)."""
+        ts = sample.torque.timestamp
+        if not self.advance(ts, sample.fused_vote, sample.vision.fingers_in_slab >= 1):
+            return None
+        return ReleaseDecision(
+            release=True,
+            torque_vote=True,
+            vision_vote=True,
+            action=sample.torque.scores.predicted,
+            decided_at=ts,
+        )
 
 
 # ---------------------------------------------------------------------------
 # episode execution
 # ---------------------------------------------------------------------------
+
+# one FSM input: its episode-log line, plus the fused sample if it is one
+Step = tuple[dict[str, Any], FusedSample | None]
+
+
+def _fsm_input(line: dict[str, Any]) -> tuple[int, bool, bool]:
+    """(time, vote, contact) of a logged single-modality or unpaired step.
+
+    A torque-only step is always in contact, a vision-only step is in
+    contact when it votes, and an unpaired torque event is neither.
+    """
+    if line["type"] == "unpaired_torque":
+        return line["t"], False, False
+    vote = bool(line["vote"])
+    return line["t"], vote, vote or line["source"] == "torque"
+
+
+def _run_fsm(
+    config: SyncConfig, steps: Iterable[Step]
+) -> tuple[list[dict[str, Any]], ReleaseDecision | None, int | None]:
+    """Feed steps through a fresh FSM until it releases.
+
+    Returns the log (each consumed step, then its transitions and any
+    decision), the fused decision and the release time.
+    """
+    fsm = ReleaseFsm(config)
+    log: list[dict[str, Any]] = []
+    for line, sample in steps:
+        seen = len(fsm.transitions)
+        if sample is None:
+            decision, released = None, fsm.advance(*_fsm_input(line))
+        else:
+            decision = fsm.step(sample)
+            released = decision is not None
+        log.append(line)
+        log.extend(
+            {"type": "transition", "t": at_ms, "from": prev.value, "to": new.value}
+            for at_ms, prev, new in fsm.transitions[seen:]
+        )
+        if decision is not None:
+            log.append({"type": "decision", **decision.to_json_dict()})
+        if released:
+            return log, decision, fsm.transitions[-1][0]
+    return log, None, None
+
+
+def _fused_steps(sync: SyncResult) -> Iterator[Step]:
+    """Paired samples and unpaired torque events, merged in time order."""
+    paired = (({"type": "fused_sample", **s.to_json_dict()}, s) for s in sync.samples)
+    unpaired = (({"type": "unpaired_torque", "t": t}, None) for t in sync.unpaired_ms)
+    return heapq.merge(
+        paired, unpaired,
+        key=lambda step: step[0]["t"] if step[1] is None else step[1].torque.timestamp,
+    )
+
 
 @dataclass
 class EpisodeOutcome:
@@ -284,89 +338,62 @@ def run_episode(
 ) -> EpisodeOutcome:
     """Run one scripted episode through a pipeline variant to completion.
 
-    The fused pipeline synchronizes both streams and drives the full FSM;
-    the single-modality variants apply the same debounce to their own vote
-    stream alone. The outcome records whether (and when) the episode
-    released, plus a replayable event log.
+    Each pipeline builds its own step stream; one ``ReleaseFsm`` loop
+    decides. The outcome records whether (and when) the episode released,
+    plus a replayable event log.
     """
     pipeline = Pipeline(pipeline)
-    events_log: list[dict[str, Any]] = [{
-        "type": "header",
-        "pipeline": pipeline.value,
-        "action": int(script.action),
-        "sync_config": config.to_json_dict(),
-        "slab": script.slab.to_json_dict(),
-        "faults": list(script.faults),
-    }]
-    outcome = EpisodeOutcome(
-        action=script.action, pipeline=pipeline, released=False,
-        release_time_ms=None, decision=None, events=events_log,
-    )
-
+    dropped = 0
     if pipeline is Pipeline.VISION_ONLY:
         verdicts = vision_verdict_stream(script, min_confidence)
         if not verdicts:
             raise ValueError("episode has no vision frames")
-        outcome.n_samples = len(verdicts)
-        gate = DebounceGate(config.debounce_frames)
-        for verdict in verdicts:
-            events_log.append({
-                "type": "vote_sample", "source": "vision", "t": verdict.evaluated_at,
-                "vote": bool(verdict.vote), "fingers_in_slab": verdict.fingers_in_slab,
-                "thumb_in_slab": verdict.thumb_in_slab,
-            })
-            if gate.update(verdict.vote):
-                outcome.released = True
-                outcome.release_time_ms = verdict.evaluated_at
-                break
+        n_samples = len(verdicts)
+        steps = (({
+            "type": "vote_sample", "source": "vision", "t": v.evaluated_at,
+            "vote": bool(v.vote), "fingers_in_slab": v.fingers_in_slab,
+            "thumb_in_slab": v.thumb_in_slab,
+        }, None) for v in verdicts)
     elif pipeline is Pipeline.TORQUE_ONLY:
         events = torque_event_stream(script, net, stats, stride_samples)
         if not events:
             raise ValueError("episode torque stream is too short for one window")
-        outcome.n_samples = len(events)
-        gate = DebounceGate(config.debounce_frames)
-        for event in events:
-            vote = torque_vote(event.scores)
-            events_log.append({
-                "type": "vote_sample", "source": "torque", "t": event.timestamp,
-                "vote": bool(vote), "predicted": int(event.scores.predicted),
-            })
-            if gate.update(vote):
-                outcome.released = True
-                outcome.release_time_ms = event.timestamp
-                break
+        n_samples = len(events)
+        steps = (({
+            "type": "vote_sample", "source": "torque", "t": e.timestamp,
+            "vote": bool(torque_vote(e.scores)), "predicted": int(e.scores.predicted),
+        }, None) for e in events)
     else:
         events = torque_event_stream(script, net, stats, stride_samples)
         verdicts = vision_verdict_stream(script, min_confidence)
         if not events or not verdicts:
             raise ValueError("fused episode requires both streams to be non-empty")
         sync = synchronize(events, verdicts, config)
-        outcome.dropped_torque_events = sync.dropped_torque_events
-        outcome.n_samples = len(sync.samples)
-        fsm = ReleaseFsm(config)
-        for sample in sync.samples:
-            seen = len(fsm.transitions)
-            decision = fsm.step(sample)
-            events_log.append({"type": "fused_sample", **sample.to_json_dict()})
-            for at_ms, prev, new in fsm.transitions[seen:]:
-                events_log.append({
-                    "type": "transition", "t": at_ms, "from": prev.value, "to": new.value,
-                })
-            if decision is not None:
-                events_log.append({"type": "decision", **decision.to_json_dict()})
-                outcome.released = True
-                outcome.release_time_ms = decision.decided_at
-                outcome.decision = decision
-                break
+        dropped = len(sync.unpaired_ms)
+        n_samples = len(sync.samples)
+        steps = _fused_steps(sync)
 
-    events_log.append({
+    log, decision, release_time = _run_fsm(config, steps)
+    header = {
+        "type": "header",
+        "pipeline": pipeline.value,
+        "action": int(script.action),
+        "sync_config": config.to_json_dict(),
+        "slab": script.slab.to_json_dict(),
+        "faults": list(script.faults),
+    }
+    summary = {
         "type": "summary",
-        "released": outcome.released,
-        "release_time_ms": outcome.release_time_ms,
-        "dropped_torque_events": outcome.dropped_torque_events,
-        "n_samples": outcome.n_samples,
-    })
-    return outcome
+        "released": release_time is not None,
+        "release_time_ms": release_time,
+        "dropped_torque_events": dropped,
+        "n_samples": n_samples,
+    }
+    return EpisodeOutcome(
+        action=script.action, pipeline=pipeline, released=release_time is not None,
+        release_time_ms=release_time, decision=decision, events=[header, *log, summary],
+        dropped_torque_events=dropped, n_samples=n_samples,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -389,68 +416,35 @@ class ReplayResult:
 
 
 def replay_episode_log(path: str | Path) -> ReplayResult:
-    """Re-run the decision logic over a logged episode and diff the outcome.
+    """Re-run the decision core over a logged episode and diff the outcome.
 
-    The log is authoritative input (votes and samples) and expected output
-    (transitions, decision, summary); replay recomputes the output side
-    and reports any divergence.
+    The log is authoritative input (the FSM steps of any pipeline) and
+    expected output (transitions, decision, summary); replay feeds the
+    steps through a fresh ``ReleaseFsm`` and reports any divergence.
     """
     lines = [json.loads(s) for s in Path(path).read_text(encoding="utf-8").splitlines() if s.strip()]
     if not lines or lines[0].get("type") != "header":
         raise ValueError("episode log must start with a header line")
-    header = lines[0]
-    config = SyncConfig.from_json_dict(header["sync_config"])
-    pipeline = Pipeline(header["pipeline"])
+    config = SyncConfig.from_json_dict(lines[0]["sync_config"])
     logged_summary = next((l for l in lines if l["type"] == "summary"), None)
     if logged_summary is None:
         raise ValueError("episode log has no summary line")
 
+    steps = (
+        (l, FusedSample.from_json_dict(l) if l["type"] == "fused_sample" else None)
+        for l in lines if l["type"] in ("vote_sample", "fused_sample", "unpaired_torque")
+    )
+    log, _decision, release_time = _run_fsm(config, steps)
+    released = release_time is not None
     mismatches: list[str] = []
-    released = False
-    release_time: int | None = None
-
-    if pipeline is Pipeline.FUSED:
-        samples = [FusedSample.from_json_dict(l) for l in lines if l["type"] == "fused_sample"]
-        logged_transitions = [l for l in lines if l["type"] == "transition"]
-        logged_decision = next((l for l in lines if l["type"] == "decision"), None)
-        fsm = ReleaseFsm(config)
-        decision = None
-        for sample in samples:
-            decision = fsm.step(sample)
-            if decision is not None:
-                released = True
-                release_time = decision.decided_at
-                break
-        replayed = [
-            {"t": t, "from": a.value, "to": b.value} for t, a, b in fsm.transitions
-        ]
-        logged = [
-            {"t": l["t"], "from": l["from"], "to": l["to"]} for l in logged_transitions
-        ]
+    for kind in ("transition", "decision"):
+        replayed = [l for l in log if l["type"] == kind]
+        logged = [l for l in lines if l["type"] == kind]
         if replayed != logged:
-            mismatches.append(f"transitions differ: replay {replayed} vs log {logged}")
-        if (decision is None) != (logged_decision is None):
-            mismatches.append("decision presence differs between replay and log")
-        elif decision is not None and logged_decision is not None:
-            if decision.to_json_dict() != {k: logged_decision[k] for k in decision.to_json_dict()}:
-                mismatches.append("decision contents differ between replay and log")
-    else:
-        votes = [(l["t"], bool(l["vote"])) for l in lines if l["type"] == "vote_sample"]
-        gate = DebounceGate(config.debounce_frames)
-        for t, vote in votes:
-            if gate.update(vote):
-                released = True
-                release_time = t
-                break
-
-    if released != bool(logged_summary["released"]):
-        mismatches.append(
-            f"released differs: replay {released} vs log {logged_summary['released']}"
-        )
-    if release_time != logged_summary["release_time_ms"]:
-        mismatches.append(
-            f"release time differs: replay {release_time} vs log {logged_summary['release_time_ms']}"
-        )
+            mismatches.append(f"{kind}s differ: replay {replayed} vs log {logged}")
+    for key, value in (("released", released), ("release_time_ms", release_time)):
+        if value != logged_summary[key]:
+            mismatches.append(f"{key} differs: replay {value} vs log {logged_summary[key]}")
     return ReplayResult(
         matched=not mismatches,
         released=released,

@@ -22,11 +22,6 @@ LOG_CLAMP = 1e-12
 # functional ops
 # ---------------------------------------------------------------------------
 
-def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise max(0, x)."""
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Stable softmax over the last axis (max-subtracted before exp)."""
     z = np.asarray(logits, dtype=np.float64)
@@ -55,14 +50,6 @@ def mean_cross_entropy(probabilities: np.ndarray, targets: np.ndarray) -> float:
     return float(-np.log(picked).mean())
 
 
-def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """Mean over the length axis: (C, L) -> (C,) or (B, C, L) -> (B, C)."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.shape[-1] == 0:
-        raise ValueError("global_avg_pool requires length >= 1")
-    return arr.mean(axis=-1)
-
-
 def _pad_same(x: np.ndarray, kernel_size: int) -> np.ndarray:
     p = (kernel_size - 1) // 2
     return np.pad(x, ((0, 0), (0, 0), (p, p)))
@@ -84,33 +71,6 @@ def _conv1d_batch(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> tuple[
     out2 += bias[:, None]
     out = np.ascontiguousarray(out2.reshape(out_channels, batch, length).transpose(1, 0, 2))
     return out, cols
-
-
-def conv1d_forward(x: np.ndarray, layer: "Conv1D") -> np.ndarray:
-    """Same-padded stride-1 convolution; accepts (C, L) or (B, C, L)."""
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 2
-    if single:
-        arr = arr[None]
-    if arr.ndim != 3:
-        raise ValueError(f"conv input must be 2D or 3D, got shape {arr.shape}")
-    out, _ = _conv1d_batch(arr, layer.weight, layer.bias)
-    return out[0] if single else out
-
-
-def batchnorm_forward(
-    batch: np.ndarray,
-    layer: "BatchNorm1D",
-    training: bool,
-    update_running: bool = True,
-) -> np.ndarray:
-    """Per-channel batch normalization over (batch, channels, length).
-
-    Training mode normalizes with batch statistics (and by default folds
-    them into the running estimates); inference mode uses the frozen
-    running statistics only.
-    """
-    return layer.forward(np.asarray(batch, dtype=np.float64), training, update_running)
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +345,6 @@ def backward(
         grad = layer.backward(grad)
     tape = GradientTape([{k: v.copy() for k, v in layer.grads.items()} for layer in net.layers])
     return loss, probs, tape
-
-
-def sgd_step(net: Network, tape: GradientTape, learning_rate: float) -> None:
-    """Plain gradient step: parameter <- parameter - lr * gradient."""
-    if learning_rate <= 0.0:
-        raise ValueError("learning rate must be positive")
-    tape.validate_against(net)
-    for layer, grads in zip(net.layers, tape.per_layer):
-        for name, g in grads.items():
-            layer.params()[name] -= learning_rate * g
 
 
 class MomentumSGD:

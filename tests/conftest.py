@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from handover.classifier import TorqueNetConfig, train
 from handover.synth import default_signature_model, generate_dataset
+
+# property tests replay the same examples on every run and keep no database
+settings.register_profile(
+    "deterministic", derandomize=True, max_examples=100, deadline=None, database=None
+)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import handover.fusion as fusion
 from handover.core import ActionClass, ActionScores
 from handover.fusion import (
     FsmState,
@@ -12,7 +13,6 @@ from handover.fusion import (
     SyncConfig,
     SyncResult,
     TorqueEvent,
-    fsm_step,
     replay_episode_log,
     run_episode,
     synchronize,
@@ -58,12 +58,12 @@ class TestSynchronize:
         result = synchronize(self.torque_at(1000), [verdict(True, 960)], SyncConfig())
         assert len(result.samples) == 1
         assert result.samples[0].skew_ms == 40
-        assert result.dropped_torque_events == 0
+        assert result.unpaired_ms == []
 
     def test_drops_event_outside_window(self):
         result = synchronize(self.torque_at(1000), [verdict(True, 880)], SyncConfig())
         assert result.samples == []
-        assert result.dropped_torque_events == 1
+        assert result.unpaired_ms == [1000]
 
     def test_tie_goes_to_later_verdict(self):
         verdicts = [verdict(False, 960), verdict(True, 1040)]
@@ -95,7 +95,7 @@ class TestSynchronize:
         stamps = [s.torque.timestamp for s in result.samples]
         assert stamps == sorted(stamps)
         assert all(abs(s.skew_ms) <= 60 for s in result.samples)
-        assert len(result.samples) + result.dropped_torque_events == len(events)
+        assert len(result.samples) + len(result.unpaired_ms) == len(events)
 
     def test_matches_brute_force_pairing_oracle(self, rng):
         config = SyncConfig(pairing_window_ms=70)
@@ -218,12 +218,6 @@ class TestReleaseFsm:
                 emitted.append(decision)
         assert len(emitted) == 1
 
-    def test_functional_wrapper(self):
-        fsm = ReleaseFsm(SyncConfig(debounce_frames=1))
-        state, decision = fsm_step(fsm, fused(ActionClass.PULL, True, 5))
-        assert state is FsmState.RELEASED
-        assert decision is not None
-
     def test_monotone_safety_when_one_modality_stays_false(self, rng):
         # random vote streams: if either modality is false all episode, the
         # FSM must never release
@@ -344,3 +338,27 @@ class TestEpisodeLogReplay:
         path.write_text('{"type": "summary", "released": false}\n')
         with pytest.raises(ValueError, match="header"):
             replay_episode_log(path)
+
+
+class TestDebounceOverTime:
+    """The debounce counts votes that are consecutive in time, not in pairing."""
+
+    def test_unpaired_torque_events_reset_the_debounce(self, monkeypatch, tmp_path):
+        # PULL every 125 ms, camera verdicts only at 1000, 1500 and 1600 ms:
+        # the events at 1125, 1250 and 1375 ms find no partner within 100 ms
+        events = [
+            TorqueEvent(scores=scores_for(ActionClass.PULL), timestamp=t)
+            for t in range(1000, 1626, 125)
+        ]
+        verdicts = [verdict(True, t) for t in (1000, 1500, 1600)]
+        monkeypatch.setattr(fusion, "torque_event_stream", lambda *args: events)
+        monkeypatch.setattr(fusion, "vision_verdict_stream", lambda *args: verdicts)
+        script = generate_scenario(ActionClass.PULL, FaultProfile.clean(), seed=60)
+        outcome = run_episode(script, None, None, SyncConfig(debounce_frames=3))
+        assert outcome.dropped_torque_events == 3
+        assert not outcome.released
+        unpaired = [e["t"] for e in outcome.events if e["type"] == "unpaired_torque"]
+        assert unpaired == [1125, 1250, 1375]
+        path = tmp_path / "gap.jsonl"
+        write_episode_log(path, outcome)
+        assert replay_episode_log(path).matched

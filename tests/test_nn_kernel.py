@@ -37,14 +37,14 @@ class TestConv1d:
         layer = nn.Conv1D(1, 1, 3)
         layer.weight = np.array([[[0.0, 1.0, 0.0]]])
         layer.bias = np.zeros(1)
-        out = nn.conv1d_forward(np.array([[1.0, 2.0, 3.0, 4.0]]), layer)
+        out = layer.forward(np.array([[1.0, 2.0, 3.0, 4.0]])[None])[0]
         assert np.allclose(out, [[1.0, 2.0, 3.0, 4.0]])
 
     def test_zero_kernel(self, rng):
         layer = nn.Conv1D(3, 4, 3)
         layer.weight = np.zeros_like(layer.weight)
         layer.bias = np.zeros_like(layer.bias)
-        out = nn.conv1d_forward(rng.standard_normal((3, 10)), layer)
+        out = layer.forward(rng.standard_normal((3, 10))[None])[0]
         assert np.all(out == 0.0)
 
     def test_matches_brute_force_on_random_shapes(self, rng):
@@ -55,21 +55,21 @@ class TestConv1d:
             length = int(rng.integers(max(k, 2), 65))
             layer = make_conv(in_ch, out_ch, k, seed=trial)
             x = rng.standard_normal((in_ch, length))
-            got = nn.conv1d_forward(x, layer)
+            got = layer.forward(x[None])[0]
             want = conv1d_brute_force(x, layer.weight, layer.bias)
             assert np.abs(got - want).max() < 1e-9
 
     def test_batched_matches_single(self, rng):
         layer = make_conv(3, 5, 3, seed=7)
         batch = rng.standard_normal((4, 3, 12))
-        got = nn.conv1d_forward(batch, layer)
+        got = layer.forward(batch)
         for b in range(4):
-            assert np.allclose(got[b], nn.conv1d_forward(batch[b], layer))
+            assert np.allclose(got[b], layer.forward(batch[b][None])[0])
 
     def test_channel_mismatch_rejected(self, rng):
         layer = nn.Conv1D(3, 4, 3)
         with pytest.raises(ValueError, match="channels"):
-            nn.conv1d_forward(rng.standard_normal((2, 10)), layer)
+            layer.forward(rng.standard_normal((2, 10))[None])
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
@@ -80,7 +80,7 @@ class TestBatchNorm:
     def test_constant_channel_maps_to_zero(self):
         layer = nn.BatchNorm1D(2)
         x = np.full((3, 2, 5), 4.0)
-        out = nn.batchnorm_forward(x, layer, training=True)
+        out = layer.forward(x, training=True)
         assert np.abs(out).max() < 1e-6  # epsilon guards the zero variance
 
     def test_affine_on_standardized_input(self, rng):
@@ -89,7 +89,7 @@ class TestBatchNorm:
         layer.beta = np.full(3, 1.0)
         x = rng.standard_normal((8, 3, 20))
         x = (x - x.mean(axis=(0, 2), keepdims=True)) / x.std(axis=(0, 2), keepdims=True)
-        out = nn.batchnorm_forward(x, layer, training=True)
+        out = layer.forward(x, training=True)
         assert np.allclose(out, 2.0 * x + 1.0, atol=1e-4)
 
     def test_train_statistics_oracle(self, rng):
@@ -97,19 +97,19 @@ class TestBatchNorm:
         layer.gamma = rng.uniform(0.5, 2.0, 4)
         layer.beta = rng.uniform(-1.0, 1.0, 4)
         x = rng.standard_normal((16, 4, 30)) * 3.0 + 1.5
-        out = nn.batchnorm_forward(x, layer, training=True)
+        out = layer.forward(x, training=True)
         # recompute statistics directly from the output
         assert np.allclose(out.mean(axis=(0, 2)), layer.beta, atol=1e-6)
         assert np.allclose(out.var(axis=(0, 2)), layer.gamma**2, atol=1e-4)
 
     def test_infer_mode_is_frozen_and_deterministic(self, rng):
         layer = nn.BatchNorm1D(2)
-        nn.batchnorm_forward(rng.standard_normal((8, 2, 10)), layer, training=True)
+        layer.forward(rng.standard_normal((8, 2, 10)), training=True)
         frozen_mean = layer.running_mean.copy()
         x = rng.standard_normal((4, 2, 10))
-        first = nn.batchnorm_forward(x, layer, training=False)
-        nn.batchnorm_forward(rng.standard_normal((6, 2, 10)) + 10.0, layer, training=False)
-        second = nn.batchnorm_forward(x, layer, training=False)
+        first = layer.forward(x, training=False)
+        layer.forward(rng.standard_normal((6, 2, 10)) + 10.0, training=False)
+        second = layer.forward(x, training=False)
         assert np.array_equal(first, second)
         assert np.array_equal(layer.running_mean, frozen_mean)
 
@@ -117,13 +117,13 @@ class TestBatchNorm:
         layer = nn.BatchNorm1D(1)
         x = rng.standard_normal((10, 1, 50)) + 5.0
         for _ in range(200):
-            nn.batchnorm_forward(x, layer, training=True)
+            layer.forward(x, training=True)
         assert abs(layer.running_mean[0] - x.mean()) < 1e-3
 
     def test_empty_batch_rejected(self):
         layer = nn.BatchNorm1D(2)
         with pytest.raises(ValueError, match="non-empty"):
-            nn.batchnorm_forward(np.zeros((0, 2, 5)), layer, training=True)
+            layer.forward(np.zeros((0, 2, 5)), training=True)
 
     def test_bad_epsilon_rejected(self):
         with pytest.raises(ValueError, match="epsilon"):
@@ -132,31 +132,32 @@ class TestBatchNorm:
 
 class TestRelu:
     def test_definition(self):
-        assert np.array_equal(nn.relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
+        assert np.array_equal(nn.ReLU().forward(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 
     def test_all_negative(self):
-        assert np.all(nn.relu(np.full((3, 4), -2.0)) == 0.0)
+        assert np.all(nn.ReLU().forward(np.full((3, 4), -2.0)) == 0.0)
 
     def test_idempotent(self, rng):
+        relu = nn.ReLU().forward
         x = rng.standard_normal((5, 17))
-        assert np.array_equal(nn.relu(nn.relu(x)), nn.relu(x))
+        assert np.array_equal(relu(relu(x)), relu(x))
 
 
 class TestGlobalAvgPool:
     def test_simple_mean(self):
-        assert nn.global_avg_pool(np.array([[2.0, 4.0]]))[0] == 3.0
+        assert nn.GlobalAvgPool1D().forward(np.array([[2.0, 4.0]]))[0] == 3.0
 
     def test_constant_channel(self):
-        assert np.allclose(nn.global_avg_pool(np.full((3, 9), 7.5)), 7.5)
+        assert np.allclose(nn.GlobalAvgPool1D().forward(np.full((3, 9), 7.5)), 7.5)
 
     def test_matches_summation_oracle(self, rng):
         x = rng.standard_normal((6, 33))
         want = np.array([sum(row) / len(row) for row in x])
-        assert np.abs(nn.global_avg_pool(x) - want).max() < 1e-12
+        assert np.abs(nn.GlobalAvgPool1D().forward(x) - want).max() < 1e-12
 
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError, match="length"):
-            nn.global_avg_pool(np.zeros((3, 0)))
+            nn.GlobalAvgPool1D().forward(np.zeros((3, 0)))
 
 
 class TestSoftmax:
@@ -225,7 +226,7 @@ class TestOptimizers:
         tape = nn.GradientTape([{
             "weight": np.zeros_like(layer.weight), "bias": np.zeros_like(layer.bias),
         }])
-        nn.sgd_step(net, tape, learning_rate=0.5)
+        nn.MomentumSGD(net, learning_rate=0.5, momentum=0.0).step(tape)
         assert np.array_equal(layer.weight, before)
 
     def test_unit_learning_rate_subtracts_gradient(self):
@@ -233,22 +234,19 @@ class TestOptimizers:
         before = layer.weight.copy()
         g = np.full_like(layer.weight, 0.25)
         tape = nn.GradientTape([{"weight": g, "bias": np.zeros_like(layer.bias)}])
-        nn.sgd_step(net, tape, learning_rate=1.0)
+        nn.MomentumSGD(net, learning_rate=1.0, momentum=0.0).step(tape)
         assert np.allclose(layer.weight, before - 0.25)
 
     def test_non_positive_learning_rate_rejected(self):
-        net, layer = self.single_linear_net()
-        tape = nn.GradientTape([{
-            "weight": np.zeros_like(layer.weight), "bias": np.zeros_like(layer.bias),
-        }])
+        net, _ = self.single_linear_net()
         with pytest.raises(ValueError, match="learning rate"):
-            nn.sgd_step(net, tape, learning_rate=0.0)
+            nn.MomentumSGD(net, learning_rate=0.0, momentum=0.0)
 
     def test_shape_mismatch_rejected(self):
         net, layer = self.single_linear_net()
         tape = nn.GradientTape([{"weight": np.zeros((3, 3)), "bias": np.zeros_like(layer.bias)}])
         with pytest.raises(ValueError, match="shape"):
-            nn.sgd_step(net, tape, learning_rate=0.1)
+            nn.MomentumSGD(net, learning_rate=0.1, momentum=0.0).step(tape)
 
     def quadratic_tape(self, net, layer):
         # gradient of 0.5 * ||params||^2 is the parameters themselves
@@ -260,9 +258,10 @@ class TestOptimizers:
     def test_sgd_monotone_on_convex_quadratic(self):
         net, layer = self.single_linear_net(seed=3)
         layer.bias = np.array([1.0, -2.0])
+        opt = nn.MomentumSGD(net, learning_rate=0.1, momentum=0.0)
         losses = [self.quadratic_loss(layer)]
         for _ in range(20):
-            nn.sgd_step(net, self.quadratic_tape(net, layer), learning_rate=0.1)
+            opt.step(self.quadratic_tape(net, layer))
             losses.append(self.quadratic_loss(layer))
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
