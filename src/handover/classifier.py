@@ -90,7 +90,10 @@ class NormalizationStats:
 
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=np.float64).reshape(NUM_JOINTS)
-        std = np.maximum(np.asarray(self.std, dtype=np.float64).reshape(NUM_JOINTS), STD_FLOOR)
+        std = np.asarray(self.std, dtype=np.float64).reshape(NUM_JOINTS)
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
+            raise ValueError("normalization statistics must be finite")
+        std = np.maximum(std, STD_FLOOR)
         mean.flags.writeable = False
         std.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -232,10 +235,10 @@ def train(
             correct += int(np.sum(np.argmax(probs, axis=1) == y_train[batch]))
         epoch_losses.append(float(np.mean(batch_losses)))
         epoch_train_acc.append(correct / order.size)
-        epoch_hold_acc.append(float(np.mean(_predict_classes(net, x_hold) == y_hold)))
+        hold_pred = _predict_classes(net, x_hold)
+        epoch_hold_acc.append(float(np.mean(hold_pred == y_hold)))
     wall = time.perf_counter() - started
 
-    hold_pred = _predict_classes(net, x_hold)
     confusion = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     for true, pred in zip(y_hold, hold_pred):
         confusion[true, pred] += 1

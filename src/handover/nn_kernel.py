@@ -2,10 +2,19 @@
 
 Everything is float64 numpy. There is no autograd graph: each layer class
 implements its own adjoint and caches whatever the backward pass needs
-during a training-mode forward. Tensors are arrays shaped
-(channels, length) for a single sample or (batch, channels, length) for a
-batch; convolutions use same padding and stride 1 so the temporal axis is
-preserved end to end.
+during a training-mode forward. Convolutions use same padding and stride 1
+so the temporal axis is preserved end to end.
+
+Layout: at every layer boundary a tensor has the logical shape
+(batch, channels, length), and (batch, features) after pooling. In memory
+the activations are channel-major: a layer computes into a contiguous
+(channels, batch, length) buffer and returns its ``transpose(1, 0, 2)``
+view, and the next layer recovers that buffer without a copy. So the conv
+im2col and GEMM and the batch-norm reductions run on contiguous
+(channels, batch * length) rows, while callers index samples as usual.
+
+``Network.frozen()`` returns an inference copy with each batch norm
+folded into the conv before it; ``predict_proba`` runs that copy.
 """
 from __future__ import annotations
 
@@ -50,27 +59,30 @@ def mean_cross_entropy(probabilities: np.ndarray, targets: np.ndarray) -> float:
     return float(-np.log(picked).mean())
 
 
-def _pad_same(x: np.ndarray, kernel_size: int) -> np.ndarray:
-    p = (kernel_size - 1) // 2
-    return np.pad(x, ((0, 0), (0, 0), (p, p)))
+def _channel_major(x: np.ndarray) -> np.ndarray:
+    """The contiguous (channels, batch, length) buffer behind a logical
+    (batch, channels, length) tensor; no copy when x already has it."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2))
 
 
-def _conv1d_batch(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # im2col with a single layout copy, then one GEMM; the copy order
-    # (channel, tap, batch, time) matches weight.reshape(out, in*k)
-    batch, channels, length = x.shape
-    out_channels, in_channels, kernel_size = weight.shape
-    if channels != in_channels:
-        raise ValueError(f"conv input has {channels} channels, layer expects {in_channels}")
-    xp = _pad_same(x, kernel_size)
-    taps = np.lib.stride_tricks.sliding_window_view(xp, kernel_size, axis=2)  # (B, C, L, k)
-    cols = np.ascontiguousarray(taps.transpose(1, 3, 0, 2)).reshape(
-        channels * kernel_size, batch * length
-    )
-    out2 = weight.reshape(out_channels, channels * kernel_size) @ cols
-    out2 += bias[:, None]
-    out = np.ascontiguousarray(out2.reshape(out_channels, batch, length).transpose(1, 0, 2))
-    return out, cols
+def _channel_sums(buf: np.ndarray) -> np.ndarray:
+    """Per-channel sums of a (channels, batch, length) buffer: each sample
+    summed over length, then the samples added in order. That is how numpy
+    rounds a sum over axes (0, 2) of a (batch, channels, length) array, so
+    the sums do not depend on the layout."""
+    return np.ascontiguousarray(buf.sum(axis=2).T).sum(axis=0)
+
+
+def _tap_span(shift: int, length: int) -> tuple[int, int]:
+    """Output positions [lo, hi) whose tap source t + shift lies inside
+    the signal; same padding supplies zeros everywhere else."""
+    lo = min(length, max(0, -shift))
+    return lo, max(lo, min(length, length - shift))
+
+
+def _check_kernel(kernel_size: int) -> None:
+    if kernel_size < 1 or kernel_size % 2 == 0:
+        raise ValueError("same padding requires an odd kernel size >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -94,16 +106,27 @@ class Conv1D:
         kernel_size: int = 3,
         rng: np.random.Generator | None = None,
     ) -> None:
-        if kernel_size < 1 or kernel_size % 2 == 0:
-            raise ValueError("same padding requires an odd kernel size >= 1")
+        _check_kernel(kernel_size)
         rng = rng if rng is not None else np.random.default_rng()
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.weight = _he_uniform(
-            rng, (out_channels, in_channels, kernel_size), in_channels * kernel_size
+        self._assign(
+            _he_uniform(rng, (out_channels, in_channels, kernel_size), in_channels * kernel_size),
+            np.zeros(out_channels),
         )
-        self.bias = np.zeros(out_channels)
+
+    @classmethod
+    def from_params(cls, weight: np.ndarray, bias: np.ndarray) -> "Conv1D":
+        """A layer holding these arrays (not copied); draws no random init."""
+        layer = cls.__new__(cls)
+        layer._assign(weight, bias)
+        return layer
+
+    def _assign(self, weight: np.ndarray, bias: np.ndarray) -> None:
+        if weight.ndim != 3 or bias.shape != weight.shape[:1]:
+            raise ValueError(f"conv weight shape {weight.shape} and bias shape {bias.shape} disagree")
+        _check_kernel(weight.shape[2])
+        self.out_channels, self.in_channels, self.kernel_size = weight.shape
+        self.weight = weight
+        self.bias = bias
         self.grads: dict[str, np.ndarray] = {}
         self._cols: np.ndarray | None = None
 
@@ -111,25 +134,42 @@ class Conv1D:
         return {"weight": self.weight, "bias": self.bias}
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out, cols = _conv1d_batch(x, self.weight, self.bias)
+        xc = _channel_major(x)
+        channels, batch, length = xc.shape
+        if channels != self.in_channels:
+            raise ValueError(f"conv input has {channels} channels, layer expects {self.in_channels}")
+        k, p = self.kernel_size, (self.kernel_size - 1) // 2
+        # im2col rows in (channel, tap) order, matching weight.reshape(out, in*k);
+        # tap j of output position t reads input position t + j - p
+        cols = np.empty((channels, k, batch, length))
+        for j in range(k):
+            lo, hi = _tap_span(j - p, length)
+            cols[:, j, :, :lo] = 0.0
+            cols[:, j, :, hi:] = 0.0
+            cols[:, j, :, lo:hi] = xc[:, :, lo + j - p:hi + j - p]
+        cols = cols.reshape(channels * k, batch * length)
+        out = self.weight.reshape(self.out_channels, channels * k) @ cols
+        out += self.bias[:, None]
         if training:
             self._cols = cols
-        return out
+        return out.reshape(self.out_channels, batch, length).transpose(1, 0, 2)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cols is None:
             raise ValueError("backward called without a training forward")
         o, c, k = self.weight.shape
-        batch, length = grad.shape[0], grad.shape[2]
         p = (k - 1) // 2
-        g2 = np.ascontiguousarray(grad.transpose(1, 0, 2)).reshape(o, batch * length)
+        batch, length = grad.shape[0], grad.shape[2]
+        g2 = _channel_major(grad).reshape(o, batch * length)
         self.grads["weight"] = (g2 @ self._cols.T).reshape(o, c, k)
-        self.grads["bias"] = grad.sum(axis=(0, 2))
+        self.grads["bias"] = _channel_sums(g2.reshape(o, batch, length))
         dcols = (self.weight.reshape(o, c * k).T @ g2).reshape(c, k, batch, length)
-        dxp = np.zeros((batch, c, length + 2 * p))
+        # col2im: scatter each tap's slab back to the input positions it read
+        dx = np.zeros((c, batch, length))
         for j in range(k):
-            dxp[:, :, j:j + length] += dcols[:, j].transpose(1, 0, 2)
-        return dxp[:, :, p:p + length]
+            lo, hi = _tap_span(j - p, length)
+            dx[:, :, lo + j - p:hi + j - p] += dcols[:, j, :, lo:hi]
+        return dx.transpose(1, 0, 2)
 
 
 class BatchNorm1D:
@@ -138,8 +178,8 @@ class BatchNorm1D:
     kind = "batchnorm1d"
 
     def __init__(self, channels: int, epsilon: float = 1e-5, momentum: float = 0.1) -> None:
-        if epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         self.channels = channels
         self.epsilon = epsilon
         self.momentum = momentum
@@ -151,46 +191,77 @@ class BatchNorm1D:
         self._x_hat: np.ndarray | None = None
         self._inv_std: np.ndarray | None = None
 
+    @classmethod
+    def from_params(
+        cls,
+        gamma: np.ndarray,
+        beta: np.ndarray,
+        running_mean: np.ndarray,
+        running_var: np.ndarray,
+        epsilon: float = 1e-5,
+        momentum: float = 0.1,
+    ) -> "BatchNorm1D":
+        """A layer holding these arrays (not copied)."""
+        layer = cls(gamma.size, epsilon, momentum)
+        arrays = {"gamma": gamma, "beta": beta, "running_mean": running_mean, "running_var": running_var}
+        for name, arr in arrays.items():
+            if arr.shape != (layer.channels,):
+                raise ValueError(f"batchnorm {name} shape {arr.shape} != ({layer.channels},)")
+        if np.any(running_var < 0.0):
+            raise ValueError("batchnorm running_var must be non-negative")
+        layer.gamma, layer.beta = gamma, beta
+        layer.running_mean, layer.running_var = running_mean, running_var
+        return layer
+
     def params(self) -> dict[str, np.ndarray]:
         return {"gamma": self.gamma, "beta": self.beta}
 
     def forward(self, x: np.ndarray, training: bool = False, update_running: bool = True) -> np.ndarray:
         if x.ndim != 3 or x.shape[1] != self.channels:
             raise ValueError(f"batchnorm expects (batch, {self.channels}, length), got {x.shape}")
+        xc = _channel_major(x)
+        m = xc.shape[1] * xc.shape[2]
         if training:
             if x.shape[0] == 0:
                 raise ValueError("batchnorm training forward requires a non-empty batch")
-            mean = x.mean(axis=(0, 2))
-            var = x.var(axis=(0, 2))  # biased, matches the normalization path
+            mean = _channel_sums(xc) / m
+            x_hat = xc - mean[:, None, None]
+            var = _channel_sums(np.square(x_hat)) / m  # biased, matches the normalization path
             if update_running:
                 self.running_mean = (1.0 - self.momentum) * self.running_mean + self.momentum * mean
                 self.running_var = (1.0 - self.momentum) * self.running_var + self.momentum * var
         else:
-            mean = self.running_mean
+            x_hat = xc - self.running_mean[:, None, None]
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
-        x_hat = (x - mean[None, :, None]) * inv_std[None, :, None]
+        x_hat *= inv_std[:, None, None]
         if training:
             self._x_hat = x_hat
             self._inv_std = inv_std
-        return self.gamma[None, :, None] * x_hat + self.beta[None, :, None]
+        out = self.gamma[:, None, None] * x_hat
+        out += self.beta[:, None, None]
+        return out.transpose(1, 0, 2)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._x_hat is None or self._inv_std is None:
             raise ValueError("backward called without a training forward")
         x_hat, inv_std = self._x_hat, self._inv_std
-        m = grad.shape[0] * grad.shape[2]
-        sum_g = grad.sum(axis=(0, 2))
-        sum_gx = (grad * x_hat).sum(axis=(0, 2))
+        g = _channel_major(grad)
+        m = g.shape[1] * g.shape[2]
+        gx = g * x_hat
+        sum_g = _channel_sums(g)
+        sum_gx = _channel_sums(gx)
         self.grads["gamma"] = sum_gx
         self.grads["beta"] = sum_g
-        scale = self.gamma * inv_std
-        return scale[None, :, None] * (
-            grad - (sum_g / m)[None, :, None] - x_hat * (sum_gx / m)[None, :, None]
-        )
+        dx = g - (sum_g / m)[:, None, None]
+        dx -= np.multiply(x_hat, (sum_gx / m)[:, None, None], out=gx)
+        dx *= (self.gamma * inv_std)[:, None, None]
+        return dx.transpose(1, 0, 2)
 
 
 class ReLU:
+    """Elementwise, so the output keeps the input's (channel-major) strides."""
+
     kind = "relu"
 
     def __init__(self) -> None:
@@ -212,7 +283,10 @@ class ReLU:
 
 
 class GlobalAvgPool1D:
-    """Collapses (batch, channels, length) to (batch, channels) means."""
+    """Collapses (batch, channels, length) to (batch, channels) means.
+
+    The means come back C-contiguous whatever the input strides, so the
+    Linear GEMMs that follow see one operand layout and round alike."""
 
     kind = "global_avg_pool"
 
@@ -228,7 +302,7 @@ class GlobalAvgPool1D:
             raise ValueError("global_avg_pool requires length >= 1")
         if training:
             self._length = x.shape[-1]
-        return x.mean(axis=-1)
+        return np.ascontiguousarray(x.mean(axis=-1))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._length is None:
@@ -244,10 +318,21 @@ class Linear:
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator | None = None) -> None:
         rng = rng if rng is not None else np.random.default_rng()
-        self.in_features = in_features
-        self.out_features = out_features
-        self.weight = _he_uniform(rng, (out_features, in_features), in_features)
-        self.bias = np.zeros(out_features)
+        self._assign(_he_uniform(rng, (out_features, in_features), in_features), np.zeros(out_features))
+
+    @classmethod
+    def from_params(cls, weight: np.ndarray, bias: np.ndarray) -> "Linear":
+        """A layer holding these arrays (not copied); draws no random init."""
+        layer = cls.__new__(cls)
+        layer._assign(weight, bias)
+        return layer
+
+    def _assign(self, weight: np.ndarray, bias: np.ndarray) -> None:
+        if weight.ndim != 2 or bias.shape != weight.shape[:1]:
+            raise ValueError(f"linear weight shape {weight.shape} and bias shape {bias.shape} disagree")
+        self.out_features, self.in_features = weight.shape
+        self.weight = weight
+        self.bias = bias
         self.grads: dict[str, np.ndarray] = {}
         self._x: np.ndarray | None = None
 
@@ -272,6 +357,18 @@ class Linear:
 Layer = Conv1D | BatchNorm1D | ReLU | GlobalAvgPool1D | Linear
 
 
+def _param_copy(layer: Layer) -> Layer:
+    """A fresh layer with copies of ``layer``'s parameters and statistics."""
+    if isinstance(layer, (Conv1D, Linear)):
+        return type(layer).from_params(layer.weight.copy(), layer.bias.copy())
+    if isinstance(layer, BatchNorm1D):
+        return BatchNorm1D.from_params(
+            layer.gamma.copy(), layer.beta.copy(), layer.running_mean.copy(),
+            layer.running_var.copy(), layer.epsilon, layer.momentum,
+        )
+    return type(layer)()
+
+
 # ---------------------------------------------------------------------------
 # network, gradients, optimizer
 # ---------------------------------------------------------------------------
@@ -292,7 +389,25 @@ class Network:
         return out
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return softmax(self.forward(x, training=False))
+        return softmax(self.frozen().forward(x))
+
+    def frozen(self) -> "Network":
+        """An inference copy: every BatchNorm1D that follows a Conv1D is
+        folded into that conv's weight and bias and dropped. Its forward
+        equals ``forward(x, training=False)`` up to rounding. The copy
+        shares no array with this network, which it leaves untouched."""
+        layers: list[Layer] = []
+        for layer in self.layers:
+            prev = layers[-1] if layers else None
+            if isinstance(layer, BatchNorm1D) and isinstance(prev, Conv1D):
+                scale = layer.gamma / np.sqrt(layer.running_var + layer.epsilon)
+                layers[-1] = Conv1D.from_params(
+                    prev.weight * scale[:, None, None],
+                    (prev.bias - layer.running_mean) * scale + layer.beta,
+                )
+            else:
+                layers.append(_param_copy(layer))
+        return Network(layers)
 
     def parameters(self) -> list[tuple[int, str, np.ndarray]]:
         out = []
@@ -379,8 +494,21 @@ def _array_doc(arr: np.ndarray) -> dict[str, Any]:
     return {"shape": list(arr.shape), "data": arr.ravel().tolist()}
 
 
-def _array_from_doc(doc: dict[str, Any]) -> np.ndarray:
-    return np.asarray(doc["data"], dtype=np.float64).reshape(doc["shape"])
+def _array_from_doc(entry: dict[str, Any], name: str) -> np.ndarray:
+    doc = entry[name]
+    arr = np.asarray(doc["data"], dtype=np.float64).reshape(doc["shape"])
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{entry['kind']} {name} contains non-finite values")
+    return arr
+
+
+def _check_declared(entry: dict[str, Any], layer: Layer, names: tuple[str, ...]) -> None:
+    for name in names:
+        if entry[name] != getattr(layer, name):
+            raise ValueError(
+                f"{entry['kind']} declares {name}={entry[name]!r} but its parameter shapes "
+                f"give {getattr(layer, name)}"
+            )
 
 
 def network_to_json(net: Network) -> dict[str, Any]:
@@ -428,19 +556,18 @@ def network_from_json(doc: dict[str, Any]) -> Network:
     for entry in doc["layers"]:
         kind = entry["kind"]
         if kind == "conv1d":
-            layer = Conv1D(entry["in_channels"], entry["out_channels"], entry["kernel_size"])
-            layer.weight = _array_from_doc(entry["weight"])
-            layer.bias = _array_from_doc(entry["bias"])
+            layer = Conv1D.from_params(_array_from_doc(entry, "weight"), _array_from_doc(entry, "bias"))
+            _check_declared(entry, layer, ("in_channels", "out_channels", "kernel_size"))
         elif kind == "batchnorm1d":
-            layer = BatchNorm1D(entry["channels"], entry["epsilon"], entry["momentum"])
-            layer.gamma = _array_from_doc(entry["gamma"])
-            layer.beta = _array_from_doc(entry["beta"])
-            layer.running_mean = _array_from_doc(entry["running_mean"])
-            layer.running_var = _array_from_doc(entry["running_var"])
+            layer = BatchNorm1D.from_params(
+                *(_array_from_doc(entry, name) for name in ("gamma", "beta", "running_mean", "running_var")),
+                epsilon=entry["epsilon"],
+                momentum=entry["momentum"],
+            )
+            _check_declared(entry, layer, ("channels",))
         elif kind == "linear":
-            layer = Linear(entry["in_features"], entry["out_features"])
-            layer.weight = _array_from_doc(entry["weight"])
-            layer.bias = _array_from_doc(entry["bias"])
+            layer = Linear.from_params(_array_from_doc(entry, "weight"), _array_from_doc(entry, "bias"))
+            _check_declared(entry, layer, ("in_features", "out_features"))
         elif kind == "relu":
             layer = ReLU()
         elif kind == "global_avg_pool":

@@ -365,6 +365,11 @@ def _finger_boxes(rng: np.random.Generator) -> list[tuple[float, float]]:
     return [(0.30 + 0.15 * i + rng.uniform(-0.01, 0.01), 0.5 + rng.uniform(-0.03, 0.03)) for i in range(4)]
 
 
+def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    # the arithmetic of Generator.uniform, applied to pre-drawn rng.random() values
+    return low + (high - low) * u
+
+
 def generate_scenario(
     action: ActionClass,
     profile: FaultProfile,
@@ -418,43 +423,46 @@ def generate_scenario(
     thickness = slab.z_back - slab.z_front
 
     near_miss = action is ActionClass.BUMP and not spurious
-    show_fingers = action is not ActionClass.NO_ACTION
+    stamps = [round(i * 1000.0 / VISION_RATE_HZ) for i in range(EPISODE_FRAMES)]
+    if action is ActionClass.NO_ACTION:
+        frames = [DetectionFrame(timestamp=ts, detections=()) for ts in stamps]
+    else:
+        # every finger of every frame takes four uniforms: z, cx, cy, confidence
+        u_z, u_cx, u_cy, u_conf = np.moveaxis(rng.random((EPISODE_FRAMES, 4, 4)), 2, 0)
+        t_ms = np.asarray(stamps, dtype=np.float64)[:, None]
+        grasped = grasp_at is not None and t_ms >= grasp_at
+        inside = np.ones(4, dtype=bool)
+        if dropout_mode == "thumb_out":
+            inside[0] = False
+        elif dropout_mode == "two_fingers":
+            inside[2:] = False
+        z_in = slab.z_front + depth_fracs * thickness + _uniform(u_z, -0.005, 0.005)
+        z_in = np.minimum(np.maximum(z_in, slab.z_front + 0.005), slab.z_back - 0.005)
+        z_out = slab.z_front - 0.05 + _uniform(u_z, -0.01, 0.01)
+        near = near_miss and (t_ms >= 1200) & (t_ms <= 2600)
+        z_near = slab.z_front - 0.03 + _uniform(u_z, -0.01, 0.01)
+        # approaching from the camera side, still short of the slab
+        progress = np.minimum(t_ms / 1250.0, 1.0)
+        z_approach = slab.z_front - 0.12 + 0.07 * progress + _uniform(u_z, -0.01, 0.01)
+        z = np.where(grasped, np.where(inside, z_in, z_out), np.where(near, z_near, z_approach))
 
-    frames: list[DetectionFrame] = []
-    for i in range(EPISODE_FRAMES):
-        ts = round(i * 1000.0 / VISION_RATE_HZ)
-        detections: list[FingertipDetection] = []
-        if show_fingers:
-            grasped = grasp_at is not None and ts >= grasp_at
-            for f in range(4):
-                if grasped:
-                    inside = True
-                    if dropout_mode == "thumb_out" and f == 0:
-                        inside = False
-                    if dropout_mode == "two_fingers" and f >= 2:
-                        inside = False
-                    if inside:
-                        z = slab.z_front + depth_fracs[f] * thickness + rng.uniform(-0.005, 0.005)
-                        z = min(max(z, slab.z_front + 0.005), slab.z_back - 0.005)
-                    else:
-                        z = slab.z_front - 0.05 + rng.uniform(-0.01, 0.01)
-                elif near_miss and 1200 <= ts <= 2600:
-                    z = slab.z_front - 0.03 + rng.uniform(-0.01, 0.01)
-                else:
-                    # approaching from the camera side, still short of the slab
-                    progress = min(ts / 1250.0, 1.0)
-                    z = slab.z_front - 0.12 + 0.07 * progress + rng.uniform(-0.01, 0.01)
-                cx, cy = centers[f]
-                cx += rng.uniform(-0.005, 0.005)
-                cy += rng.uniform(-0.005, 0.005)
-                detections.append(FingertipDetection(
-                    box=(cx - 0.04, cy - 0.04, cx + 0.04, cy + 0.04),
+        cx = np.array([c[0] for c in centers]) + _uniform(u_cx, -0.005, 0.005)
+        cy = np.array([c[1] for c in centers]) + _uniform(u_cy, -0.005, 0.005)
+        columns = (cx - 0.04, cy - 0.04, cx + 0.04, cy + 0.04, cx - 0.5, cy - 0.5,
+                   np.maximum(z, 0.0), _uniform(u_conf, 0.75, 0.98))
+        frames = [
+            DetectionFrame(timestamp=ts, detections=tuple(
+                FingertipDetection(
+                    box=(x0[f], y0[f], x1[f], y1[f]),
                     finger_type=FingerType.THUMB if f == 0 else FingerType.OTHER,
-                    position_3d=(cx - 0.5, cy - 0.5, max(z, 0.0)),
-                    confidence=rng.uniform(0.75, 0.98),
+                    position_3d=(px[f], py[f], pz[f]),
+                    confidence=conf[f],
                     timestamp=ts,
-                ))
-        frames.append(DetectionFrame(timestamp=ts, detections=tuple(detections)))
+                )
+                for f in range(4)
+            ))
+            for ts, x0, y0, x1, y1, px, py, pz, conf in zip(stamps, *(c.tolist() for c in columns))
+        ]
 
     return ScenarioScript(
         action=action,

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,38 @@ class TestModelAndDatasetFiles:
         path.write_text('{"format": "other"}', encoding="utf-8")
         with pytest.raises(ValueError, match="format"):
             load_model(path)
+
+    @staticmethod
+    def corrupt_model(small_model, tmp_path, edit):
+        net, stats, _ = small_model
+        path = tmp_path / "model.json"
+        save_model(path, net, stats)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return path
+
+    def test_load_rejects_broadcasting_linear_bias(self, small_model, tmp_path):
+        def edit(doc):
+            doc["network"]["layers"][-1]["bias"] = {"shape": [1], "data": [0.0]}
+
+        with pytest.raises(ValueError, match="shape"):
+            load_model(self.corrupt_model(small_model, tmp_path, edit))
+
+    def test_load_rejects_negative_running_var(self, small_model, tmp_path):
+        def edit(doc):
+            doc["network"]["layers"][1]["running_var"]["data"][0] = -1.0
+
+        with pytest.raises(ValueError, match="running_var"):
+            load_model(self.corrupt_model(small_model, tmp_path, edit))
+
+    @pytest.mark.parametrize("field", ["mean", "std"])
+    def test_load_rejects_non_finite_normalization(self, small_model, tmp_path, field):
+        def edit(doc):
+            doc["normalization"][field][3] = float("nan")
+
+        with pytest.raises(ValueError, match="finite"):
+            load_model(self.corrupt_model(small_model, tmp_path, edit))
 
     def test_dataset_jsonl_roundtrip(self, tmp_path):
         items = generate_dataset(default_signature_model(), per_class_count=2, seed=9)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import handover.nn_kernel as nn
 
@@ -282,6 +283,121 @@ class TestOptimizers:
             nn.MomentumSGD(net, learning_rate=0.1, momentum=1.0)
 
 
+def channel_major_view(x):
+    """The same values as x, stored as a contiguous (channels, batch, length) buffer."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+def is_channel_major(x):
+    return x.transpose(1, 0, 2).flags.c_contiguous
+
+
+class TestChannelMajorLayout:
+    """Layers store activations channel-major but must not care how their
+    (batch, channels, length) input is laid out."""
+
+    def layers(self, seed):
+        gen = np.random.default_rng(seed)
+        bn = nn.BatchNorm1D(3)
+        bn.gamma, bn.beta = gen.uniform(0.5, 2.0, 3), gen.standard_normal(3)
+        bn.running_mean, bn.running_var = gen.standard_normal(3), gen.uniform(0.5, 2.0, 3)
+        return [make_conv(3, 3, 3, seed), make_conv(3, 3, 5, seed + 1), bn, nn.ReLU()]
+
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("training", [False, True])
+    def test_forward_and_backward_ignore_input_strides(self, rng, index, training):
+        x = rng.standard_normal((4, 3, 9))
+        grad = rng.standard_normal((4, 3, 9))
+        plain, strided = self.layers(3)[index], self.layers(3)[index]
+        out_plain = plain.forward(x, training=training)
+        out_strided = strided.forward(channel_major_view(x), training=training)
+        assert np.array_equal(out_plain, out_strided)
+        assert is_channel_major(out_strided)
+        if training:
+            back_plain = plain.backward(grad)
+            back_strided = strided.backward(channel_major_view(grad))
+            assert np.array_equal(back_plain, back_strided)
+            assert is_channel_major(back_strided)
+            for name, g in plain.grads.items():
+                assert np.array_equal(g, strided.grads[name])
+
+    def test_pool_ignores_input_strides(self, rng):
+        x = rng.standard_normal((4, 3, 9))
+        pool = nn.GlobalAvgPool1D()
+        assert np.array_equal(pool.forward(x), pool.forward(channel_major_view(x)))
+
+    def test_contiguous_channel_major_input_is_not_copied(self, rng):
+        x = channel_major_view(rng.standard_normal((2, 3, 5)))
+        assert np.shares_memory(nn._channel_major(x), x)
+
+
+def random_network(seed, in_ch, width, blocks, k):
+    """Conv/BN/ReLU blocks with random affine parameters and running statistics."""
+    gen = np.random.default_rng(seed)
+    layers = []
+    ch = in_ch
+    for i in range(blocks):
+        conv = make_conv(ch, width, k, seed=seed + i)
+        bn = nn.BatchNorm1D(width, epsilon=float(gen.uniform(1e-5, 1e-2)))
+        bn.gamma = gen.uniform(-2.0, 2.0, width)
+        bn.beta = gen.standard_normal(width)
+        bn.running_mean = gen.standard_normal(width)
+        bn.running_var = gen.uniform(0.05, 4.0, width)
+        layers += [conv, bn, nn.ReLU()]
+        ch = width
+    layers += [nn.GlobalAvgPool1D(), nn.Linear(width, 4, rng=gen)]
+    return nn.Network(layers)
+
+
+network_shapes = st.tuples(
+    st.integers(0, 2**16), st.integers(1, 3), st.integers(1, 6), st.integers(1, 3), st.sampled_from([1, 3, 5]),
+)
+
+
+class TestFrozen:
+    @given(shape=network_shapes, batch=st.integers(1, 4), length=st.integers(1, 20))
+    def test_folded_forward_matches_batchnorm_inference(self, shape, batch, length):
+        net = random_network(*shape)
+        x = np.random.default_rng(shape[0]).standard_normal((batch, shape[1], length))
+        want = net.forward(x, training=False)
+        got = net.frozen().forward(x)
+        assert np.abs(got - want).max() <= 1e-9
+        assert np.array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
+
+    @given(shape=network_shapes)
+    def test_copy_drops_batchnorm_and_leaves_source_untouched(self, shape):
+        net = random_network(*shape)
+        before = [
+            {k: v.copy() for k, v in vars(layer).items() if isinstance(v, np.ndarray)}
+            for layer in net.layers
+        ]
+        frozen = net.frozen()
+        assert not any(isinstance(layer, nn.BatchNorm1D) for layer in frozen.layers)
+        assert len(frozen.layers) == len(net.layers) - shape[3]
+        for layer, arrays in zip(net.layers, before):
+            for name, arr in arrays.items():
+                assert np.array_equal(getattr(layer, name), arr), name
+        for _, _, mine in frozen.parameters():
+            for _, _, theirs in net.parameters():
+                assert not np.shares_memory(mine, theirs)
+
+    def test_training_the_source_leaves_the_copy_unchanged(self, rng):
+        net = random_network(5, 2, 4, 2, 3)
+        x = rng.standard_normal((6, 2, 12))
+        frozen = net.frozen()
+        before = frozen.forward(x)
+        _loss, _probs, tape = nn.backward(net, x, np.arange(6) % 4)
+        nn.MomentumSGD(net, learning_rate=0.5).step(tape)
+        assert not np.array_equal(net.frozen().forward(x), before)
+        assert np.array_equal(frozen.forward(x), before)
+
+    def test_predict_proba_runs_the_folded_copy(self, rng):
+        net = random_network(9, 1, 5, 3, 3)
+        x = rng.standard_normal((3, 1, 30))
+        assert np.array_equal(net.predict_proba(x), nn.softmax(net.frozen().forward(x)))
+        assert np.abs(net.predict_proba(x) - nn.softmax(net.forward(x))).max() <= 1e-12
+
+
 class TestSerialization:
     def build_net(self, seed=5):
         gen = np.random.default_rng(seed)
@@ -311,4 +427,42 @@ class TestSerialization:
         doc = nn.network_to_json(self.build_net())
         doc["version"] = "tcnn-v2"
         with pytest.raises(ValueError, match="format"):
+            nn.network_from_json(doc)
+
+    @pytest.mark.parametrize("index, name, shape", [
+        (4, "bias", [1]),  # would broadcast over the 4 logits
+        (4, "weight", [4, 2]),
+        (0, "weight", [3, 1, 1]),  # narrower kernel than the declared 3
+        (0, "bias", [1]),
+        (1, "gamma", [1]),
+        (1, "running_var", [1, 3]),
+    ])
+    def test_mismatched_shapes_rejected(self, index, name, shape):
+        doc = nn.network_to_json(self.build_net())
+        doc["layers"][index][name] = {"shape": shape, "data": [0.5] * math.prod(shape)}
+        with pytest.raises(ValueError, match="shape"):
+            nn.network_from_json(doc)
+
+    @pytest.mark.parametrize("index, name", [
+        (0, "weight"), (0, "bias"), (1, "gamma"), (1, "beta"),
+        (1, "running_mean"), (1, "running_var"), (4, "weight"), (4, "bias"),
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_values_rejected(self, index, name, bad):
+        doc = nn.network_to_json(self.build_net())
+        doc["layers"][index][name]["data"][0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            nn.network_from_json(doc)
+
+    def test_negative_running_var_rejected(self):
+        doc = nn.network_to_json(self.build_net())
+        doc["layers"][1]["running_var"]["data"][1] = -0.5
+        with pytest.raises(ValueError, match="running_var"):
+            nn.network_from_json(doc)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-5, math.nan])
+    def test_non_positive_epsilon_rejected(self, epsilon):
+        doc = nn.network_to_json(self.build_net())
+        doc["layers"][1]["epsilon"] = epsilon
+        with pytest.raises(ValueError, match="epsilon"):
             nn.network_from_json(doc)

@@ -1,13 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from handover.core import ActionClass, FingerType, dumps_canonical
+from handover import synth
+from handover.core import ActionClass, FingerType, FingertipDetection, ObjectSlab, dumps_canonical
+from handover.fusion import Pipeline
+from handover.harness import ExperimentConfig, default_fault_profiles
 from handover.synth import (
     EPISODE_FRAMES,
     EPISODE_SAMPLES,
     ActionProfile,
+    DetectionFrame,
     FaultProfile,
     ProfileShape,
+    ScenarioScript,
     TorqueSignatureModel,
     default_signature_model,
     generate_dataset,
@@ -207,3 +215,148 @@ class TestGenerateScenario:
             ActionClass.NO_ACTION, FaultProfile(torque_extra_noise=2.0), seed=6
         )
         assert noisy.torques.std() > quiet.torques.std()
+
+
+def reference_scenario(action, profile, seed, model=None):
+    """The frame-by-frame scenario generator, one rng.uniform per value:
+    the oracle for generate_scenario's block-drawn fingertip noise."""
+    action = ActionClass(action)
+    model = model if model is not None else default_signature_model()
+    rng = synth._rng_from(seed)
+
+    r_misread, r_dropout, r_spurious = rng.random(3)
+    misread = r_misread < profile.torque_misread.get(action, 0.0) and action in synth.MISREAD_TARGET
+    dropout = r_dropout < profile.vision_dropout.get(action, 0.0)
+    spurious = r_spurious < profile.vision_spurious_grasp.get(action, 0.0)
+
+    faults = []
+    effective_action = action
+    if misread:
+        effective_action = synth.MISREAD_TARGET[action]
+        faults.append(f"torque_misread:{action.name.lower()}->{effective_action.name.lower()}")
+    if dropout:
+        faults.append("vision_dropout")
+    if spurious:
+        faults.append("vision_spurious_grasp")
+
+    onset_ms = 1800.0 + rng.uniform(0.0, 200.0)
+    torques = synth._render_torques(
+        model, effective_action, EPISODE_SAMPLES, onset_ms, rng,
+        extra_noise=profile.torque_extra_noise,
+    )
+
+    z_front = 0.40 + rng.uniform(0.0, 0.05)
+    slab = ObjectSlab(z_front=z_front, z_back=z_front + 0.14 + rng.uniform(0.0, 0.03))
+
+    grasp_forms = action in synth.WRAP_ACTIONS or spurious
+    grasp_at = 1250.0 + rng.uniform(0.0, 250.0) if grasp_forms else None
+    dropout_mode = None
+    if dropout and grasp_forms:
+        dropout_mode = "thumb_out" if rng.random() < 0.5 else "two_fingers"
+
+    centers = synth._finger_boxes(rng)
+    depth_fracs = 0.25 + 0.5 * rng.random(4)
+    thickness = slab.z_back - slab.z_front
+
+    near_miss = action is ActionClass.BUMP and not spurious
+    show_fingers = action is not ActionClass.NO_ACTION
+
+    frames = []
+    for i in range(EPISODE_FRAMES):
+        ts = round(i * 1000.0 / synth.VISION_RATE_HZ)
+        detections = []
+        if show_fingers:
+            grasped = grasp_at is not None and ts >= grasp_at
+            for f in range(4):
+                if grasped:
+                    inside = True
+                    if dropout_mode == "thumb_out" and f == 0:
+                        inside = False
+                    if dropout_mode == "two_fingers" and f >= 2:
+                        inside = False
+                    if inside:
+                        z = slab.z_front + depth_fracs[f] * thickness + rng.uniform(-0.005, 0.005)
+                        z = min(max(z, slab.z_front + 0.005), slab.z_back - 0.005)
+                    else:
+                        z = slab.z_front - 0.05 + rng.uniform(-0.01, 0.01)
+                elif near_miss and 1200 <= ts <= 2600:
+                    z = slab.z_front - 0.03 + rng.uniform(-0.01, 0.01)
+                else:
+                    progress = min(ts / 1250.0, 1.0)
+                    z = slab.z_front - 0.12 + 0.07 * progress + rng.uniform(-0.01, 0.01)
+                cx, cy = centers[f]
+                cx += rng.uniform(-0.005, 0.005)
+                cy += rng.uniform(-0.005, 0.005)
+                detections.append(FingertipDetection(
+                    box=(cx - 0.04, cy - 0.04, cx + 0.04, cy + 0.04),
+                    finger_type=FingerType.THUMB if f == 0 else FingerType.OTHER,
+                    position_3d=(cx - 0.5, cy - 0.5, max(z, 0.0)),
+                    confidence=rng.uniform(0.75, 0.98),
+                    timestamp=ts,
+                ))
+        frames.append(DetectionFrame(timestamp=ts, detections=tuple(detections)))
+
+    return ScenarioScript(
+        action=action,
+        torques=torques,
+        torque_start_ms=0,
+        frames=tuple(frames),
+        slab=slab,
+        faults=tuple(faults),
+        action_onset_ms=int(round(onset_ms)),
+        grasp_at_ms=int(round(grasp_at)) if grasp_at is not None else None,
+    )
+
+
+def assert_same_script(got, want):
+    for field in dataclasses.fields(ScenarioScript):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+class TestScenarioOracle:
+    def test_default_grid_seeds_match_reference(self):
+        config = ExperimentConfig()
+        profiles = default_fault_profiles()
+        for pipeline in config.pipelines:
+            for action in config.actions:
+                for k in range(config.trials_per_action):
+                    seed = np.random.SeedSequence(
+                        entropy=config.seed,
+                        spawn_key=(list(Pipeline).index(pipeline), int(action), k),
+                    )
+                    profile = profiles[pipeline]
+                    assert_same_script(
+                        generate_scenario(action, profile, seed),
+                        reference_scenario(action, profile, seed),
+                    )
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        action=st.sampled_from(list(ActionClass)),
+        p=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+        extra_noise=st.floats(0.0, 2.0),
+    )
+    def test_random_seeds_and_faults_match_reference(self, seed, action, p, extra_noise):
+        profile = FaultProfile(
+            torque_misread={action: p[0]},
+            vision_dropout={action: p[1]},
+            vision_spurious_grasp={action: p[2]},
+            torque_extra_noise=extra_noise,
+        )
+        assert_same_script(
+            generate_scenario(action, profile, seed),
+            reference_scenario(action, profile, seed),
+        )
+
+    def test_caller_generator_left_where_reference_leaves_it(self):
+        got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for action in ActionClass:
+            assert_same_script(
+                generate_scenario(action, FaultProfile.vision_degraded(), got_rng),
+                reference_scenario(action, FaultProfile.vision_degraded(), want_rng),
+            )
+        assert got_rng.random() == want_rng.random()
