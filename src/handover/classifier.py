@@ -4,6 +4,10 @@ The network treats a flattened torque window as a 1-channel, length-280
 signal and stacks three identical conv blocks (conv -> batch norm -> ReLU,
 64 filters, kernel 3), global average pooling, and a dense 64 -> 6 head.
 Inputs are standardized per joint with statistics from the training split.
+
+``classify_windows`` runs sliding windows of one stream as a run: each
+joint's series goes through the convolutions once, and each window
+recomputes only the positions near its joint seams.
 """
 from __future__ import annotations
 
@@ -20,6 +24,8 @@ from .core import (
     NUM_CLASSES,
     NUM_JOINTS,
     RELEASE_ACTIONS,
+    SAMPLE_DT_MS,
+    WINDOW_SAMPLES,
     ActionClass,
     ActionScores,
     TorqueWindow,
@@ -184,7 +190,7 @@ def _stratified_split(
     return np.sort(np.asarray(train_idx)), np.sort(np.asarray(holdout_idx))
 
 
-def _predict_classes(net: nn.Network, inputs: np.ndarray, batch_size: int = 256) -> np.ndarray:
+def _predict_classes(net: nn.Network, inputs: np.ndarray, batch_size: int = 32) -> np.ndarray:
     preds = []
     for start in range(0, inputs.shape[0], batch_size):
         probs = net.predict_proba(inputs[start:start + batch_size])
@@ -268,12 +274,127 @@ def classify_window(
 def classify_windows(
     net: nn.Network, stats: NormalizationStats, windows: Sequence[TorqueWindow]
 ) -> list[ActionScores]:
-    """Batched classify_window: one forward pass over all windows."""
+    """Batched classify_window; equal to it up to rounding.
+
+    The frozen network's layers before the pooling see +-R samples. So in
+    a flat window, a position at least R samples from both ends of its
+    joint's segment has the feature that joint's whole series has there.
+    Consecutive windows that slice one stream form a run: each joint's
+    series of the run goes through those layers once, and each window
+    recomputes only the positions within R of a joint seam or a window
+    end. When 2R >= W, the window's 40 samples, the bands cover whole
+    segments, and the windows take the flat forward.
+    """
     if not windows:
         return []
-    inputs = np.stack([normalize_input(w, stats) for w in windows])
-    probs = net.predict_proba(inputs)
-    return [ActionScores.from_probabilities(row) for row in probs]
+    frozen = net.frozen()
+    layers = frozen.layers
+    cut = next((i for i, layer in enumerate(layers) if isinstance(layer, nn.GlobalAvgPool1D)), None)
+    reach = None if cut is None else sum(_half_width(layer) for layer in layers[:cut])
+    if reach is None or 2 * reach >= WINDOW_SAMPLES:
+        logits = frozen.forward(np.stack([normalize_input(w, stats) for w in windows]))
+    else:
+        logits = _run_logits(layers, cut, stats, windows)
+    return [ActionScores.from_probabilities(row) for row in nn.softmax(logits)]
+
+
+_SEAMS = NUM_JOINTS + 1  # the joint boundaries of a flat window, its two ends included
+
+
+def _half_width(layer: nn.Layer) -> int:
+    return (layer.kernel_size - 1) // 2 if isinstance(layer, nn.Conv1D) else 0
+
+
+def _overlap_shift(prev: TorqueWindow, cur: TorqueWindow) -> int:
+    """How many samples ``cur`` starts after ``prev`` when the two slice one
+    stream: a step of 1..W-1 samples with the overlapping samples equal.
+    0 when they do not."""
+    shift, rest = divmod(cur.start_time - prev.start_time, SAMPLE_DT_MS)
+    if rest != 0 or not 0 < shift < WINDOW_SAMPLES:
+        return 0
+    shift = int(shift)
+    same = np.array_equal(prev.samples[:, shift:], cur.samples[:, :WINDOW_SAMPLES - shift])
+    return shift if same else 0
+
+
+def _find_runs(windows: Sequence[TorqueWindow]) -> list[tuple[int, int, int]]:
+    """``(first, count, step)`` per run of consecutive windows that slice one
+    stream at a constant step; a lone window is a run of one (step 0)."""
+    runs = []
+    first, step = 0, 0
+    for i in range(1, len(windows)):
+        shift = _overlap_shift(windows[i - 1], windows[i])
+        if shift and step in (0, shift):
+            step = shift
+        else:
+            runs.append((first, i - first, step))
+            first, step = i, 0
+    runs.append((first, len(windows) - first, step))
+    return runs
+
+
+def _run_logits(
+    layers: list[nn.Layer],
+    cut: int,
+    stats: NormalizationStats,
+    windows: Sequence[TorqueWindow],
+) -> np.ndarray:
+    """Logits of ``windows`` from per-run joint series plus seam bands.
+
+    ``layers[:cut]`` are position-local and see R samples either side,
+    with 2R < W; ``layers[cut]`` pools and the rest is the head.
+
+    Every layer runs once over a tape of columns: first every joint series
+    of every run end to end, then one context per (window, seam). A context
+    holds the band of positions within r of the seam, r growing to R, with
+    series values either side for the layer's reach; the layer's outputs
+    that read across a junction of the tape are never used.
+    """
+    w, n_windows = WINDOW_SAMPLES, len(windows)
+    parts, bases, size = [], [], 0
+    for first, count, step in _find_runs(windows):
+        run = windows[first:first + count]
+        stream = np.concatenate([run[0].samples] + [x.samples[:, w - step:] for x in run[1:]], axis=1)
+        z = (stream - stats.mean[:, None]) / stats.std[:, None]
+        parts.append(z.ravel())
+        bases.append(size + np.arange(NUM_JOINTS) * z.shape[1] + np.arange(count)[:, None] * step)
+        size += z.size
+    tape = np.concatenate(parts)[None]  # (channels, columns)
+    base = np.concatenate(bases)[..., None]  # (windows, joints, 1): column of each segment's start
+    # the segment before and after each seam; the window ends get a dummy
+    # segment whose values are replaced by same padding's zeros
+    before = np.concatenate([base[:, :1], base], axis=1)
+    after = np.concatenate([base, base[:, -1:]], axis=1)
+    contexts = np.arange(n_windows * _SEAMS).reshape(n_windows, _SEAMS, 1)
+    width = start = r = 0
+
+    def band(context: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Column of the band value d positions past a context's seam, -r <= d < r."""
+        return size + context * width + start + r + d
+
+    for layer in layers[:cut]:
+        p = _half_width(layer)
+        if p:
+            d = np.arange(-r - 2 * p, r + 2 * p)
+            cols = np.where(d < -r, before + w + d, np.where(d < r, band(contexts, d), after + d))
+            tape = np.take(tape, np.concatenate([np.arange(size), cols.ravel()]), axis=1)
+            context = tape[:, size:].reshape(len(tape), n_windows, _SEAMS, d.size)
+            context[:, :, 0, d < 0] = 0.0  # same padding before the window
+            context[:, :, -1, d >= 0] = 0.0  # and after it
+            width, start = d.size, p
+            r += p
+        tape = layer.forward(tape[None])[0]
+
+    # the tape column of each window's flat positions, in flat order, so
+    # the pooling averages the values the flat network would in its order
+    u = np.arange(w)
+    seams = contexts[:, :NUM_JOINTS] + (u >= w - r)
+    cols = np.where((u < r) | (u >= w - r), band(seams, np.where(u < r, u, u - w)), base + u)
+    flat = np.take(tape, cols.ravel(), axis=1).reshape(len(tape), n_windows, FLAT_SIZE)
+    pooled = np.ascontiguousarray(flat.mean(axis=-1).T)
+    for layer in layers[cut + 1:]:
+        pooled = layer.forward(pooled)
+    return pooled
 
 
 def torque_vote(scores: ActionScores) -> bool:

@@ -16,6 +16,7 @@ import numpy as np
 
 NUM_JOINTS = 7
 SAMPLE_RATE_HZ = 40
+SAMPLE_DT_MS = 1000 // SAMPLE_RATE_HZ  # 25
 WINDOW_SAMPLES = 40  # one second at 40 Hz
 FLAT_SIZE = NUM_JOINTS * WINDOW_SAMPLES  # 280
 TORQUE_LIMIT_NM = 35.0  # signed bound; sensors report magnitudes up to ~30
@@ -172,18 +173,24 @@ class FingertipDetection:
     timestamp: int
 
     def __post_init__(self) -> None:
-        x_min, y_min, x_max, y_max = (float(v) for v in self.box)
+        # runs for every detection of every generated frame: one float()
+        # per value, no generator expressions, no enum call for a member
+        x_min, y_min, x_max, y_max = self.box
+        x_min, y_min, x_max, y_max = float(x_min), float(y_min), float(x_max), float(y_max)
         if not (x_min < x_max and y_min < y_max):
             raise ValueError(f"degenerate detection box {self.box}")
-        x, y, z = (float(v) for v in self.position_3d)
+        x, y, z = self.position_3d
+        x, y, z = float(x), float(y), float(z)
         if z < 0.0:
             raise ValueError("detection depth (z) must be non-negative")
-        if not 0.0 <= float(self.confidence) <= 1.0:
+        confidence = float(self.confidence)
+        if not 0.0 <= confidence <= 1.0:
             raise ValueError("confidence must lie in [0, 1]")
         object.__setattr__(self, "box", (x_min, y_min, x_max, y_max))
         object.__setattr__(self, "position_3d", (x, y, z))
-        object.__setattr__(self, "confidence", float(self.confidence))
-        object.__setattr__(self, "finger_type", FingerType(self.finger_type))
+        object.__setattr__(self, "confidence", confidence)
+        if type(self.finger_type) is not FingerType:
+            object.__setattr__(self, "finger_type", FingerType(self.finger_type))
 
     def to_json_dict(self) -> dict[str, Any]:
         return {

@@ -19,6 +19,7 @@ import numpy as np
 from .classifier import LabeledWindow
 from .core import (
     NUM_JOINTS,
+    SAMPLE_DT_MS,
     SAMPLE_RATE_HZ,
     TORQUE_LIMIT_NM,
     WINDOW_SAMPLES,
@@ -30,7 +31,6 @@ from .core import (
 )
 
 WINDOW_MS = 1000
-SAMPLE_DT_MS = WINDOW_MS // SAMPLE_RATE_HZ  # 25
 EPISODE_MS = 3000
 EPISODE_SAMPLES = EPISODE_MS // SAMPLE_DT_MS  # 120
 VISION_RATE_HZ = 30

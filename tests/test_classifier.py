@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from handover.classifier import (
+    _find_runs,
     LabeledWindow,
     NormalizationStats,
     TorqueNetConfig,
@@ -20,7 +22,15 @@ from handover.classifier import (
     train,
     write_dataset_jsonl,
 )
-from handover.core import ActionClass, ActionScores, Decision, TorqueWindow, expected_decision
+from handover.core import (
+    SAMPLE_DT_MS,
+    ActionClass,
+    ActionScores,
+    Decision,
+    TorqueWindow,
+    expected_decision,
+)
+from handover.nn_kernel import BatchNorm1D
 from handover.synth import (
     ActionProfile,
     ProfileShape,
@@ -194,6 +204,100 @@ class TestClassifyWindow(object):
         net, stats, _ = small_model
         with pytest.raises(TypeError):
             classify_window(net, stats, np.zeros((7, 40)))
+
+
+def random_model(seed, blocks, kernel):
+    """A small build_network net with random batch-norm statistics and
+    random input statistics."""
+    rng = np.random.default_rng(seed)
+    config = TorqueNetConfig(blocks=blocks, filters_per_block=4, kernel_size=kernel, seed=seed)
+    net = build_network(config)
+    for layer in net.layers:
+        if isinstance(layer, BatchNorm1D):
+            layer.gamma = rng.uniform(0.5, 1.5, layer.channels)
+            layer.beta = rng.normal(0.0, 0.5, layer.channels)
+            layer.running_mean = rng.normal(0.0, 0.5, layer.channels)
+            layer.running_var = rng.uniform(0.2, 2.0, layer.channels)
+    stats = NormalizationStats(mean=rng.normal(0.0, 3.0, 7), std=rng.uniform(0.5, 5.0, 7))
+    return net, stats
+
+
+def sliding_windows(seed, length, stride, t0=0):
+    stream = np.random.default_rng([seed, 1]).uniform(-30.0, 30.0, (7, length))
+    return [
+        TorqueWindow(stream[:, s:s + 40], start_time=t0 + s * SAMPLE_DT_MS)
+        for s in range(0, length - 39, stride)
+    ]
+
+
+def assert_matches_single(net, stats, windows):
+    batched = classify_windows(net, stats, windows)
+    assert len(batched) == len(windows)
+    for window, scores in zip(windows, batched):
+        single = classify_window(net, stats, window)
+        assert np.max(np.abs(scores.probabilities - single.probabilities)) <= 1e-9
+        assert scores.predicted is single.predicted
+
+
+def merged_across(runs, index):
+    """True when windows index - 1 and index sit in one run."""
+    return any(first < index < first + count for first, count, _ in runs)
+
+
+networks = dict(
+    seed=st.integers(0, 2**32 - 1),
+    blocks=st.integers(1, 3),
+    # kernel 15 with 3 blocks reaches 21 samples: 2R >= W, the flat forward
+    kernel=st.sampled_from([1, 3, 5, 15]),
+)
+
+
+class TestClassifyWindowsRuns:
+    """classify_windows shares per-joint features across sliding windows;
+    classify_window on each window is the oracle."""
+
+    @given(**networks, length=st.integers(40, 120), stride=st.integers(1, 39),
+           t0=st.integers(-10**6, 10**6))
+    def test_sliding_windows_match_single(self, seed, blocks, kernel, length, stride, t0):
+        net, stats = random_model(seed, blocks, kernel)
+        windows = sliding_windows(seed, length, stride, t0)
+        assert _find_runs(windows) == [(0, len(windows), stride if len(windows) > 1 else 0)]
+        assert_matches_single(net, stats, windows)
+
+    @given(**networks, length=st.integers(100, 140), stride=st.integers(1, 20),
+           edit=st.sampled_from(["shuffle", "drop", "time_gap", "same_start", "altered"]),
+           pick=st.integers(0, 10**6))
+    def test_unmergeable_windows_match_single(self, seed, blocks, kernel, length, stride, edit, pick):
+        net, stats = random_model(seed, blocks, kernel)
+        windows = sliding_windows(seed, length, stride)
+        # windows k - 2 and k - 1 already fix their run's step, so dropping
+        # window k leaves a step the run cannot take
+        k = 2 + pick % (len(windows) - 3)
+        if edit == "shuffle":
+            windows = [windows[i] for i in np.random.default_rng(pick).permutation(len(windows))]
+        elif edit == "drop":
+            del windows[k]  # the step doubles at k, or the windows stop overlapping
+        elif edit == "time_gap":
+            windows[k:] = [TorqueWindow(w.samples, w.start_time + 40 * SAMPLE_DT_MS) for w in windows[k:]]
+        elif edit == "same_start":
+            windows.insert(k, windows[k - 1])
+        else:
+            samples = np.array(windows[k].samples)
+            col = pick % (40 - stride)  # a sample window k shares with window k - 1
+            samples[pick % 7, col] += 1.0 if samples[pick % 7, col] < 0.0 else -1.0
+            windows[k] = TorqueWindow(samples, windows[k].start_time)
+        runs = _find_runs(windows)
+        assert sum(count for _, count, _ in runs) == len(windows)
+        if edit in ("drop", "time_gap", "same_start", "altered"):
+            assert not merged_across(runs, k)
+        assert_matches_single(net, stats, windows)
+
+    def test_lone_and_empty(self):
+        net, stats = random_model(3, 3, 3)
+        assert classify_windows(net, stats, []) == []
+        windows = sliding_windows(3, 40, 1)
+        assert _find_runs(windows) == [(0, 1, 0)]
+        assert_matches_single(net, stats, windows)
 
 
 class TestTorqueVote:

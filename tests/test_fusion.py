@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import handover.fusion as fusion
-from handover.core import ActionClass, ActionScores
+from handover.classifier import classify_window
+from handover.core import ActionClass, ActionScores, TorqueWindow
 from handover.fusion import (
     FsmState,
     FusedSample,
@@ -302,6 +303,37 @@ class TestRunEpisode:
             run_episode(stripped, net, stats, pipeline=Pipeline.VISION_ONLY)
         with pytest.raises(ValueError, match="non-empty"):
             run_episode(stripped, net, stats, pipeline=Pipeline.FUSED)
+
+    @pytest.mark.parametrize("pipeline", [Pipeline.FUSED, Pipeline.TORQUE_ONLY])
+    def test_out_of_range_torque_sample_rejected(self, small_model, pipeline):
+        # the script accepts any finite torque; the per-window check must
+        # still run when the windows are classified as one run
+        net, stats, _ = small_model
+        script = generate_scenario(ActionClass.PULL, FaultProfile.clean(), seed=48)
+        torques = np.array(script.torques)
+        torques[3, 57] = 40.0
+        spiked = ScenarioScript(
+            action=script.action, torques=torques,
+            torque_start_ms=script.torque_start_ms, frames=script.frames,
+            slab=script.slab, faults=script.faults,
+            action_onset_ms=script.action_onset_ms, grasp_at_ms=script.grasp_at_ms,
+        )
+        with pytest.raises(ValueError, match="out of range"):
+            run_episode(spiked, net, stats, pipeline=pipeline)
+
+    def test_event_stream_matches_single_windows(self, small_model):
+        net, stats, _ = small_model
+        script = generate_scenario(ActionClass.HOLD, FaultProfile.clean(), seed=49)
+        events = torque_event_stream(script, net, stats)
+        assert len(events) == 17
+        for start, event in zip(range(0, 81, 5), events):
+            window = TorqueWindow(
+                samples=script.torques[:, start:start + 40],
+                start_time=script.torque_start_ms + start * 25,
+            )
+            single = classify_window(net, stats, window)
+            assert np.max(np.abs(event.scores.probabilities - single.probabilities)) <= 1e-9
+            assert event.scores.predicted is single.predicted
 
 
 class TestEpisodeLogReplay:
