@@ -10,6 +10,7 @@ from .core import (
     ActionClass,
     ActionScores,
     Decision,
+    DetectionBlock,
     FingerType,
     FingertipDetection,
     ObjectSlab,
@@ -52,6 +53,7 @@ __all__ = [
     "ActionClass",
     "ActionScores",
     "Decision",
+    "DetectionBlock",
     "ExperimentConfig",
     "FaultProfile",
     "FingerType",

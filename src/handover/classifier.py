@@ -295,7 +295,7 @@ def classify_windows(
         logits = frozen.forward(np.stack([normalize_input(w, stats) for w in windows]))
     else:
         logits = _run_logits(layers, cut, stats, windows)
-    return [ActionScores.from_probabilities(row) for row in nn.softmax(logits)]
+    return ActionScores.from_probability_rows(nn.softmax(logits))
 
 
 _SEAMS = NUM_JOINTS + 1  # the joint boundaries of a flat window, its two ends included

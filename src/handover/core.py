@@ -8,8 +8,11 @@ release decision. All types are immutable and JSON-serializable.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import cached_property
+from math import isfinite
 from typing import Any
 
 import numpy as np
@@ -117,6 +120,18 @@ class TorqueWindow:
         )
 
 
+def _check_probabilities(probs: np.ndarray) -> None:
+    """The checks of one probability vector, applied to each row of ``probs``."""
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("probabilities must be finite")
+    if np.any(probs < 0.0):
+        raise ValueError("probabilities must be non-negative")
+    sums = probs.sum(axis=-1)
+    off = np.abs(sums - 1.0) > PROBABILITY_TOL
+    if np.any(off):
+        raise ValueError(f"probabilities sum to {sums[off].flat[0]}, expected 1")
+
+
 @dataclass(frozen=True)
 class ActionScores:
     """Classifier output: a 6-way probability vector plus its argmax."""
@@ -128,10 +143,7 @@ class ActionScores:
         probs = np.array(self.probabilities, dtype=np.float64)
         if probs.shape != (NUM_CLASSES,):
             raise ValueError(f"expected {NUM_CLASSES} probabilities, got {probs.shape}")
-        if np.any(probs < 0.0):
-            raise ValueError("probabilities must be non-negative")
-        if abs(float(probs.sum()) - 1.0) > PROBABILITY_TOL:
-            raise ValueError(f"probabilities sum to {probs.sum()}, expected 1")
+        _check_probabilities(probs)
         # np.argmax returns the first maximum, i.e. the lowest class code.
         if int(np.argmax(probs)) != int(self.predicted):
             raise ValueError("predicted class is not the argmax of the probabilities")
@@ -143,6 +155,23 @@ class ActionScores:
     def from_probabilities(cls, probabilities: np.ndarray) -> "ActionScores":
         probs = np.asarray(probabilities, dtype=np.float64)
         return cls(probabilities=probs, predicted=ActionClass(int(np.argmax(probs))))
+
+    @classmethod
+    def from_probability_rows(cls, probabilities: np.ndarray) -> list["ActionScores"]:
+        """One ``ActionScores`` per row of an (n, 6) matrix: the matrix takes
+        ``__post_init__``'s checks once, then each row is a read-only view."""
+        probs = np.array(probabilities, dtype=np.float64)
+        if probs.ndim != 2 or probs.shape[1] != NUM_CLASSES:
+            raise ValueError(f"expected (n, {NUM_CLASSES}) probabilities, got {probs.shape}")
+        _check_probabilities(probs)
+        probs.flags.writeable = False
+        rows = []
+        for row, code in zip(probs, np.argmax(probs, axis=1).tolist()):
+            scores = object.__new__(cls)
+            object.__setattr__(scores, "probabilities", row)
+            object.__setattr__(scores, "predicted", ActionClass(code))
+            rows.append(scores)
+        return rows
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -156,6 +185,11 @@ class ActionScores:
             probabilities=np.asarray(doc["probabilities"], dtype=np.float64),
             predicted=ActionClass(int(doc["predicted"])),
         )
+
+
+NON_FINITE_DETECTION = "detection box, position and confidence must be finite"
+NEGATIVE_DEPTH = "detection depth (z) must be non-negative"
+CONFIDENCE_RANGE = "confidence must lie in [0, 1]"
 
 
 @dataclass(frozen=True)
@@ -173,19 +207,21 @@ class FingertipDetection:
     timestamp: int
 
     def __post_init__(self) -> None:
-        # runs for every detection of every generated frame: one float()
-        # per value, no generator expressions, no enum call for a member
+        # runs for every detection a caller materializes: one float() per
+        # value, no enum call for a member
         x_min, y_min, x_max, y_max = self.box
         x_min, y_min, x_max, y_max = float(x_min), float(y_min), float(x_max), float(y_max)
-        if not (x_min < x_max and y_min < y_max):
-            raise ValueError(f"degenerate detection box {self.box}")
         x, y, z = self.position_3d
         x, y, z = float(x), float(y), float(z)
-        if z < 0.0:
-            raise ValueError("detection depth (z) must be non-negative")
         confidence = float(self.confidence)
+        if not all(map(isfinite, (x_min, y_min, x_max, y_max, x, y, z, confidence))):
+            raise ValueError(NON_FINITE_DETECTION)
+        if not (x_min < x_max and y_min < y_max):
+            raise ValueError(f"degenerate detection box {self.box}")
+        if z < 0.0:
+            raise ValueError(NEGATIVE_DEPTH)
         if not 0.0 <= confidence <= 1.0:
-            raise ValueError("confidence must lie in [0, 1]")
+            raise ValueError(CONFIDENCE_RANGE)
         object.__setattr__(self, "box", (x_min, y_min, x_max, y_max))
         object.__setattr__(self, "position_3d", (x, y, z))
         object.__setattr__(self, "confidence", confidence)
@@ -210,6 +246,91 @@ class FingertipDetection:
             confidence=float(doc["confidence"]),
             timestamp=int(doc["timestamp"]),
         )
+
+
+@dataclass(frozen=True)
+class DetectionFrame:
+    timestamp: int
+    detections: tuple[FingertipDetection, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionBlock(Sequence):
+    """Fingertip detection frames as arrays, checked in bulk like
+    ``FingertipDetection``. Frame ``i``, taken at ``stamps[i]``, owns the
+    detection rows ``offsets[i]:offsets[i + 1]`` (any number per frame).
+    As a sequence it yields ``DetectionFrame``s, built on first access."""
+
+    stamps: np.ndarray
+    offsets: np.ndarray
+    boxes: np.ndarray
+    positions: np.ndarray
+    confidence: np.ndarray
+    thumb: np.ndarray
+    timestamps: np.ndarray
+
+    def __post_init__(self) -> None:
+        frames, rows = len(self.stamps), len(self.confidence)
+        for name, dtype, shape in (
+            ("stamps", np.int64, (frames,)), ("offsets", np.int64, (frames + 1,)),
+            ("boxes", np.float64, (rows, 4)), ("positions", np.float64, (rows, 3)),
+            ("confidence", np.float64, (rows,)), ("thumb", bool, (rows,)),
+            ("timestamps", np.int64, (rows,)),
+        ):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            if arr.shape != shape and not (arr.size == 0 == shape[0]):
+                raise ValueError(f"detection block {name} must be {shape}, got {arr.shape}")
+            arr = arr.reshape(shape)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        offsets, boxes, confidence = self.offsets, self.boxes, self.confidence
+        if offsets[0] != 0 or offsets[-1] != rows or np.any(offsets[1:] < offsets[:-1]):
+            raise ValueError(f"detection block offsets must rise from 0 to {rows}")
+        if not (np.isfinite(boxes).all() and np.isfinite(self.positions).all()
+                and np.isfinite(confidence).all()):
+            raise ValueError(NON_FINITE_DETECTION)
+        degenerate = (boxes[:, 0] >= boxes[:, 2]) | (boxes[:, 1] >= boxes[:, 3])
+        if degenerate.any():
+            raise ValueError(f"degenerate detection box {tuple(boxes[degenerate][0].tolist())}")
+        if (self.positions[:, 2] < 0.0).any():
+            raise ValueError(NEGATIVE_DEPTH)
+        if ((confidence < 0.0) | (confidence > 1.0)).any():
+            raise ValueError(CONFIDENCE_RANGE)
+
+    @classmethod
+    def from_frames(cls, frames: Sequence[DetectionFrame]) -> "DetectionBlock":
+        detections = [d for frame in frames for d in frame.detections]
+        return cls(
+            stamps=[frame.timestamp for frame in frames],
+            offsets=np.cumsum([0, *(len(frame.detections) for frame in frames)]),
+            boxes=[d.box for d in detections],
+            positions=[d.position_3d for d in detections],
+            confidence=[d.confidence for d in detections],
+            thumb=[d.finger_type is FingerType.THUMB for d in detections],
+            timestamps=[d.timestamp for d in detections],
+        )
+
+    @cached_property
+    def _frames(self) -> tuple[DetectionFrame, ...]:
+        fingers = (FingerType.OTHER, FingerType.THUMB)
+        detections = [
+            FingertipDetection(tuple(box), fingers[thumb], tuple(position), confidence, timestamp)
+            for box, position, confidence, thumb, timestamp in zip(
+                self.boxes.tolist(), self.positions.tolist(), self.confidence.tolist(),
+                self.thumb.tolist(), self.timestamps.tolist(),
+            )
+        ]
+        offsets = self.offsets.tolist()
+        return tuple(
+            DetectionFrame(stamp, tuple(detections[start:stop]))
+            for stamp, start, stop in zip(self.stamps.tolist(), offsets, offsets[1:])
+        )
+
+    def __len__(self) -> int:
+        return len(self.stamps)
+
+    def __getitem__(self, index):
+        return self._frames[index]
 
 
 @dataclass(frozen=True)

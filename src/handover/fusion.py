@@ -29,7 +29,7 @@ from .core import (
 )
 from .nn_kernel import Network
 from .synth import SAMPLE_DT_MS, ScenarioScript, WINDOW_SAMPLES
-from .vision_gate import DEFAULT_MIN_CONFIDENCE, VisionVerdict, evaluate_grasp
+from .vision_gate import DEFAULT_MIN_CONFIDENCE, VisionVerdict, grasp_verdicts
 
 DEFAULT_STRIDE_SAMPLES = 5  # 125 ms between sliding-window classifications
 
@@ -321,10 +321,8 @@ def torque_event_stream(
 def vision_verdict_stream(
     script: ScenarioScript, min_confidence: float = DEFAULT_MIN_CONFIDENCE
 ) -> list[VisionVerdict]:
-    return [
-        evaluate_grasp(frame.detections, script.slab, min_confidence, at_ms=frame.timestamp)
-        for frame in script.frames
-    ]
+    """One verdict per camera frame, stamped with the frame's time."""
+    return grasp_verdicts(script.frames, script.slab, min_confidence)
 
 
 def run_episode(

@@ -24,8 +24,8 @@ from .core import (
     TORQUE_LIMIT_NM,
     WINDOW_SAMPLES,
     ActionClass,
-    FingerType,
-    FingertipDetection,
+    DetectionBlock,
+    DetectionFrame,  # re-exported: hand-built scripts pass frames
     ObjectSlab,
     TorqueWindow,
 )
@@ -319,21 +319,19 @@ class FaultProfile:
 
 
 @dataclass(frozen=True)
-class DetectionFrame:
-    timestamp: int
-    detections: tuple[FingertipDetection, ...]
-
-
-@dataclass(frozen=True)
 class ScenarioScript:
     """One simulated handover episode: synchronized-by-construction torque
     matrix at 40 Hz and detection frames at 30 Hz, plus the slab geometry
-    and a record of which faults were injected."""
+    and a record of which faults were injected.
+
+    ``frames`` is always stored as a ``DetectionBlock``; a sequence of
+    ``DetectionFrame``s passed in is converted once.
+    """
 
     action: ActionClass
     torques: np.ndarray  # (7, n) N*m starting at torque_start_ms
     torque_start_ms: int
-    frames: tuple[DetectionFrame, ...]
+    frames: DetectionBlock
     slab: ObjectSlab
     faults: tuple[str, ...]
     action_onset_ms: int
@@ -349,8 +347,9 @@ class ScenarioScript:
         arr.flags.writeable = False
         object.__setattr__(self, "torques", arr)
         object.__setattr__(self, "action", ActionClass(self.action))
-        stamps = [f.timestamp for f in self.frames]
-        if any(b <= a for a, b in zip(stamps, stamps[1:])):
+        if not isinstance(self.frames, DetectionBlock):
+            object.__setattr__(self, "frames", DetectionBlock.from_frames(tuple(self.frames)))
+        if np.any(np.diff(self.frames.stamps) <= 0):
             raise ValueError("detection frames must be strictly time-ordered")
         if self.grasp_at_ms is not None and self.grasp_at_ms >= self.action_onset_ms:
             raise ValueError("contact (grasp) must precede the action onset")
@@ -423,13 +422,15 @@ def generate_scenario(
     thickness = slab.z_back - slab.z_front
 
     near_miss = action is ActionClass.BUMP and not spurious
-    stamps = [round(i * 1000.0 / VISION_RATE_HZ) for i in range(EPISODE_FRAMES)]
+    stamps = np.round(np.arange(EPISODE_FRAMES) * 1000.0 / VISION_RATE_HZ).astype(np.int64)
     if action is ActionClass.NO_ACTION:
-        frames = [DetectionFrame(timestamp=ts, detections=()) for ts in stamps]
+        fingers = 0
+        boxes, positions, confidence = np.empty((0, 4)), np.empty((0, 3)), np.empty(0)
     else:
         # every finger of every frame takes four uniforms: z, cx, cy, confidence
+        fingers = 4
         u_z, u_cx, u_cy, u_conf = np.moveaxis(rng.random((EPISODE_FRAMES, 4, 4)), 2, 0)
-        t_ms = np.asarray(stamps, dtype=np.float64)[:, None]
+        t_ms = stamps.astype(np.float64)[:, None]
         grasped = grasp_at is not None and t_ms >= grasp_at
         inside = np.ones(4, dtype=bool)
         if dropout_mode == "thumb_out":
@@ -448,27 +449,24 @@ def generate_scenario(
 
         cx = np.array([c[0] for c in centers]) + _uniform(u_cx, -0.005, 0.005)
         cy = np.array([c[1] for c in centers]) + _uniform(u_cy, -0.005, 0.005)
-        columns = (cx - 0.04, cy - 0.04, cx + 0.04, cy + 0.04, cx - 0.5, cy - 0.5,
-                   np.maximum(z, 0.0), _uniform(u_conf, 0.75, 0.98))
-        frames = [
-            DetectionFrame(timestamp=ts, detections=tuple(
-                FingertipDetection(
-                    box=(x0[f], y0[f], x1[f], y1[f]),
-                    finger_type=FingerType.THUMB if f == 0 else FingerType.OTHER,
-                    position_3d=(px[f], py[f], pz[f]),
-                    confidence=conf[f],
-                    timestamp=ts,
-                )
-                for f in range(4)
-            ))
-            for ts, x0, y0, x1, y1, px, py, pz, conf in zip(stamps, *(c.tolist() for c in columns))
-        ]
+        boxes = np.stack([cx - 0.04, cy - 0.04, cx + 0.04, cy + 0.04], axis=-1).reshape(-1, 4)
+        positions = np.stack([cx - 0.5, cy - 0.5, np.maximum(z, 0.0)], axis=-1).reshape(-1, 3)
+        confidence = _uniform(u_conf, 0.75, 0.98).reshape(-1)
+    frames = DetectionBlock(
+        stamps=stamps,
+        offsets=np.arange(EPISODE_FRAMES + 1) * fingers,
+        boxes=boxes,
+        positions=positions,
+        confidence=confidence,
+        thumb=np.tile(np.arange(fingers) == 0, EPISODE_FRAMES),  # the thumb is finger 0
+        timestamps=np.repeat(stamps, fingers),
+    )
 
     return ScenarioScript(
         action=action,
         torques=torques,
         torque_start_ms=0,
-        frames=tuple(frames),
+        frames=frames,
         slab=slab,
         faults=tuple(faults),
         action_onset_ms=int(round(onset_ms)),

@@ -3,14 +3,19 @@
 The vision modality votes to release only when at least three confident
 fingertips, the thumb among them, sit inside the depth slab spanned by
 the object's front and back planes. Boundaries are inclusive so a finger
-resting exactly on a plane does not flicker the vote.
+resting exactly on a plane does not flicker the vote. Each part of the
+rule is written once and works on floats or arrays: ``grasp_verdicts``
+scores all frames of a ``DetectionBlock`` in one pass, ``evaluate_grasp``
+one frame of detection objects.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .core import FingerType, FingertipDetection, ObjectSlab
+import numpy as np
+
+from .core import DetectionBlock, FingerType, FingertipDetection, ObjectSlab
 
 MIN_FINGERS_FOR_GRASP = 3
 DEFAULT_MIN_CONFIDENCE = 0.5
@@ -46,11 +51,55 @@ class VisionVerdict:
         )
 
 
+def _within(z, slab: ObjectSlab):
+    """Depths inside the slab, bounds inclusive; on floats or arrays."""
+    return (slab.z_front <= z) & (z <= slab.z_back)
+
+
+def _counted(confidence, z, slab: ObjectSlab, min_confidence: float):
+    """Detections that count toward a grasp; on floats or arrays."""
+    return (confidence >= min_confidence) & _within(z, slab)
+
+
+def _verdict(fingers: int, thumb: bool, at_ms: int) -> VisionVerdict:
+    return VisionVerdict(fingers >= MIN_FINGERS_FOR_GRASP and thumb, fingers, thumb, at_ms)
+
+
+def _check_rule(slab: ObjectSlab, min_confidence: float) -> None:
+    if not 0.0 <= min_confidence <= 1.0:
+        raise ValueError("min_confidence must lie in [0, 1]")
+    if not isinstance(slab, ObjectSlab):
+        raise TypeError("the grasp rule requires an ObjectSlab")
+
+
 def in_slab(detection: FingertipDetection, slab: ObjectSlab) -> bool:
     """True iff the fingertip depth lies within the slab, bounds inclusive."""
     if not isinstance(slab, ObjectSlab):
         raise TypeError("in_slab requires an ObjectSlab")
-    return slab.z_front <= detection.position_3d[2] <= slab.z_back
+    return _within(detection.position_3d[2], slab)
+
+
+def grasp_verdicts(
+    block: DetectionBlock,
+    slab: ObjectSlab,
+    min_confidence: float = DEFAULT_MIN_CONFIDENCE,
+) -> list[VisionVerdict]:
+    """Score every frame of a detection block against the grasp rule,
+    each verdict stamped with its frame's time."""
+    _check_rule(slab, min_confidence)
+    counted = _counted(block.confidence, block.positions[:, 2], slab, min_confidence)
+    # per-frame counts as differences of running totals; empty frames count 0
+    fingers = np.concatenate(([0], np.cumsum(counted)))
+    thumbs = np.concatenate(([0], np.cumsum(counted & block.thumb)))
+    start, stop = block.offsets[:-1], block.offsets[1:]
+    return [
+        _verdict(n, thumb, stamp)
+        for n, thumb, stamp in zip(
+            (fingers[stop] - fingers[start]).tolist(),
+            (thumbs[stop] > thumbs[start]).tolist(),
+            block.stamps.tolist(),
+        )
+    ]
 
 
 def evaluate_grasp(
@@ -63,18 +112,13 @@ def evaluate_grasp(
 
     Detections below ``min_confidence`` are ignored. ``at_ms`` stamps the
     verdict; it defaults to the latest detection timestamp (0 if the frame
-    is empty).
+    is empty). The rule's parts are ``grasp_verdicts``' own, applied to
+    each object: for a frame of a few detections that is far cheaper than
+    a one-frame block, which pays for array set-up and the bulk checks.
     """
-    if not 0.0 <= min_confidence <= 1.0:
-        raise ValueError("min_confidence must lie in [0, 1]")
-    kept = [d for d in detections if d.confidence >= min_confidence]
-    inside = [d for d in kept if in_slab(d, slab)]
-    thumb = any(d.finger_type is FingerType.THUMB for d in inside)
+    _check_rule(slab, min_confidence)
+    counted = [d for d in detections if _counted(d.confidence, d.position_3d[2], slab, min_confidence)]
+    thumb = any(d.finger_type is FingerType.THUMB for d in counted)
     if at_ms is None:
         at_ms = max((d.timestamp for d in detections), default=0)
-    return VisionVerdict(
-        vote=len(inside) >= MIN_FINGERS_FOR_GRASP and thumb,
-        fingers_in_slab=len(inside),
-        thumb_in_slab=thumb,
-        evaluated_at=int(at_ms),
-    )
+    return _verdict(len(counted), thumb, int(at_ms))

@@ -8,6 +8,8 @@ from handover.core import (
     ActionClass,
     ActionScores,
     Decision,
+    DetectionBlock,
+    DetectionFrame,
     FingerType,
     FingertipDetection,
     ObjectSlab,
@@ -118,6 +120,68 @@ class TestActionScores:
         assert back.predicted is ActionClass.PULL
         assert np.allclose(back.probabilities, scores.probabilities)
 
+    @pytest.mark.parametrize("probs", [
+        [np.nan, 0.0, 0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.0, 0.0, 0.0, 1.0, np.nan],
+        [np.inf, 0.0, 0.0, 0.0, 0.0, 1.0],
+        [1.0, 0.0, 0.0, 0.0, -np.inf, 0.0],
+    ])
+    def test_rejects_non_finite(self, probs):
+        with pytest.raises(ValueError, match="finite"):
+            ActionScores.from_probabilities(np.array(probs))
+
+    def test_json_with_nan_rejected(self):
+        doc = json.loads('{"probabilities": [NaN, 0, 0, 0, 0, 1], "predicted": 0}')
+        with pytest.raises(ValueError, match="finite"):
+            ActionScores.from_json_dict(doc)
+
+
+BAD_PROBABILITY_ROWS = [
+    [np.nan, 0.0, 0.0, 0.0, 0.0, 1.0],
+    [0.5, 0.5, np.inf, 0.0, 0.0, 0.0],
+    [1.2, -0.2, 0.0, 0.0, 0.0, 0.0],
+    [0.2] * 6,
+]
+
+
+class TestProbabilityRows:
+    def test_rows_equal_per_row_construction(self, rng):
+        logits = rng.normal(0.0, 3.0, (17, 6))
+        probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        probs[3] = [0.25, 0.25, 0.2, 0.1, 0.1, 0.1]  # a tie goes to the lowest code
+        rows = ActionScores.from_probability_rows(probs)
+        assert len(rows) == 17
+        for row, scores in zip(probs, rows):
+            want = ActionScores.from_probabilities(row)
+            assert scores.predicted is want.predicted
+            assert np.array_equal(scores.probabilities, want.probabilities)
+            assert not scores.probabilities.flags.writeable
+            assert scores.to_json_dict() == want.to_json_dict()
+
+    def test_copies_its_input(self):
+        probs = np.eye(6)
+        rows = ActionScores.from_probability_rows(probs)
+        probs[0] = probs[1]
+        assert rows[0].predicted is ActionClass.NO_ACTION
+        assert rows[0].probabilities[0] == 1.0
+
+    def test_empty_matrix(self):
+        assert ActionScores.from_probability_rows(np.zeros((0, 6))) == []
+
+    @pytest.mark.parametrize("shape", [(6,), (3, 5), (2, 6, 1)])
+    def test_rejects_bad_shapes(self, shape):
+        with pytest.raises(ValueError, match="probabilities"):
+            ActionScores.from_probability_rows(np.full(shape, 1.0 / 6))
+
+    @pytest.mark.parametrize("bad", BAD_PROBABILITY_ROWS)
+    def test_bulk_checks_give_the_per_row_message(self, bad):
+        with pytest.raises(ValueError) as per_row:
+            ActionScores.from_probabilities(np.array(bad))
+        matrix = np.vstack([np.eye(6)[:2], bad, np.eye(6)[2:]])
+        with pytest.raises(ValueError) as bulk:
+            ActionScores.from_probability_rows(matrix)
+        assert str(bulk.value) == str(per_row.value)
+
 
 class TestFingertipDetection:
     def good(self, **overrides):
@@ -150,6 +214,102 @@ class TestFingertipDetection:
     def test_json_roundtrip(self):
         d = self.good()
         assert FingertipDetection.from_json_dict(d.to_json_dict()) == d
+
+    @pytest.mark.parametrize("overrides", [
+        dict(position_3d=(0.0, 0.0, np.nan)),
+        dict(position_3d=(np.nan, 0.0, 0.4)),
+        dict(position_3d=(0.0, np.inf, 0.4)),
+        dict(position_3d=(0.0, 0.0, np.inf)),
+        dict(box=(0.1, 0.2, np.inf, 0.4)),
+        dict(box=(np.nan, 0.2, 0.3, 0.4)),
+        dict(confidence=np.nan),
+    ])
+    def test_rejects_non_finite(self, overrides):
+        with pytest.raises(ValueError, match="finite"):
+            self.good(**overrides)
+
+
+BAD_DETECTIONS = [
+    dict(box=(0.3, 0.2, 0.1, 0.4)),
+    dict(box=(0.1, 0.4, 0.3, 0.4)),
+    dict(position_3d=(0.0, 0.0, -0.1)),
+    dict(confidence=1.2),
+    dict(confidence=-0.01),
+    dict(position_3d=(0.0, 0.0, np.nan)),
+    dict(position_3d=(np.nan, 0.0, 0.4)),
+    dict(box=(0.1, 0.2, np.inf, 0.4)),
+    dict(confidence=np.nan),
+]
+
+
+def detection_fields(**overrides):
+    fields = dict(
+        box=(0.1, 0.2, 0.3, 0.4),
+        finger_type=FingerType.OTHER,
+        position_3d=(0.0, 0.1, 0.5),
+        confidence=0.9,
+        timestamp=100,
+    )
+    fields.update(overrides)
+    return fields
+
+
+def block_of(rows, stamps=(100,), offsets=None):
+    """A block whose detections are the given field dicts."""
+    return DetectionBlock(
+        stamps=list(stamps),
+        offsets=[0, len(rows)] if offsets is None else offsets,
+        boxes=[r["box"] for r in rows],
+        positions=[r["position_3d"] for r in rows],
+        confidence=[r["confidence"] for r in rows],
+        thumb=[r["finger_type"] is FingerType.THUMB for r in rows],
+        timestamps=[r["timestamp"] for r in rows],
+    )
+
+
+class TestDetectionBlock:
+    @pytest.mark.parametrize("overrides", BAD_DETECTIONS)
+    def test_bulk_checks_give_the_per_object_message(self, overrides):
+        with pytest.raises(ValueError) as per_object:
+            FingertipDetection(**detection_fields(**overrides))
+        with pytest.raises(ValueError) as bulk:
+            block_of([detection_fields(), detection_fields(**overrides), detection_fields()])
+        assert str(bulk.value) == str(per_object.value)
+
+    def test_empty_frames_and_empty_block(self):
+        block = block_of([], stamps=(0, 33, 67), offsets=[0, 0, 0, 0])
+        assert len(block) == 3
+        assert [f.detections for f in block] == [(), (), ()]
+        assert len(block_of([], stamps=(), offsets=[0])) == 0
+
+    @pytest.mark.parametrize("offsets", [[1, 2], [0, 1], [0, 3], [0, 2, 1]])
+    def test_rejects_bad_offsets(self, offsets):
+        stamps = range(len(offsets) - 1)
+        with pytest.raises(ValueError, match="offsets"):
+            block_of([detection_fields()] * 2, stamps=stamps, offsets=offsets)
+
+    def test_rejects_mismatched_rows(self):
+        with pytest.raises(ValueError, match="positions"):
+            DetectionBlock(
+                stamps=[0], offsets=[0, 2], boxes=[(0.1, 0.1, 0.2, 0.2)] * 2,
+                positions=[(0.0, 0.0, 0.5)], confidence=[0.9, 0.9], thumb=[True, False],
+                timestamps=[0, 0],
+            )
+
+    def test_arrays_are_read_only(self):
+        block = block_of([detection_fields()])
+        with pytest.raises(ValueError):
+            block.positions[0, 2] = 0.1
+
+    def test_frames_are_built_once_on_access(self):
+        block = block_of([detection_fields(), detection_fields(finger_type=FingerType.THUMB)])
+        assert "_frames" not in vars(block)
+        first = block[0]
+        assert block[0] is first and next(iter(block)) is first
+        assert first == DetectionFrame(timestamp=100, detections=(
+            FingertipDetection(**detection_fields()),
+            FingertipDetection(**detection_fields(finger_type=FingerType.THUMB)),
+        ))
 
 
 class TestObjectSlab:

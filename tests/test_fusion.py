@@ -5,7 +5,7 @@ import pytest
 
 import handover.fusion as fusion
 from handover.classifier import classify_window
-from handover.core import ActionClass, ActionScores, TorqueWindow
+from handover.core import ActionClass, ActionScores, FingertipDetection, TorqueWindow
 from handover.fusion import (
     FsmState,
     FusedSample,
@@ -21,6 +21,7 @@ from handover.fusion import (
     vision_verdict_stream,
     write_episode_log,
 )
+from handover.harness import ExperimentConfig, run_experiment
 from handover.synth import FaultProfile, ScenarioScript, generate_scenario
 from handover.vision_gate import VisionVerdict
 
@@ -365,6 +366,17 @@ class TestEpisodeLogReplay:
         assert not result.matched
         assert any("released differs" in m for m in result.mismatches)
 
+    def test_replay_rejects_non_finite_probabilities(self, small_model, tmp_path):
+        path, _ = self.run_and_log(small_model, tmp_path, ActionClass.PULL, Pipeline.FUSED, 52)
+        lines = path.read_text().splitlines()
+        k = next(i for i, line in enumerate(lines) if '"fused_sample"' in line)
+        doc = json.loads(lines[k])
+        doc["torque"]["probabilities"][0] = float("nan")
+        lines[k] = json.dumps(doc, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="finite"):
+            replay_episode_log(path)
+
     def test_replay_requires_header(self, tmp_path):
         path = tmp_path / "broken.jsonl"
         path.write_text('{"type": "summary", "released": false}\n')
@@ -394,3 +406,39 @@ class TestDebounceOverTime:
         path = tmp_path / "gap.jsonl"
         write_episode_log(path, outcome)
         assert replay_episode_log(path).matched
+
+
+class TestNoDetectionObjects:
+    """The pipelines read the scenario's detection arrays; no caller of
+    run_episode or run_experiment builds a FingertipDetection."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = [0]
+        original = FingertipDetection.__post_init__
+
+        def counting(detection):
+            count[0] += 1
+            original(detection)
+
+        monkeypatch.setattr(FingertipDetection, "__post_init__", counting)
+        return count
+
+    @pytest.mark.parametrize("pipeline", list(Pipeline))
+    def test_run_episode(self, small_model, built, pipeline):
+        net, stats, _ = small_model
+        script = generate_scenario(ActionClass.PULL, FaultProfile.clean(), seed=70)
+        run_episode(script, net, stats, pipeline=pipeline)
+        assert built[0] == 0
+        script.frames[0]  # the first access builds every frame, 4 fingers each
+        assert built[0] == 4 * len(script.frames)
+
+    def test_run_experiment(self, small_model, built, tmp_path):
+        net, stats, _ = small_model
+        config = ExperimentConfig(
+            trials_per_action=1, actions=(ActionClass.PULL,),
+            pipelines=(Pipeline.VISION_ONLY, Pipeline.FUSED), out_dir=str(tmp_path),
+        )
+        _table, records = run_experiment(config, model=(net, stats))
+        assert len(records) == 2
+        assert built[0] == 0

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from handover import synth
-from handover.core import ActionClass, FingerType, FingertipDetection, ObjectSlab, dumps_canonical
+from handover.core import (
+    ActionClass,
+    DetectionBlock,
+    FingerType,
+    FingertipDetection,
+    ObjectSlab,
+    dumps_canonical,
+)
 from handover.fusion import Pipeline
 from handover.harness import ExperimentConfig, default_fault_profiles
 from handover.synth import (
@@ -219,7 +226,10 @@ class TestGenerateScenario:
 
 def reference_scenario(action, profile, seed, model=None):
     """The frame-by-frame scenario generator, one rng.uniform per value:
-    the oracle for generate_scenario's block-drawn fingertip noise."""
+    the oracle for generate_scenario's block-drawn fingertip noise.
+
+    Returns the script and the ``DetectionFrame`` objects it was built from,
+    so the generated frames can be compared with objects made one by one."""
     action = ActionClass(action)
     model = model if model is not None else default_signature_model()
     rng = synth._rng_from(seed)
@@ -296,7 +306,7 @@ def reference_scenario(action, profile, seed, model=None):
                 ))
         frames.append(DetectionFrame(timestamp=ts, detections=tuple(detections)))
 
-    return ScenarioScript(
+    script = ScenarioScript(
         action=action,
         torques=torques,
         torque_start_ms=0,
@@ -306,12 +316,18 @@ def reference_scenario(action, profile, seed, model=None):
         action_onset_ms=int(round(onset_ms)),
         grasp_at_ms=int(round(grasp_at)) if grasp_at is not None else None,
     )
+    return script, tuple(frames)
 
 
-def assert_same_script(got, want):
+def assert_same_script(got, reference):
+    want, want_frames = reference
     for field in dataclasses.fields(ScenarioScript):
         a, b = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(b, np.ndarray):
+        if field.name == "frames":
+            # the generated block's frames, one for one, equal the reference's objects
+            assert len(a) == len(want_frames), field.name
+            assert tuple(a) == want_frames, field.name
+        elif isinstance(b, np.ndarray):
             assert a.dtype == b.dtype and np.array_equal(a, b), field.name
         else:
             assert a == b, field.name
@@ -360,3 +376,59 @@ class TestScenarioOracle:
                 reference_scenario(action, FaultProfile.vision_degraded(), want_rng),
             )
         assert got_rng.random() == want_rng.random()
+
+
+def hand_made_frames():
+    def det(z, finger=FingerType.OTHER, ts=0, **kw):
+        return FingertipDetection(
+            box=kw.get("box", (0.1, 0.2, 0.3, 0.4)), finger_type=finger,
+            position_3d=(kw.get("x", 0.0), 0.1, z), confidence=kw.get("confidence", 0.9),
+            timestamp=ts,
+        )
+
+    return (
+        DetectionFrame(timestamp=0, detections=()),
+        DetectionFrame(timestamp=33, detections=(det(0.5, FingerType.THUMB, 33), det(0.0, ts=30))),
+        DetectionFrame(timestamp=67, detections=()),
+        DetectionFrame(timestamp=100, detections=tuple(
+            det(0.4 + 0.01 * i, FingerType.THUMB if i % 3 == 0 else FingerType.OTHER, 100 - i,
+                box=(0, 0, 1, 1), x=-0.5, confidence=i / 5)
+            for i in range(6)
+        )),
+    )
+
+
+class TestScenarioFrames:
+    def script_with(self, frames):
+        base = generate_scenario(ActionClass.PULL, FaultProfile.clean(), seed=1)
+        return ScenarioScript(
+            action=base.action, torques=base.torques, torque_start_ms=0, frames=frames,
+            slab=base.slab, faults=(), action_onset_ms=base.action_onset_ms,
+            grasp_at_ms=base.grasp_at_ms,
+        )
+
+    def test_block_gives_back_hand_made_frames(self):
+        frames = hand_made_frames()
+        block = DetectionBlock.from_frames(frames)
+        assert len(block) == len(frames)
+        assert tuple(block) == frames
+        assert block.offsets.tolist() == [0, 0, 2, 2, 8]
+
+    def test_script_stores_a_block_either_way(self):
+        frames = hand_made_frames()
+        script = self.script_with(frames)
+        assert isinstance(script.frames, DetectionBlock)
+        assert tuple(script.frames) == frames
+        generated = generate_scenario(ActionClass.HOLD, FaultProfile.clean(), seed=2)
+        assert isinstance(generated.frames, DetectionBlock)
+        assert self.script_with(generated.frames).frames is generated.frames
+        assert len(self.script_with(()).frames) == 0
+
+    @pytest.mark.parametrize("stamps", [(0, 33, 33, 100), (0, 67, 33, 100)])
+    def test_frame_stamps_must_rise(self, stamps):
+        frames = tuple(
+            DetectionFrame(timestamp=t, detections=f.detections)
+            for t, f in zip(stamps, hand_made_frames())
+        )
+        with pytest.raises(ValueError, match="time-ordered"):
+            self.script_with(frames)

@@ -1,10 +1,18 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from handover.core import FingerType, FingertipDetection, ObjectSlab
-from handover.vision_gate import MIN_FINGERS_FOR_GRASP, VisionVerdict, evaluate_grasp, in_slab
+from handover.core import DetectionBlock, DetectionFrame, FingerType, FingertipDetection, ObjectSlab
+from handover.vision_gate import (
+    MIN_FINGERS_FOR_GRASP,
+    VisionVerdict,
+    evaluate_grasp,
+    grasp_verdicts,
+    in_slab,
+)
 
 SLAB = ObjectSlab(z_front=0.4, z_back=0.6)
 
@@ -153,3 +161,84 @@ class TestVisionVerdict:
 
     def test_min_fingers_constant(self):
         assert MIN_FINGERS_FOR_GRASP == 3
+
+
+def oracle_verdict(detections, slab, min_confidence=0.5, at_ms=None):
+    """The per-detection grasp rule, one object at a time."""
+    kept = [d for d in detections if d.confidence >= min_confidence]
+    inside = [d for d in kept if slab.z_front <= d.position_3d[2] <= slab.z_back]
+    thumb = any(d.finger_type is FingerType.THUMB for d in inside)
+    if at_ms is None:
+        at_ms = max((d.timestamp for d in detections), default=0)
+    return VisionVerdict(
+        vote=len(inside) >= MIN_FINGERS_FOR_GRASP and thumb,
+        fingers_in_slab=len(inside),
+        thumb_in_slab=thumb,
+        evaluated_at=int(at_ms),
+    )
+
+
+def _near(value):
+    # the value itself and its floating-point neighbours
+    return st.sampled_from([value, math.nextafter(value, -math.inf), math.nextafter(value, math.inf)])
+
+
+@st.composite
+def gate_cases(draw):
+    """A slab, a confidence threshold and ragged frames of 0-6 detections whose
+    depths and confidences often sit exactly on the rule's bounds."""
+    z_front = draw(st.floats(0.05, 1.0))
+    slab = ObjectSlab(z_front=z_front, z_back=z_front + draw(st.floats(0.01, 0.5)))
+    min_confidence = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+    depth = st.one_of(_near(slab.z_front), _near(slab.z_back), st.floats(0.0, 2.0))
+    confidence = st.one_of(_near(min_confidence).filter(lambda c: 0.0 <= c <= 1.0), st.floats(0.0, 1.0))
+    frames, stamp = [], 0
+    for _ in range(draw(st.integers(0, 5))):
+        stamp += draw(st.integers(1, 100))
+        detections = tuple(
+            FingertipDetection(
+                box=(0.1, 0.1, 0.2, 0.2),
+                finger_type=FingerType.THUMB if draw(st.booleans()) else FingerType.OTHER,
+                position_3d=(0.0, 0.0, draw(depth)),
+                confidence=draw(confidence),
+                timestamp=stamp - draw(st.integers(0, 20)),
+            )
+            for _ in range(draw(st.integers(0, 6)))
+        )
+        frames.append(DetectionFrame(timestamp=stamp, detections=detections))
+    return slab, min_confidence, frames
+
+
+class TestArrayRuleMatchesOracle:
+    @given(case=gate_cases(), give_stamp=st.booleans())
+    def test_evaluate_grasp(self, case, give_stamp):
+        slab, min_confidence, frames = case
+        for frame in frames:
+            at_ms = frame.timestamp if give_stamp else None
+            assert evaluate_grasp(frame.detections, slab, min_confidence, at_ms) == oracle_verdict(
+                frame.detections, slab, min_confidence, at_ms
+            )
+
+    @given(case=gate_cases())
+    def test_whole_block(self, case):
+        slab, min_confidence, frames = case
+        got = grasp_verdicts(DetectionBlock.from_frames(frames), slab, min_confidence)
+        assert got == [
+            oracle_verdict(f.detections, slab, min_confidence, at_ms=f.timestamp) for f in frames
+        ]
+
+    @pytest.mark.parametrize("thumbs", [(), (0,), (0, 1), (0, 1, 2, 3)])
+    @pytest.mark.parametrize("z", [SLAB.z_front, SLAB.z_back])
+    def test_thumb_counts_on_the_bounds(self, thumbs, z):
+        dets = [
+            detection(z, FingerType.THUMB if i in thumbs else FingerType.OTHER, confidence=0.5)
+            for i in range(4)
+        ]
+        verdict = evaluate_grasp(dets, SLAB, min_confidence=0.5)
+        assert verdict == oracle_verdict(dets, SLAB, 0.5)
+        assert verdict.fingers_in_slab == 4
+        assert verdict.vote is bool(thumbs)
+
+    def test_rule_requires_slab_type(self):
+        with pytest.raises(TypeError):
+            evaluate_grasp([detection(0.5)], (0.4, 0.6))
