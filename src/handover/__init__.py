@@ -47,7 +47,7 @@ from .synth import (
     generate_scenario,
     generate_window,
 )
-from .vision_gate import VisionVerdict, evaluate_grasp, in_slab
+from .vision_gate import VisionVerdict, evaluate_grasp
 
 __all__ = [
     "ActionClass",
@@ -82,7 +82,6 @@ __all__ = [
     "generate_dataset",
     "generate_scenario",
     "generate_window",
-    "in_slab",
     "render_report",
     "run_episode",
     "run_experiment",

@@ -157,17 +157,6 @@ def build_network(config: TorqueNetConfig = TorqueNetConfig()) -> nn.Network:
     return nn.Network(layers)
 
 
-def count_parameters(net: nn.Network, include_running_stats: bool = True) -> int:
-    """Total stored values; batch-norm running stats count by default."""
-    total = 0
-    for layer in net.layers:
-        for arr in layer.params().values():
-            total += arr.size
-        if include_running_stats and isinstance(layer, nn.BatchNorm1D):
-            total += layer.running_mean.size + layer.running_var.size
-    return total
-
-
 def normalize_input(window: TorqueWindow, stats: NormalizationStats) -> np.ndarray:
     """Per-joint z-score, then flatten to the (1, 280) network input."""
     z = (window.samples - stats.mean[:, None]) / stats.std[:, None]

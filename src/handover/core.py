@@ -389,6 +389,9 @@ class ReleaseDecision:
         )
 
 
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
 def dumps_canonical(doc: dict[str, Any]) -> str:
     """Serialize a JSON document byte-stably (sorted keys, tight separators)."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return _CANONICAL_ENCODER.encode(doc)

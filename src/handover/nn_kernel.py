@@ -13,8 +13,16 @@ view, and the next layer recovers that buffer without a copy. So the conv
 im2col and GEMM and the batch-norm reductions run on contiguous
 (channels, batch * length) rows, while callers index samples as usual.
 
+Training reductions are row sums: a training-mode batch norm takes its
+mean, variance and gradient sums as one sum or dot product per channel
+row, and the conv bias gradient is a row sum. That rounds differently
+from summing each sample over length and then the samples in order, so
+training results are not bit-identical to that order; they agree within
+1e-12 relative.
+
 ``Network.frozen()`` returns an inference copy with each batch norm
-folded into the conv before it; ``predict_proba`` runs that copy.
+folded into the conv before it; ``predict_proba`` runs that copy, so
+inference never runs the training kernels.
 """
 from __future__ import annotations
 
@@ -63,14 +71,6 @@ def _channel_major(x: np.ndarray) -> np.ndarray:
     """The contiguous (channels, batch, length) buffer behind a logical
     (batch, channels, length) tensor; no copy when x already has it."""
     return np.ascontiguousarray(x.transpose(1, 0, 2))
-
-
-def _channel_sums(buf: np.ndarray) -> np.ndarray:
-    """Per-channel sums of a (channels, batch, length) buffer: each sample
-    summed over length, then the samples added in order. That is how numpy
-    rounds a sum over axes (0, 2) of a (batch, channels, length) array, so
-    the sums do not depend on the layout."""
-    return np.ascontiguousarray(buf.sum(axis=2).T).sum(axis=0)
 
 
 def _tap_span(shift: int, length: int) -> tuple[int, int]:
@@ -162,11 +162,12 @@ class Conv1D:
         batch, length = grad.shape[0], grad.shape[2]
         g2 = _channel_major(grad).reshape(o, batch * length)
         self.grads["weight"] = (g2 @ self._cols.T).reshape(o, c, k)
-        self.grads["bias"] = _channel_sums(g2.reshape(o, batch, length))
+        self.grads["bias"] = g2.sum(axis=1)
         dcols = (self.weight.reshape(o, c * k).T @ g2).reshape(c, k, batch, length)
-        # col2im: scatter each tap's slab back to the input positions it read
-        dx = np.zeros((c, batch, length))
-        for j in range(k):
+        # col2im: scatter each tap's slab back to the input positions it read;
+        # the centre tap reads every position, so it seeds dx
+        dx = dcols[:, p].copy()
+        for j in (*range(p), *range(p + 1, k)):
             lo, hi = _tap_span(j - p, length)
             dx[:, :, lo + j - p:hi + j - p] += dcols[:, j, :, lo:hi]
         return dx.transpose(1, 0, 2)
@@ -180,6 +181,8 @@ class BatchNorm1D:
     def __init__(self, channels: int, epsilon: float = 1e-5, momentum: float = 0.1) -> None:
         if not 0.0 < epsilon < np.inf:
             raise ValueError("epsilon must be positive and finite")
+        if not 0.0 <= momentum <= 1.0:
+            raise ValueError("momentum must be finite and lie in [0, 1]")
         self.channels = channels
         self.epsilon = epsilon
         self.momentum = momentum
@@ -188,7 +191,7 @@ class BatchNorm1D:
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
         self.grads: dict[str, np.ndarray] = {}
-        self._x_hat: np.ndarray | None = None
+        self._centred: np.ndarray | None = None
         self._inv_std: np.ndarray | None = None
 
     @classmethod
@@ -219,44 +222,47 @@ class BatchNorm1D:
     def forward(self, x: np.ndarray, training: bool = False, update_running: bool = True) -> np.ndarray:
         if x.ndim != 3 or x.shape[1] != self.channels:
             raise ValueError(f"batchnorm expects (batch, {self.channels}, length), got {x.shape}")
-        xc = _channel_major(x)
-        m = xc.shape[1] * xc.shape[2]
+        batch, channels, length = x.shape
+        m = batch * length
+        rows = _channel_major(x).reshape(channels, m)
         if training:
-            if x.shape[0] == 0:
+            if batch == 0:
                 raise ValueError("batchnorm training forward requires a non-empty batch")
-            mean = _channel_sums(xc) / m
-            x_hat = xc - mean[:, None, None]
-            var = _channel_sums(np.square(x_hat)) / m  # biased, matches the normalization path
+            mean = rows.sum(axis=1) / m
+            centred = rows - mean[:, None]
+            var = np.einsum("ij,ij->i", centred, centred) / m  # biased, as normalized
             if update_running:
                 self.running_mean = (1.0 - self.momentum) * self.running_mean + self.momentum * mean
                 self.running_var = (1.0 - self.momentum) * self.running_var + self.momentum * var
         else:
-            x_hat = xc - self.running_mean[:, None, None]
+            centred = rows - self.running_mean[:, None]
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
-        x_hat *= inv_std[:, None, None]
         if training:
-            self._x_hat = x_hat
-            self._inv_std = inv_std
-        out = self.gamma[:, None, None] * x_hat
-        out += self.beta[:, None, None]
-        return out.transpose(1, 0, 2)
+            self._centred, self._inv_std = centred, inv_std
+        out = centred * (self.gamma * inv_std)[:, None]
+        out += self.beta[:, None]
+        return out.reshape(channels, batch, length).transpose(1, 0, 2)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._x_hat is None or self._inv_std is None:
+        if self._centred is None or self._inv_std is None:
             raise ValueError("backward called without a training forward")
-        x_hat, inv_std = self._x_hat, self._inv_std
-        g = _channel_major(grad)
-        m = g.shape[1] * g.shape[2]
-        gx = g * x_hat
-        sum_g = _channel_sums(g)
-        sum_gx = _channel_sums(gx)
+        # the centred rows are not needed again, so dx is built in their buffer
+        dx, inv_std = self._centred, self._inv_std
+        self._centred = None
+        channels, m = dx.shape
+        batch, length = grad.shape[0], grad.shape[2]
+        g = _channel_major(grad).reshape(channels, m)
+        sum_g = g.sum(axis=1)
+        sum_gx = np.einsum("ij,ij->i", g, dx) * inv_std  # sum of g * x_hat
         self.grads["gamma"] = sum_gx
         self.grads["beta"] = sum_g
-        dx = g - (sum_g / m)[:, None, None]
-        dx -= np.multiply(x_hat, (sum_gx / m)[:, None, None], out=gx)
-        dx *= (self.gamma * inv_std)[:, None, None]
-        return dx.transpose(1, 0, 2)
+        # dx = gamma * inv_std * (g - mean(g) - x_hat * mean(g * x_hat))
+        dx *= (-inv_std * sum_gx / m)[:, None]
+        dx += g
+        dx -= (sum_g / m)[:, None]
+        dx *= (self.gamma * inv_std)[:, None]
+        return dx.reshape(channels, batch, length).transpose(1, 0, 2)
 
 
 class ReLU:

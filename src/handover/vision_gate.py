@@ -51,14 +51,10 @@ class VisionVerdict:
         )
 
 
-def _within(z, slab: ObjectSlab):
-    """Depths inside the slab, bounds inclusive; on floats or arrays."""
-    return (slab.z_front <= z) & (z <= slab.z_back)
-
-
 def _counted(confidence, z, slab: ObjectSlab, min_confidence: float):
-    """Detections that count toward a grasp; on floats or arrays."""
-    return (confidence >= min_confidence) & _within(z, slab)
+    """Detections that count toward a grasp: confident, with depth inside
+    the slab, bounds inclusive; on floats or arrays."""
+    return (confidence >= min_confidence) & (slab.z_front <= z) & (z <= slab.z_back)
 
 
 def _verdict(fingers: int, thumb: bool, at_ms: int) -> VisionVerdict:
@@ -70,13 +66,6 @@ def _check_rule(slab: ObjectSlab, min_confidence: float) -> None:
         raise ValueError("min_confidence must lie in [0, 1]")
     if not isinstance(slab, ObjectSlab):
         raise TypeError("the grasp rule requires an ObjectSlab")
-
-
-def in_slab(detection: FingertipDetection, slab: ObjectSlab) -> bool:
-    """True iff the fingertip depth lies within the slab, bounds inclusive."""
-    if not isinstance(slab, ObjectSlab):
-        raise TypeError("in_slab requires an ObjectSlab")
-    return _within(detection.position_3d[2], slab)
 
 
 def grasp_verdicts(

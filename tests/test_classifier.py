@@ -12,7 +12,6 @@ from handover.classifier import (
     build_network,
     classify_window,
     classify_windows,
-    count_parameters,
     evaluate,
     load_model,
     normalize_input,
@@ -41,6 +40,17 @@ from handover.synth import (
 )
 
 
+def stored_values(net, include_running_stats=True):
+    """Total values a network stores; batch-norm running stats count by default."""
+    total = sum(arr.size for _, _, arr in net.parameters())
+    if include_running_stats:
+        total += sum(
+            layer.running_mean.size + layer.running_var.size
+            for layer in net.layers if isinstance(layer, BatchNorm1D)
+        )
+    return total
+
+
 class TestBuildNetwork:
     def test_parameter_count_matches_architecture(self):
         net = build_network(TorqueNetConfig())
@@ -48,8 +58,8 @@ class TestBuildNetwork:
         # head: 64*6+6
         expected = (1 * 64 * 3 + 64) + 2 * (64 * 64 * 3 + 64) + 3 * 4 * 64 + (64 * 6 + 6)
         assert expected == 26118
-        assert count_parameters(net) == expected
-        assert count_parameters(net, include_running_stats=False) == expected - 2 * 3 * 64
+        assert stored_values(net) == expected
+        assert stored_values(net, include_running_stats=False) == expected - 2 * 3 * 64
 
     def test_same_seed_is_bit_identical(self):
         a = build_network(TorqueNetConfig(seed=99))
@@ -358,6 +368,14 @@ class TestModelAndDatasetFiles:
             doc["network"]["layers"][1]["running_var"]["data"][0] = -1.0
 
         with pytest.raises(ValueError, match="running_var"):
+            load_model(self.corrupt_model(small_model, tmp_path, edit))
+
+    @pytest.mark.parametrize("momentum", [5.0, -1.0, float("nan")])
+    def test_load_rejects_bad_momentum(self, small_model, tmp_path, momentum):
+        def edit(doc):
+            doc["network"]["layers"][1]["momentum"] = momentum
+
+        with pytest.raises(ValueError, match="momentum"):
             load_model(self.corrupt_model(small_model, tmp_path, edit))
 
     @pytest.mark.parametrize("field", ["mean", "std"])

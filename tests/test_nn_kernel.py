@@ -130,6 +130,21 @@ class TestBatchNorm:
         with pytest.raises(ValueError, match="epsilon"):
             nn.BatchNorm1D(2, epsilon=0.0)
 
+    @pytest.mark.parametrize("momentum", [5.0, 1.0 + 1e-9, -1.0, -1e-9, math.nan, math.inf])
+    def test_bad_momentum_rejected(self, momentum):
+        with pytest.raises(ValueError, match="momentum"):
+            nn.BatchNorm1D(2, momentum=momentum)
+        with pytest.raises(ValueError, match="momentum"):
+            nn.BatchNorm1D.from_params(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), momentum=momentum)
+
+    @pytest.mark.parametrize("momentum", [0.0, 1.0])
+    def test_momentum_bounds_accepted(self, rng, momentum):
+        layer = nn.BatchNorm1D(2, momentum=momentum)
+        x = rng.standard_normal((4, 2, 6))
+        layer.forward(x, training=True)
+        want = x.var(axis=(0, 2)) if momentum == 1.0 else np.ones(2)
+        assert np.allclose(layer.running_var, want, rtol=1e-12, atol=0.0)
+
 
 class TestRelu:
     def test_definition(self):
@@ -290,6 +305,122 @@ def channel_major_view(x):
 
 def is_channel_major(x):
     return x.transpose(1, 0, 2).flags.c_contiguous
+
+
+def channel_sums(buf):
+    """Per-channel sums of a (channels, batch, length) buffer: each sample
+    summed over length, then the samples added in order."""
+    return np.ascontiguousarray(buf.sum(axis=2).T).sum(axis=0)
+
+
+def batchnorm_forward_oracle(x, gamma, beta, epsilon):
+    """The per-sample-ordered training forward: statistics by channel_sums,
+    x_hat scaled on its own. Returns (out, mean, var, x_hat, inv_std)."""
+    xc = np.ascontiguousarray(x.transpose(1, 0, 2))
+    m = xc.shape[1] * xc.shape[2]
+    mean = channel_sums(xc) / m
+    x_hat = xc - mean[:, None, None]
+    var = channel_sums(np.square(x_hat)) / m
+    inv_std = 1.0 / np.sqrt(var + epsilon)
+    x_hat *= inv_std[:, None, None]
+    out = gamma[:, None, None] * x_hat + beta[:, None, None]
+    return out.transpose(1, 0, 2), mean, var, x_hat, inv_std
+
+
+def batchnorm_backward_oracle(grad, x_hat, inv_std, gamma):
+    """Returns (dx, dgamma, dbeta) with sums by channel_sums."""
+    g = np.ascontiguousarray(grad.transpose(1, 0, 2))
+    m = g.shape[1] * g.shape[2]
+    sum_g, sum_gx = channel_sums(g), channel_sums(g * x_hat)
+    dx = g - (sum_g / m)[:, None, None] - x_hat * (sum_gx / m)[:, None, None]
+    dx *= (gamma * inv_std)[:, None, None]
+    return dx.transpose(1, 0, 2), sum_gx, sum_g
+
+
+def conv_backward_oracle(x, weight, grad):
+    """im2col from a zero-padded copy, col2im scattered into zeros.
+    Returns (dx, dweight, dbias)."""
+    out_ch, in_ch, k = weight.shape
+    batch, _, length = x.shape
+    p = (k - 1) // 2
+    padded = np.pad(x, ((0, 0), (0, 0), (p, p)))
+    cols = np.stack([padded[:, :, j:j + length] for j in range(k)], axis=2)  # (B, C, k, L)
+    cols = cols.transpose(1, 2, 0, 3).reshape(in_ch * k, batch * length)
+    g = np.ascontiguousarray(grad.transpose(1, 0, 2))
+    g2 = g.reshape(out_ch, batch * length)
+    dcols = (weight.reshape(out_ch, in_ch * k).T @ g2).reshape(in_ch, k, batch, length)
+    dx = np.zeros((in_ch, batch, length + 2 * p))
+    for j in range(k):
+        dx[:, :, j:j + length] += dcols[:, j]
+    dx = dx[:, :, p:p + length]
+    return dx.transpose(1, 0, 2), (g2 @ cols.T).reshape(weight.shape), channel_sums(g)
+
+
+def assert_close(got, want, scale):
+    """Equal within 1e-12 of ``scale``, the magnitude of the terms whose
+    summation order may differ; catches any error of a term's size."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
+
+
+@st.composite
+def kernel_cases(draw):
+    """Shapes across the network's range, a seed for the values, and
+    whether the inputs come in channel-major strides."""
+    return (
+        draw(st.integers(1, 33)), draw(st.integers(1, 64)), draw(st.integers(1, 300)),
+        draw(st.integers(0, 2**16)), draw(st.booleans()),
+    )
+
+
+class TestTrainingKernelsMatchOracles:
+    """The row-reduction training kernels against the per-sample-ordered
+    formulas they replaced, on contiguous and channel-major inputs."""
+
+    @given(case=kernel_cases(), momentum=st.sampled_from([0.0, 0.1, 1.0]))
+    def test_batchnorm(self, case, momentum):
+        batch, channels, length, seed, strided = case
+        gen = np.random.default_rng(seed)
+        # a random scale and offset, so the centring has something to cancel
+        x = gen.standard_normal((batch, channels, length)) * gen.uniform(0.1, 10.0) + gen.uniform(-5.0, 5.0)
+        grad = gen.standard_normal(x.shape)
+        layer = nn.BatchNorm1D(channels, epsilon=1e-5, momentum=momentum)
+        layer.gamma, layer.beta = gen.uniform(-2.0, 2.0, channels), gen.standard_normal(channels)
+        start_mean, start_var = gen.standard_normal(channels), gen.uniform(0.1, 4.0, channels)
+        layer.running_mean, layer.running_var = start_mean.copy(), start_var.copy()
+        view = channel_major_view if strided else np.ascontiguousarray
+        want, mean, var, x_hat, inv_std = batchnorm_forward_oracle(x, layer.gamma, layer.beta, 1e-5)
+        got = layer.forward(view(x), training=True)
+        x_max, scale_max = np.abs(x).max(), np.abs(layer.gamma * inv_std).max()
+        assert_close(got, want, scale_max * 2.0 * x_max + np.abs(layer.beta).max())
+        want_mean = (1.0 - momentum) * start_mean + momentum * mean
+        assert_close(layer.running_mean, want_mean, x_max + np.abs(start_mean).max())
+        want_var = (1.0 - momentum) * start_var + momentum * var
+        assert_close(layer.running_var, want_var, 4.0 * x_max**2 + start_var.max())
+        want_dx, want_dgamma, want_dbeta = batchnorm_backward_oracle(grad, x_hat, inv_std, layer.gamma)
+        got_dx = layer.backward(view(grad))
+        g_max, xh_max = np.abs(grad).max(), np.abs(x_hat).max()
+        assert_close(got_dx, want_dx, scale_max * g_max * (2.0 + xh_max**2))
+        g_cm = grad.transpose(1, 0, 2)
+        assert_close(layer.grads["gamma"], want_dgamma, np.abs(g_cm * x_hat).sum(axis=(1, 2)).max())
+        assert_close(layer.grads["beta"], want_dbeta, np.abs(g_cm).sum(axis=(1, 2)).max())
+
+    @given(case=kernel_cases(), out_channels=st.integers(1, 64), k=st.sampled_from([1, 3, 5, 15]))
+    def test_conv_backward(self, case, out_channels, k):
+        batch, channels, length, seed, strided = case
+        layer = make_conv(channels, out_channels, k, seed)
+        gen = np.random.default_rng(seed + 2)
+        x = gen.standard_normal((batch, channels, length))
+        grad = gen.standard_normal((batch, out_channels, length))
+        view = channel_major_view if strided else np.ascontiguousarray
+        want_dx, want_dw, want_db = conv_backward_oracle(x, layer.weight, grad)
+        layer.forward(view(x), training=True)
+        got_dx = layer.backward(view(grad))
+        assert is_channel_major(got_dx)
+        w_abs, g_abs = np.abs(layer.weight), np.abs(grad)
+        assert_close(got_dx, want_dx, w_abs.sum(axis=(0, 2)).max() * g_abs.max())
+        assert_close(layer.grads["weight"], want_dw, g_abs.sum(axis=(0, 2)).max() * np.abs(x).max())
+        assert_close(layer.grads["bias"], want_db, g_abs.sum(axis=(0, 2)).max())
 
 
 class TestChannelMajorLayout:
@@ -465,4 +596,12 @@ class TestSerialization:
         doc = nn.network_to_json(self.build_net())
         doc["layers"][1]["epsilon"] = epsilon
         with pytest.raises(ValueError, match="epsilon"):
+            nn.network_from_json(doc)
+
+    @pytest.mark.parametrize("momentum", [5.0, -1.0, math.nan])
+    def test_bad_momentum_rejected(self, momentum):
+        # one training forward would leave running_var negative or NaN
+        doc = nn.network_to_json(self.build_net())
+        doc["layers"][1]["momentum"] = momentum
+        with pytest.raises(ValueError, match="momentum"):
             nn.network_from_json(doc)

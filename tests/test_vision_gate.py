@@ -11,7 +11,6 @@ from handover.vision_gate import (
     VisionVerdict,
     evaluate_grasp,
     grasp_verdicts,
-    in_slab,
 )
 
 SLAB = ObjectSlab(z_front=0.4, z_back=0.6)
@@ -33,28 +32,29 @@ def rule_oracle(flags):
     return len(inside) >= 3 and any(is_thumb for _, is_thumb in inside)
 
 
+def in_slab(z):
+    """Whether the grasp rule counts one confident fingertip at depth z."""
+    return evaluate_grasp([detection(z)], SLAB).fingers_in_slab == 1
+
+
 class TestInSlab:
     def test_front_plane_is_inclusive(self):
-        assert in_slab(detection(SLAB.z_front), SLAB) is True
+        assert in_slab(SLAB.z_front) is True
 
     def test_back_plane_is_inclusive(self):
-        assert in_slab(detection(SLAB.z_back), SLAB) is True
+        assert in_slab(SLAB.z_back) is True
 
     def test_just_beyond_back_plane(self):
-        assert in_slab(detection(SLAB.z_back + 0.01), SLAB) is False
+        assert in_slab(SLAB.z_back + 0.01) is False
 
     def test_just_before_front_plane(self):
-        assert in_slab(detection(SLAB.z_front - 0.01), SLAB) is False
+        assert in_slab(SLAB.z_front - 0.01) is False
 
     def test_matches_comparison_oracle(self, rng):
         for _ in range(200):
             z = float(rng.uniform(0.0, 1.0))
             want = SLAB.z_front <= z <= SLAB.z_back
-            assert in_slab(detection(z), SLAB) is want
-
-    def test_requires_slab_type(self):
-        with pytest.raises(TypeError):
-            in_slab(detection(0.5), (0.4, 0.6))
+            assert in_slab(z) is want
 
 
 class TestEvaluateGrasp:
