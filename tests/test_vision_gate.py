@@ -32,9 +32,9 @@ def rule_oracle(flags):
     return len(inside) >= 3 and any(is_thumb for _, is_thumb in inside)
 
 
-def in_slab(z):
+def in_slab(z, slab=SLAB):
     """Whether the grasp rule counts one confident fingertip at depth z."""
-    return evaluate_grasp([detection(z)], SLAB).fingers_in_slab == 1
+    return evaluate_grasp([detection(z)], slab).fingers_in_slab == 1
 
 
 class TestInSlab:
@@ -55,6 +55,10 @@ class TestInSlab:
             z = float(rng.uniform(0.0, 1.0))
             want = SLAB.z_front <= z <= SLAB.z_back
             assert in_slab(z) is want
+
+    def test_requires_slab_type(self):
+        with pytest.raises(TypeError):
+            in_slab(0.5, (0.4, 0.6))
 
 
 class TestEvaluateGrasp:
