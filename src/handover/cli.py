@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -119,11 +120,16 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         config.train_epochs = args.train_epochs
     if args.no_episode_logs:
         config.log_episodes = False
-    return config
+    # the assignments above bypass __post_init__; rebuilding checks the merged values
+    return dataclasses.replace(config)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _experiment_config(args)
+    try:
+        config = _experiment_config(args)
+    except ValueError as exc:
+        print(f"invalid experiment config: {exc}", file=sys.stderr)
+        return 2
     table, _records = run_experiment(config)
     print(render_report(table))
     if not table.all_gates_pass():

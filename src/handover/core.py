@@ -341,8 +341,8 @@ class ObjectSlab:
     z_back: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < float(self.z_front) < float(self.z_back):
-            raise ValueError(f"slab requires 0 < z_front < z_back, got {self}")
+        if not (0.0 < float(self.z_front) < float(self.z_back) and isfinite(self.z_back)):
+            raise ValueError(f"slab requires 0 < z_front < z_back < inf, got {self}")
         object.__setattr__(self, "z_front", float(self.z_front))
         object.__setattr__(self, "z_back", float(self.z_back))
 

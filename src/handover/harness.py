@@ -66,6 +66,8 @@ class ExperimentConfig:
         if self.trials_per_action < 1:
             raise ValueError("trials_per_action must be >= 1")
         self.actions = tuple(ActionClass(a) for a in self.actions)
+        if not self.actions:
+            raise ValueError("at least one action is required")
         self.pipelines = tuple(Pipeline(p) for p in self.pipelines)
         if not self.pipelines:
             raise ValueError("at least one pipeline is required")

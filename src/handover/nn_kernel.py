@@ -13,12 +13,26 @@ view, and the next layer recovers that buffer without a copy. So the conv
 im2col and GEMM and the batch-norm reductions run on contiguous
 (channels, batch * length) rows, while callers index samples as usual.
 
+What a training-mode forward keeps for backward:
+
+- ``Conv1D``: its channel-major input, not the k-times-larger im2col
+  matrix. This is a reference, not a copy, whenever the input already has
+  that layout (the ReLU output before a conv, or a one-channel batch), so
+  a caller must not modify a conv's input between forward and backward.
+- ``BatchNorm1D``: the centred rows and the per-channel ``1/std``; its
+  backward builds dx in the centred buffer and drops it.
+- ``ReLU``: the boolean mask of positive inputs.
+- ``GlobalAvgPool1D``: the length.
+- ``Linear``: its input.
+
 Training reductions are row sums: a training-mode batch norm takes its
 mean, variance and gradient sums as one sum or dot product per channel
-row, and the conv bias gradient is a row sum. That rounds differently
-from summing each sample over length and then the samples in order, so
-training results are not bit-identical to that order; they agree within
-1e-12 relative.
+row, and the conv bias gradient is a row sum. The conv weight gradient
+is one GEMM per tap over the flat rows shifted by the tap's offset, less
+the pairs that the shift carries across a sample boundary. That rounds
+differently from summing each sample over length and then the samples
+in order, or from one im2col GEMM, so training results are not
+bit-identical to those orders; they agree within 1e-12 relative.
 
 ``Network.frozen()`` returns an inference copy with each batch norm
 folded into the conv before it; ``predict_proba`` runs that copy, so
@@ -128,7 +142,7 @@ class Conv1D:
         self.weight = weight
         self.bias = bias
         self.grads: dict[str, np.ndarray] = {}
-        self._cols: np.ndarray | None = None
+        self._x: np.ndarray | None = None
 
     def params(self) -> dict[str, np.ndarray]:
         return {"weight": self.weight, "bias": self.bias}
@@ -151,17 +165,34 @@ class Conv1D:
         out = self.weight.reshape(self.out_channels, channels * k) @ cols
         out += self.bias[:, None]
         if training:
-            self._cols = cols
+            self._x = xc
         return out.reshape(self.out_channels, batch, length).transpose(1, 0, 2)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cols is None:
+        if self._x is None:
             raise ValueError("backward called without a training forward")
         o, c, k = self.weight.shape
         p = (k - 1) // 2
         batch, length = grad.shape[0], grad.shape[2]
-        g2 = _channel_major(grad).reshape(o, batch * length)
-        self.grads["weight"] = (g2 @ self._cols.T).reshape(o, c, k)
+        n = batch * length
+        x, g = self._x, _channel_major(grad)
+        x2, g2 = x.reshape(c, n), g.reshape(o, n)
+        # tap j pairs output t with input t + s: one GEMM over the flat rows
+        # shifted by s, minus the |s| pairs per sample where the flat shift
+        # runs from one sample's edge into its neighbour
+        dw = np.zeros((o, c, k))
+        for j in range(k):
+            s = j - p
+            lo, hi = _tap_span(s, length)
+            if lo == hi:
+                continue
+            tap = g2[:, lo:n - length + hi] @ x2[:, lo + s:n - length + hi + s].T
+            if s > 0:
+                tap -= g[:, :-1, hi:].reshape(o, -1) @ x[:, 1:, :s].reshape(c, -1).T
+            elif s < 0:
+                tap -= g[:, 1:, :lo].reshape(o, -1) @ x[:, :-1, length + s:].reshape(c, -1).T
+            dw[:, :, j] = tap
+        self.grads["weight"] = dw
         self.grads["bias"] = g2.sum(axis=1)
         dcols = (self.weight.reshape(o, c * k).T @ g2).reshape(c, k, batch, length)
         # col2im: scatter each tap's slab back to the input positions it read;

@@ -258,8 +258,8 @@ class FaultProfile:
         object.__setattr__(self, "torque_misread", _probs(self.torque_misread))
         object.__setattr__(self, "vision_dropout", _probs(self.vision_dropout))
         object.__setattr__(self, "vision_spurious_grasp", _probs(self.vision_spurious_grasp))
-        if self.torque_extra_noise < 0.0:
-            raise ValueError("torque_extra_noise must be >= 0")
+        if not 0.0 <= self.torque_extra_noise < np.inf:
+            raise ValueError("torque_extra_noise must be finite and >= 0")
 
     @classmethod
     def clean(cls) -> "FaultProfile":

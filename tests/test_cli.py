@@ -126,6 +126,41 @@ class TestSimulate:
         assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
 
 
+@pytest.fixture
+def refuse_training(monkeypatch):
+    """Fail the test if simulate starts training: a bad config must be
+    rejected before the expensive step."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate trained a model before checking its config")
+    monkeypatch.setattr("handover.harness.train", refuse)
+
+
+class TestSimulateRejectsBadConfig:
+    @pytest.mark.parametrize("doc, message", [
+        ({"pipelines": []}, "pipeline"),
+        ({"actions": []}, "action"),
+        ({"trials_per_action": 0}, "trials_per_action"),
+    ])
+    def test_config_file_overrides_are_checked(self, refuse_training, tmp_path, capsys, doc, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "sim"
+        code = main(["simulate", "--config", str(config_path), "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_trials_flag_is_checked(self, refuse_training, tmp_path, capsys, trials):
+        out_dir = tmp_path / "sim"
+        code = main(["simulate", "--trials", trials, "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "trials_per_action" in captured.err
+        assert not out_dir.exists()
+
+
 class TestReplay:
     def test_replay_episode_log(self, saved_model, tmp_path, capsys):
         out_dir = tmp_path / "sim"

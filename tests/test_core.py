@@ -317,7 +317,9 @@ class TestObjectSlab:
         slab = ObjectSlab(z_front=0.4, z_back=0.55)
         assert slab.z_back > slab.z_front
 
-    @pytest.mark.parametrize("front,back", [(0.5, 0.4), (0.0, 0.4), (-0.1, 0.4), (0.4, 0.4)])
+    @pytest.mark.parametrize("front,back", [
+        (0.5, 0.4), (0.0, 0.4), (-0.1, 0.4), (0.4, 0.4), (0.4, float("inf")), (float("nan"), 0.4),
+    ])
     def test_rejects_bad_planes(self, front, back):
         with pytest.raises(ValueError):
             ObjectSlab(z_front=front, z_back=back)

@@ -147,6 +147,8 @@ class TestRunExperiment:
             ExperimentConfig(trials_per_action=0)
         with pytest.raises(ValueError, match="pipeline"):
             ExperimentConfig(pipelines=())
+        with pytest.raises(ValueError, match="action"):
+            ExperimentConfig(actions=())
 
 
 class TestRenderReport:

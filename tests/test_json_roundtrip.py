@@ -1,0 +1,179 @@
+"""Every value a JSON-serialized type accepts survives dumps_canonical and
+json.loads unchanged, as strict JSON (no NaN or Infinity tokens)."""
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, reject, strategies as st
+from hypothesis.extra import numpy as hnp
+
+import handover.nn_kernel as nn
+from handover.classifier import LabeledWindow, NormalizationStats, TorqueNetConfig, build_network, torque_vote
+from handover.core import (
+    NUM_CLASSES,
+    NUM_JOINTS,
+    TORQUE_LIMIT_NM,
+    WINDOW_SAMPLES,
+    ActionClass,
+    ActionScores,
+    FingerType,
+    FingertipDetection,
+    ObjectSlab,
+    ReleaseDecision,
+    TorqueWindow,
+    dumps_canonical,
+)
+from handover.fusion import FusedSample, SyncConfig, TorqueEvent
+from handover.synth import FaultProfile
+from handover.vision_gate import MIN_FINGERS_FOR_GRASP, VisionVerdict
+
+# infinities included: a type that accepts one must still write strict JSON
+floats = st.floats(allow_nan=False)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+stamps = st.integers(-(2**63), 2**63)
+actions = st.sampled_from(list(ActionClass))
+
+
+def built(cls, *args, **kwargs):
+    """cls(...) when its checks accept the drawn values, else a rejected example."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError:
+        reject()
+
+
+def ordered_pair(values):
+    return st.tuples(values, values).map(sorted)
+
+
+@st.composite
+def torque_windows(draw):
+    samples = draw(hnp.arrays(np.float64, (NUM_JOINTS, WINDOW_SAMPLES),
+                              elements=st.floats(-TORQUE_LIMIT_NM, TORQUE_LIMIT_NM)))
+    return TorqueWindow(samples=samples, start_time=draw(stamps))
+
+
+@st.composite
+def action_scores(draw):
+    weights = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=NUM_CLASSES, max_size=NUM_CLASSES)))
+    if weights.sum() == 0.0:
+        reject()
+    return built(ActionScores.from_probabilities, weights / weights.sum())
+
+
+@st.composite
+def detections(draw):
+    (x_min, x_max), (y_min, y_max) = draw(ordered_pair(floats)), draw(ordered_pair(floats))
+    return built(
+        FingertipDetection,
+        box=(x_min, y_min, x_max, y_max),
+        finger_type=draw(st.sampled_from(list(FingerType))),
+        position_3d=(draw(floats), draw(floats), draw(st.floats(min_value=0.0))),
+        confidence=draw(st.floats(0.0, 1.0)),
+        timestamp=draw(stamps),
+    )
+
+
+@st.composite
+def slabs(draw):
+    z_front, z_back = draw(ordered_pair(st.floats(min_value=0.0, exclude_min=True)))
+    return built(ObjectSlab, z_front=z_front, z_back=z_back)
+
+
+@st.composite
+def release_decisions(draw):
+    torque, vision = draw(st.booleans()), draw(st.booleans())
+    return ReleaseDecision(release=torque and vision, torque_vote=torque, vision_vote=vision,
+                           action=draw(actions), decided_at=draw(stamps))
+
+
+sync_configs = st.builds(SyncConfig, pairing_window_ms=st.integers(1, 2**31),
+                         debounce_frames=st.integers(1, 2**31))
+
+
+@st.composite
+def fused_samples(draw):
+    scores = draw(action_scores())
+    fingers, thumb = draw(st.integers(0, 5)), draw(st.booleans())
+    vision = VisionVerdict(vote=fingers >= MIN_FINGERS_FOR_GRASP and thumb, fingers_in_slab=fingers,
+                           thumb_in_slab=thumb, evaluated_at=draw(stamps))
+    return FusedSample(torque=TorqueEvent(scores=scores, timestamp=draw(stamps)), vision=vision,
+                       fused_vote=torque_vote(scores) and vision.vote, skew_ms=draw(stamps))
+
+
+@st.composite
+def fault_profiles(draw):
+    tables = [draw(st.dictionaries(actions, st.floats(0.0, 1.0))) for _ in range(3)]
+    return built(FaultProfile, *tables, torque_extra_noise=draw(st.floats()))
+
+
+@st.composite
+def normalization_stats(draw):
+    mean, std = (draw(hnp.arrays(np.float64, (NUM_JOINTS,), elements=finite)) for _ in range(2))
+    return NormalizationStats(mean=mean, std=std)
+
+
+def assert_same(got, want):
+    """Field-by-field equality, arrays compared by value and shape."""
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    elif dataclasses.is_dataclass(want):
+        for f in dataclasses.fields(want):
+            assert_same(getattr(got, f.name), getattr(want, f.name))
+    else:
+        assert got == want
+
+
+def strict_loads(text):
+    def refuse(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+CASES = {
+    "TorqueWindow": (TorqueWindow, torque_windows()),
+    "LabeledWindow": (LabeledWindow, st.builds(LabeledWindow, window=torque_windows(), label=actions)),
+    "ActionScores": (ActionScores, action_scores()),
+    "FingertipDetection": (FingertipDetection, detections()),
+    "ObjectSlab": (ObjectSlab, slabs()),
+    "ReleaseDecision": (ReleaseDecision, release_decisions()),
+    "SyncConfig": (SyncConfig, sync_configs),
+    "FusedSample": (FusedSample, fused_samples()),
+    "FaultProfile": (FaultProfile, fault_profiles()),
+    "NormalizationStats": (NormalizationStats, normalization_stats()),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_canonical_json_round_trip(name):
+    cls, values = CASES[name]
+
+    @given(values)
+    def check(value):
+        text = dumps_canonical(value.to_json_dict())
+        back = cls.from_json_dict(strict_loads(text))
+        assert_same(back, value)
+        assert dumps_canonical(back.to_json_dict()) == text
+
+    check()
+
+
+@given(seed=st.integers(0, 2**32 - 1), filters=st.integers(1, 8), kernel=st.sampled_from([1, 3, 5]))
+def test_network_round_trip(seed, filters, kernel):
+    net = build_network(TorqueNetConfig(blocks=2, filters_per_block=filters, kernel_size=kernel,
+                                        input_length=kernel, seed=seed))
+    gen = np.random.default_rng(seed)
+    for layer in net.layers:
+        if isinstance(layer, nn.BatchNorm1D):
+            layer.gamma, layer.beta = gen.standard_normal(filters), gen.standard_normal(filters)
+            layer.running_mean = gen.standard_normal(filters)
+            layer.running_var = gen.exponential(size=filters)
+    back = nn.network_from_json(strict_loads(dumps_canonical(nn.network_to_json(net))))
+    assert [type(layer) for layer in back.layers] == [type(layer) for layer in net.layers]
+    for got, want in zip(back.layers, net.layers):
+        assert vars(got).keys() == vars(want).keys()
+        for key, value in vars(want).items():
+            if key != "grads":
+                assert_same(vars(got)[key], value)

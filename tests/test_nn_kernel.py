@@ -76,6 +76,15 @@ class TestConv1d:
         with pytest.raises(ValueError, match="odd"):
             nn.Conv1D(1, 1, 2)
 
+    def test_training_forward_keeps_no_more_than_its_input(self, rng):
+        # the backward pass needs the input, not its k-times-larger im2col matrix
+        layer = nn.Conv1D(64, 64, 3, rng=rng)
+        x = rng.standard_normal((32, 64, 280))
+        layer.forward(x, training=True)
+        params = [id(a) for a in layer.params().values()]
+        kept = [a for a in vars(layer).values() if isinstance(a, np.ndarray) and id(a) not in params]
+        assert sum(a.nbytes for a in kept) <= x.nbytes
+
 
 class TestBatchNorm:
     def test_constant_channel_maps_to_zero(self):

@@ -137,6 +137,11 @@ class TestFaultProfile:
         with pytest.raises(ValueError, match="extra_noise"):
             FaultProfile(torque_extra_noise=-0.1)
 
+    @pytest.mark.parametrize("noise", [float("inf"), float("nan")])
+    def test_non_finite_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="extra_noise"):
+            FaultProfile(torque_extra_noise=noise)
+
     def test_json_roundtrip(self):
         profile = FaultProfile.torque_degraded()
         back = FaultProfile.from_json_dict(profile.to_json_dict())
