@@ -1,0 +1,144 @@
+"""The exact canonical JSON text of one hand-built value per serialized type.
+
+The round-trip properties in test_json_roundtrip.py show that a document
+reads back to the same value; these pins show that the bytes written to
+trials.jsonl, report.json, episode logs, model files and datasets do not
+drift (key names, int vs float, enum codes, optional nulls, table keys).
+"""
+import json
+
+import numpy as np
+import pytest
+
+from handover.classifier import LabeledWindow, NormalizationStats, TrainingReport
+from handover.core import (
+    ActionClass,
+    ActionScores,
+    FingerType,
+    FingertipDetection,
+    ObjectSlab,
+    ReleaseDecision,
+    TorqueWindow,
+    dumps_canonical,
+)
+from handover.fusion import FusedSample, Pipeline, SyncConfig, TorqueEvent
+from handover.harness import ReportTable, TrialRecord
+from handover.multibox import Box, GroundTruth, MultiboxInstance, Prediction
+from handover.synth import FaultProfile
+from handover.vision_gate import VisionVerdict
+
+_samples = np.full((7, 40), 0.5)
+_samples[3, 7] = -1.25
+WINDOW = TorqueWindow(samples=_samples, start_time=1200)
+_rows = [["0.5"] * 40 for _ in range(7)]
+_rows[3][7] = "-1.25"
+WINDOW_TEXT = (
+    '{"sample_rate_hz":40,"samples":['
+    + ",".join("[" + ",".join(row) + "]" for row in _rows)
+    + '],"start_time":1200}'
+)
+
+SCORES = ActionScores.from_probabilities([0.1, 0.2, 0.05, 0.4, 0.15, 0.1])
+VERDICT = VisionVerdict(vote=True, fingers_in_slab=4, thumb_in_slab=True, evaluated_at=1340)
+
+GOLDEN = {
+    "TorqueWindow": (WINDOW, WINDOW_TEXT),
+    "LabeledWindow": (
+        LabeledWindow(window=WINDOW, label=ActionClass.PULL_UP),
+        '{"label":5,"window":' + WINDOW_TEXT + "}",
+    ),
+    "ActionScores": (SCORES, '{"predicted":3,"probabilities":[0.1,0.2,0.05,0.4,0.15,0.1]}'),
+    "FingertipDetection": (
+        FingertipDetection(box=(0, 0.2, 1, 0.45), finger_type=FingerType.THUMB,
+                           position_3d=(0.01, -0.02, 0.5), confidence=0.875, timestamp=250),
+        '{"box":[0.0,0.2,1.0,0.45],"confidence":0.875,"finger_type":"thumb",'
+        '"position_3d":[0.01,-0.02,0.5],"timestamp":250}',
+    ),
+    "ObjectSlab": (ObjectSlab(z_front=0.4, z_back=1), '{"z_back":1.0,"z_front":0.4}'),
+    "ReleaseDecision": (
+        ReleaseDecision(release=False, torque_vote=True, vision_vote=False,
+                        action=ActionClass.PULL, decided_at=1375),
+        '{"action":4,"decided_at":1375,"release":false,"torque_vote":true,"vision_vote":false}',
+    ),
+    "NormalizationStats": (
+        NormalizationStats(mean=[0.5, -1.0, 2.25, 0.0, 3.0, -0.125, 1.5],
+                           std=[1.0, 0.5, 2.0, 1e-6, 4.0, 0.25, 3.5]),
+        '{"mean":[0.5,-1.0,2.25,0.0,3.0,-0.125,1.5],"std":[1.0,0.5,2.0,1e-06,4.0,0.25,3.5]}',
+    ),
+    "TrainingReport": (
+        TrainingReport(epoch_losses=[1.5, 0.75], epoch_train_accuracy=[0.5, 0.875],
+                       epoch_holdout_accuracy=[0.25, 0.75], confusion_matrix=np.array([[3, 1], [0, 4]]),
+                       holdout_accuracy=0.875, n_train=12, n_holdout=8, wall_seconds=1.5),
+        '{"confusion_matrix":[[3,1],[0,4]],"epoch_holdout_accuracy":[0.25,0.75],'
+        '"epoch_losses":[1.5,0.75],"epoch_train_accuracy":[0.5,0.875],"holdout_accuracy":0.875,'
+        '"n_holdout":8,"n_train":12,"wall_seconds":1.5}',
+    ),
+    "SyncConfig": (SyncConfig(pairing_window_ms=80, debounce_frames=2),
+                   '{"debounce_frames":2,"pairing_window_ms":80}'),
+    "VisionVerdict": (VERDICT, '{"evaluated_at":1340,"fingers_in_slab":4,"thumb_in_slab":true,"vote":true}'),
+    "FusedSample": (
+        FusedSample(torque=TorqueEvent(scores=SCORES, timestamp=1375), vision=VERDICT,
+                    fused_vote=True, skew_ms=35),
+        '{"fused_vote":true,"skew_ms":35,"torque":{"predicted":3,'
+        '"probabilities":[0.1,0.2,0.05,0.4,0.15,0.1],"timestamp":1375},'
+        '"vision":{"evaluated_at":1340,"fingers_in_slab":4,"thumb_in_slab":true,"vote":true}}',
+    ),
+    "FaultProfile": (
+        FaultProfile(torque_misread={ActionClass.PULL: 0.25, ActionClass.BUMP: 0.5},
+                     vision_spurious_grasp={ActionClass.NO_ACTION: 0.125}, torque_extra_noise=0.3),
+        '{"torque_extra_noise":0.3,"torque_misread":{"1":0.5,"4":0.25},"vision_dropout":{},'
+        '"vision_spurious_grasp":{"0":0.125}}',
+    ),
+    "TrialRecord": (
+        TrialRecord(pipeline=Pipeline.FUSED, action=ActionClass.PULL_UP, trial_index=7, released=True,
+                    success=True, release_time_ms=1500, faults=("torque_misread",),
+                    episode_log="episodes/fused_pull_up_007.jsonl"),
+        '{"action":5,"action_name":"pull_up","episode_log":"episodes/fused_pull_up_007.jsonl",'
+        '"faults":["torque_misread"],"pipeline":"fused","release_time_ms":1500,"released":true,'
+        '"success":true,"trial_index":7}',
+    ),
+    "TrialRecord-unreleased": (
+        TrialRecord(pipeline=Pipeline.TORQUE_ONLY, action=ActionClass.NO_ACTION, trial_index=0,
+                    released=False, success=True, release_time_ms=None, faults=(), episode_log=None),
+        '{"action":0,"action_name":"no_action","episode_log":null,"faults":[],"pipeline":"torque_only",'
+        '"release_time_ms":null,"released":false,"success":true,"trial_index":0}',
+    ),
+    "ReportTable": (
+        ReportTable(trials_per_action=2, seed=5, actions=(ActionClass.HOLD, ActionClass.BUMP),
+                    pipelines=(Pipeline.VISION_ONLY,),
+                    per_action={Pipeline.VISION_ONLY: {ActionClass.HOLD: (2, 0), ActionClass.BUMP: (1, 1)}},
+                    overall={Pipeline.VISION_ONLY: (4, 3)}, gates={"fused_overall": False},
+                    notes=("a note",)),
+        '{"actions":["hold","bump"],"gates":{"fused_overall":false},"notes":["a note"],'
+        '"overall":{"vision_only":{"rate":0.75,"rate_percent":75,"successes":3,"trials":4}},'
+        '"per_action":{"vision_only":{"bump":{"failures":1,"successes":1},'
+        '"hold":{"failures":0,"successes":2}}},"pipelines":["vision_only"],"seed":5,'
+        '"trials_per_action":2}',
+    ),
+    "MultiboxInstance": (
+        MultiboxInstance.build([Prediction(Box(0.1, 0.1, 0.5, 0.5), (0.25, 0.75))],
+                               [GroundTruth(Box(0.1, 0.1, 0.5, 0.5), 1)], alpha=2),
+        '{"alpha":2.0,"ground_truth":[{"box":[0.1,0.1,0.5,0.5],"class_index":1}],'
+        '"predicted":[{"box":[0.1,0.1,0.5,0.5],"confidences":[0.25,0.75]}]}',
+    ),
+}
+
+# the types whose documents are read back as well as written
+READ_BACK = {
+    "TorqueWindow", "LabeledWindow", "ActionScores", "FingertipDetection", "ObjectSlab",
+    "ReleaseDecision", "NormalizationStats", "SyncConfig", "VisionVerdict", "FusedSample",
+    "FaultProfile", "MultiboxInstance",
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_canonical_text_is_pinned(name):
+    value, text = GOLDEN[name]
+    assert dumps_canonical(value.to_json_dict()) == text
+
+
+@pytest.mark.parametrize("name", sorted(READ_BACK))
+def test_pinned_text_reads_back_to_itself(name):
+    value, text = GOLDEN[name]
+    back = type(value).from_json_dict(json.loads(text))
+    assert dumps_canonical(back.to_json_dict()) == text
