@@ -15,7 +15,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .core import (
     WINDOW_SAMPLES,
     ActionClass,
     ActionScores,
+    JsonCodec,
     TorqueWindow,
 )
 from . import nn_kernel as nn
@@ -69,27 +70,17 @@ class TorqueNetConfig:
 
 
 @dataclass(frozen=True)
-class LabeledWindow:
+class LabeledWindow(JsonCodec):
     window: TorqueWindow
     label: ActionClass
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "label", ActionClass(self.label))
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {"window": self.window.to_json_dict(), "label": int(self.label)}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict[str, Any]) -> "LabeledWindow":
-        return cls(
-            window=TorqueWindow.from_json_dict(doc["window"]),
-            label=ActionClass(int(doc["label"])),
-        )
-
 
 @dataclass(frozen=True)
-class NormalizationStats:
-    """Per-joint mean/std of the training torques; std floored at 1e-6."""
+class NormalizationStats(JsonCodec):
+    """Per-joint mean and (positive) std of the training torques."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -99,7 +90,8 @@ class NormalizationStats:
         std = np.asarray(self.std, dtype=np.float64).reshape(NUM_JOINTS)
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
             raise ValueError("normalization statistics must be finite")
-        std = np.maximum(std, STD_FLOOR)
+        if np.any(std <= 0.0):
+            raise ValueError("normalization std must be positive")
         mean.flags.writeable = False
         std.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -107,19 +99,13 @@ class NormalizationStats:
 
     @classmethod
     def from_windows(cls, windows: Iterable[TorqueWindow]) -> "NormalizationStats":
+        """Statistics of ``windows``; a constant joint's std is floored at 1e-6."""
         stacked = np.stack([w.samples for w in windows])
-        return cls(mean=stacked.mean(axis=(0, 2)), std=stacked.std(axis=(0, 2)))
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict[str, Any]) -> "NormalizationStats":
-        return cls(mean=np.asarray(doc["mean"]), std=np.asarray(doc["std"]))
+        return cls(mean=stacked.mean(axis=(0, 2)), std=np.maximum(stacked.std(axis=(0, 2)), STD_FLOOR))
 
 
 @dataclass
-class TrainingReport:
+class TrainingReport(JsonCodec):
     epoch_losses: list[float]
     epoch_train_accuracy: list[float]
     epoch_holdout_accuracy: list[float]
@@ -128,18 +114,6 @@ class TrainingReport:
     n_train: int
     n_holdout: int
     wall_seconds: float
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "epoch_losses": self.epoch_losses,
-            "epoch_train_accuracy": self.epoch_train_accuracy,
-            "epoch_holdout_accuracy": self.epoch_holdout_accuracy,
-            "confusion_matrix": self.confusion_matrix.tolist(),
-            "holdout_accuracy": self.holdout_accuracy,
-            "n_train": self.n_train,
-            "n_holdout": self.n_holdout,
-            "wall_seconds": self.wall_seconds,
-        }
 
 
 def build_network(config: TorqueNetConfig = TorqueNetConfig()) -> nn.Network:

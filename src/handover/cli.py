@@ -127,8 +127,9 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
         config = _experiment_config(args)
-    except ValueError as exc:
-        print(f"invalid experiment config: {exc}", file=sys.stderr)
+    except (KeyError, TypeError, ValueError) as exc:  # whatever the config's decoders reject
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"invalid experiment config: {reason}", file=sys.stderr)
         return 2
     table, _records = run_experiment(config)
     print(render_report(table))

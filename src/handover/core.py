@@ -8,12 +8,13 @@ release decision. All types are immutable and JSON-serializable.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
-from functools import cached_property
+from functools import cache, cached_property
 from math import isfinite
-from typing import Any
+from types import UnionType
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -63,8 +64,93 @@ def expected_decision(action: ActionClass) -> Decision:
     return SUCCESS_CRITERIA[ActionClass(action)]
 
 
+# ---------------------------------------------------------------------------
+# JSON codec
+# ---------------------------------------------------------------------------
+
+# Field declarations: ``field(..., metadata=OPTIONAL_KEY)`` reads a missing
+# key as the field's default; ``field(metadata=INLINE)`` writes a nested
+# codec value's keys into the parent document and reads them back from it.
+OPTIONAL_KEY = {"json": "optional"}
+INLINE = {"json": "inline"}
+
+Converter = Callable[[Any], Any]
+
+
+def _json_object(doc: Any) -> dict[str, Any]:
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _converters(tp: Any) -> tuple[Converter, Converter]:
+    """(encode, decode) of a value annotated ``tp``."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union or origin is UnionType:  # X | None
+        (inner,) = [a for a in args if a is not type(None)]
+        enc, dec = _converters(inner)
+        return (lambda v: None if v is None else enc(v)), (lambda v: None if v is None else dec(v))
+    if origin is tuple:
+        return list, tuple
+    if origin is list:
+        enc, dec = _converters(args[0])
+        return (lambda v: [enc(x) for x in v]), (lambda v: [dec(x) for x in v])
+    if origin is dict:  # keys are written as strings, in sorted order
+        (enc_k, dec_k), (enc_v, dec_v) = _converters(args[0]), _converters(args[1])
+        return (
+            lambda v: {str(enc_k(k)): enc_v(x) for k, x in sorted(v.items())},
+            lambda v: {dec_k(k): dec_v(x) for k, x in _json_object(v).items()},
+        )
+    if tp is np.ndarray:
+        return (lambda v: v.tolist()), (lambda v: np.asarray(v, dtype=np.float64))
+    if issubclass(tp, JsonCodec):
+        return (lambda v: v.to_json_dict()), tp.from_json_dict
+    if issubclass(tp, IntEnum):
+        return int, (lambda v: tp(int(v)))
+    if issubclass(tp, Enum):
+        return (lambda v: v.value), tp
+    return tp, tp  # bool, int, float, str
+
+
+@cache
+def _codec_fields(cls: type) -> tuple[tuple[str, str | None, bool, Converter, Converter], ...]:
+    """(name, declaration, init, encode, decode) of each field, from its annotation."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, f.metadata.get("json"), f.init, *_converters(hints[f.name])) for f in fields(cls)
+    )
+
+
+class JsonCodec:
+    """Base of the dataclasses written to JSON: each field maps to one key
+    (or, declared INLINE, to its own keys) in a form its annotation fixes.
+    Decoding runs the constructor, so every ``__post_init__`` check holds;
+    fields with ``init=False`` are written, never read."""
+
+    def to_json_dict(self) -> dict[str, Any]:
+        doc: dict[str, Any] = {}
+        for name, declared, _init, encode, _decode in _codec_fields(type(self)):
+            value = encode(getattr(self, name))
+            if declared == "inline":
+                doc.update(value)
+            else:
+                doc[name] = value
+        return doc
+
+    @classmethod
+    def from_json_dict(cls, doc: dict[str, Any]) -> Any:
+        doc = _json_object(doc)
+        kwargs = {}
+        for name, declared, init, _encode, decode in _codec_fields(cls):
+            if declared == "inline":
+                kwargs[name] = decode(doc)
+            elif init and (name in doc or declared != "optional"):
+                kwargs[name] = decode(doc[name])
+        return cls(**kwargs)
+
+
 @dataclass(frozen=True)
-class TorqueWindow:
+class TorqueWindow(JsonCodec):
     """One second of 7-joint torque samples at 40 Hz.
 
     ``samples`` is a (7, 40) matrix in N*m, joint-major: row j holds the
@@ -74,7 +160,7 @@ class TorqueWindow:
 
     samples: np.ndarray
     start_time: int
-    sample_rate_hz: int = SAMPLE_RATE_HZ
+    sample_rate_hz: int = field(default=SAMPLE_RATE_HZ, metadata=OPTIONAL_KEY)
 
     def __post_init__(self) -> None:
         arr = np.array(self.samples, dtype=np.float64)
@@ -104,21 +190,6 @@ class TorqueWindow:
             raise ValueError(f"flat window must have {FLAT_SIZE} values, got {vec.shape}")
         return cls(samples=vec.reshape(NUM_JOINTS, WINDOW_SAMPLES), start_time=start_time)
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "samples": self.samples.tolist(),
-            "start_time": int(self.start_time),
-            "sample_rate_hz": int(self.sample_rate_hz),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict[str, Any]) -> "TorqueWindow":
-        return cls(
-            samples=np.asarray(doc["samples"], dtype=np.float64),
-            start_time=int(doc["start_time"]),
-            sample_rate_hz=int(doc.get("sample_rate_hz", SAMPLE_RATE_HZ)),
-        )
-
 
 def _check_probabilities(probs: np.ndarray) -> None:
     """The checks of one probability vector, applied to each row of ``probs``."""
@@ -133,7 +204,7 @@ def _check_probabilities(probs: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class ActionScores:
+class ActionScores(JsonCodec):
     """Classifier output: a 6-way probability vector plus its argmax."""
 
     probabilities: np.ndarray
@@ -173,19 +244,6 @@ class ActionScores:
             rows.append(scores)
         return rows
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "probabilities": self.probabilities.tolist(),
-            "predicted": int(self.predicted),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict[str, Any]) -> "ActionScores":
-        return cls(
-            probabilities=np.asarray(doc["probabilities"], dtype=np.float64),
-            predicted=ActionClass(int(doc["predicted"])),
-        )
-
 
 NON_FINITE_DETECTION = "detection box, position and confidence must be finite"
 NEGATIVE_DEPTH = "detection depth (z) must be non-negative"
@@ -193,7 +251,7 @@ CONFIDENCE_RANGE = "confidence must lie in [0, 1]"
 
 
 @dataclass(frozen=True)
-class FingertipDetection:
+class FingertipDetection(JsonCodec):
     """A detected fingertip: 2D box, finger label, camera-frame 3D position.
 
     Box coordinates are normalized to [0, 1] image space; ``position_3d``
@@ -227,25 +285,6 @@ class FingertipDetection:
         object.__setattr__(self, "confidence", confidence)
         if type(self.finger_type) is not FingerType:
             object.__setattr__(self, "finger_type", FingerType(self.finger_type))
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "box": list(self.box),
-            "finger_type": self.finger_type.value,
-            "position_3d": list(self.position_3d),
-            "confidence": self.confidence,
-            "timestamp": int(self.timestamp),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict[str, Any]) -> "FingertipDetection":
-        return cls(
-            box=tuple(doc["box"]),
-            finger_type=FingerType(doc["finger_type"]),
-            position_3d=tuple(doc["position_3d"]),
-            confidence=float(doc["confidence"]),
-            timestamp=int(doc["timestamp"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -334,7 +373,7 @@ class DetectionBlock(Sequence):
 
 
 @dataclass(frozen=True)
-class ObjectSlab:
+class ObjectSlab(JsonCodec):
     """Camera-frame depths of the held object's front and back planes."""
 
     z_front: float
@@ -346,16 +385,9 @@ class ObjectSlab:
         object.__setattr__(self, "z_front", float(self.z_front))
         object.__setattr__(self, "z_back", float(self.z_back))
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {"z_front": self.z_front, "z_back": self.z_back}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict[str, Any]) -> "ObjectSlab":
-        return cls(z_front=float(doc["z_front"]), z_back=float(doc["z_back"]))
-
 
 @dataclass(frozen=True)
-class ReleaseDecision:
+class ReleaseDecision(JsonCodec):
     """Final binary release output with per-modality provenance."""
 
     release: bool
@@ -368,25 +400,6 @@ class ReleaseDecision:
         if self.release != (self.torque_vote and self.vision_vote):
             raise ValueError("release must equal torque_vote AND vision_vote")
         object.__setattr__(self, "action", ActionClass(self.action))
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "release": bool(self.release),
-            "torque_vote": bool(self.torque_vote),
-            "vision_vote": bool(self.vision_vote),
-            "action": int(self.action),
-            "decided_at": int(self.decided_at),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict[str, Any]) -> "ReleaseDecision":
-        return cls(
-            release=bool(doc["release"]),
-            torque_vote=bool(doc["torque_vote"]),
-            vision_vote=bool(doc["vision_vote"]),
-            action=ActionClass(int(doc["action"])),
-            decided_at=int(doc["decided_at"]),
-        )
 
 
 _CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)

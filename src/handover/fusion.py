@@ -21,8 +21,10 @@ import numpy as np
 
 from .classifier import NormalizationStats, classify_windows, torque_vote
 from .core import (
+    INLINE,
     ActionClass,
     ActionScores,
+    JsonCodec,
     ReleaseDecision,
     TorqueWindow,
     dumps_canonical,
@@ -48,7 +50,7 @@ class Pipeline(Enum):
 
 
 @dataclass(frozen=True)
-class SyncConfig:
+class SyncConfig(JsonCodec):
     pairing_window_ms: int = 100
     debounce_frames: int = 3
 
@@ -58,28 +60,15 @@ class SyncConfig:
         if self.debounce_frames < 1:
             raise ValueError("debounce_frames must be >= 1")
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "pairing_window_ms": self.pairing_window_ms,
-            "debounce_frames": self.debounce_frames,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict[str, Any]) -> "SyncConfig":
-        return cls(
-            pairing_window_ms=int(doc["pairing_window_ms"]),
-            debounce_frames=int(doc["debounce_frames"]),
-        )
-
 
 @dataclass(frozen=True)
-class TorqueEvent:
-    scores: ActionScores
+class TorqueEvent(JsonCodec):
+    scores: ActionScores = field(metadata=INLINE)  # logged beside the timestamp
     timestamp: int
 
 
 @dataclass(frozen=True)
-class FusedSample:
+class FusedSample(JsonCodec):
     torque: TorqueEvent
     vision: VisionVerdict
     fused_vote: bool
@@ -88,24 +77,6 @@ class FusedSample:
     def __post_init__(self) -> None:
         if self.fused_vote != (torque_vote(self.torque.scores) and self.vision.vote):
             raise ValueError("fused_vote must equal torque_vote AND vision vote")
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "torque": {**self.torque.scores.to_json_dict(), "timestamp": int(self.torque.timestamp)},
-            "vision": self.vision.to_json_dict(),
-            "fused_vote": bool(self.fused_vote),
-            "skew_ms": int(self.skew_ms),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict[str, Any]) -> "FusedSample":
-        tq = doc["torque"]
-        return cls(
-            torque=TorqueEvent(scores=ActionScores.from_json_dict(tq), timestamp=int(tq["timestamp"])),
-            vision=VisionVerdict.from_json_dict(doc["vision"]),
-            fused_vote=bool(doc["fused_vote"]),
-            skew_ms=int(doc["skew_ms"]),
-        )
 
 
 @dataclass

@@ -23,7 +23,7 @@ from .classifier import (
     train,
     write_dataset_jsonl,
 )
-from .core import ActionClass, Decision, dumps_canonical, expected_decision
+from .core import ActionClass, Decision, JsonCodec, dumps_canonical, expected_decision
 from .fusion import Pipeline, SyncConfig, run_episode, write_episode_log
 from .nn_kernel import Network
 from .synth import FaultProfile, default_signature_model, generate_dataset, generate_scenario
@@ -71,12 +71,16 @@ class ExperimentConfig:
         self.pipelines = tuple(Pipeline(p) for p in self.pipelines)
         if not self.pipelines:
             raise ValueError("at least one pipeline is required")
+        if self.train_epochs < 1:
+            raise ValueError("train_epochs must be >= 1")
+        if self.train_per_class < 2:
+            raise ValueError("train_per_class must be >= 2")
         for pipeline in self.pipelines:
             self.fault_profiles.setdefault(pipeline, FaultProfile.clean())
 
 
 @dataclass
-class TrialRecord:
+class TrialRecord(JsonCodec):
     pipeline: Pipeline
     action: ActionClass
     trial_index: int
@@ -85,19 +89,10 @@ class TrialRecord:
     release_time_ms: int | None
     faults: tuple[str, ...]
     episode_log: str | None
+    action_name: str = field(init=False)  # written beside the code for readers of trials.jsonl
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "pipeline": self.pipeline.value,
-            "action": int(self.action),
-            "action_name": self.action.name.lower(),
-            "trial_index": self.trial_index,
-            "released": self.released,
-            "success": self.success,
-            "release_time_ms": self.release_time_ms,
-            "faults": list(self.faults),
-            "episode_log": self.episode_log,
-        }
+    def __post_init__(self) -> None:
+        self.action_name = self.action.name.lower()
 
 
 @dataclass

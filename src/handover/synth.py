@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
 
 import numpy as np
 
 from .classifier import LabeledWindow
 from .core import (
     NUM_JOINTS,
+    OPTIONAL_KEY,
     SAMPLE_DT_MS,
     SAMPLE_RATE_HZ,
     TORQUE_LIMIT_NM,
@@ -26,6 +26,7 @@ from .core import (
     ActionClass,
     DetectionBlock,
     DetectionFrame,  # re-exported: hand-built scripts pass frames
+    JsonCodec,
     ObjectSlab,
     TorqueWindow,
 )
@@ -239,7 +240,7 @@ def _probs(table: dict[ActionClass, float] | None) -> dict[ActionClass, float]:
 
 
 @dataclass(frozen=True)
-class FaultProfile:
+class FaultProfile(JsonCodec):
     """Per-action episode corruption probabilities for one pipeline run.
 
     ``torque_misread``: the torque stream carries the MISREAD_TARGET
@@ -249,10 +250,10 @@ class FaultProfile:
     call for it. ``torque_extra_noise`` is added to the generator sigma.
     """
 
-    torque_misread: dict[ActionClass, float] = field(default_factory=dict)
-    vision_dropout: dict[ActionClass, float] = field(default_factory=dict)
-    vision_spurious_grasp: dict[ActionClass, float] = field(default_factory=dict)
-    torque_extra_noise: float = 0.0
+    torque_misread: dict[ActionClass, float] = field(default_factory=dict, metadata=OPTIONAL_KEY)
+    vision_dropout: dict[ActionClass, float] = field(default_factory=dict, metadata=OPTIONAL_KEY)
+    vision_spurious_grasp: dict[ActionClass, float] = field(default_factory=dict, metadata=OPTIONAL_KEY)
+    torque_extra_noise: float = field(default=0.0, metadata=OPTIONAL_KEY)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "torque_misread", _probs(self.torque_misread))
@@ -293,29 +294,6 @@ class FaultProfile:
             ActionClass.HOLD: 1 / 30,
             ActionClass.PULL_UP: 1 / 30,
         })
-
-    def to_json_dict(self) -> dict[str, Any]:
-        def enc(table: dict[ActionClass, float]) -> dict[str, float]:
-            return {str(int(a)): p for a, p in sorted(table.items())}
-
-        return {
-            "torque_misread": enc(self.torque_misread),
-            "vision_dropout": enc(self.vision_dropout),
-            "vision_spurious_grasp": enc(self.vision_spurious_grasp),
-            "torque_extra_noise": self.torque_extra_noise,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict[str, Any]) -> "FaultProfile":
-        def dec(table: dict[str, float]) -> dict[ActionClass, float]:
-            return {ActionClass(int(k)): float(v) for k, v in table.items()}
-
-        return cls(
-            torque_misread=dec(doc.get("torque_misread", {})),
-            vision_dropout=dec(doc.get("vision_dropout", {})),
-            vision_spurious_grasp=dec(doc.get("vision_spurious_grasp", {})),
-            torque_extra_noise=float(doc.get("torque_extra_noise", 0.0)),
-        )
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,18 @@ one frame of detection objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import DetectionBlock, FingerType, FingertipDetection, ObjectSlab
+from .core import DetectionBlock, FingerType, FingertipDetection, JsonCodec, ObjectSlab
 
 MIN_FINGERS_FOR_GRASP = 3
 DEFAULT_MIN_CONFIDENCE = 0.5
 
 
 @dataclass(frozen=True)
-class VisionVerdict:
+class VisionVerdict(JsonCodec):
     vote: bool
     fingers_in_slab: int
     thumb_in_slab: bool
@@ -32,23 +32,6 @@ class VisionVerdict:
         expected = self.fingers_in_slab >= MIN_FINGERS_FOR_GRASP and self.thumb_in_slab
         if self.vote != expected:
             raise ValueError("vote must equal (fingers_in_slab >= 3 AND thumb_in_slab)")
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "vote": bool(self.vote),
-            "fingers_in_slab": int(self.fingers_in_slab),
-            "thumb_in_slab": bool(self.thumb_in_slab),
-            "evaluated_at": int(self.evaluated_at),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict[str, Any]) -> "VisionVerdict":
-        return cls(
-            vote=bool(doc["vote"]),
-            fingers_in_slab=int(doc["fingers_in_slab"]),
-            thumb_in_slab=bool(doc["thumb_in_slab"]),
-            evaluated_at=int(doc["evaluated_at"]),
-        )
 
 
 def _counted(confidence, z, slab: ObjectSlab, min_confidence: float):

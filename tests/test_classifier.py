@@ -107,6 +107,22 @@ class TestNormalization:
         out = normalize_input(windows[0], stats)
         assert np.all(np.isfinite(out))
 
+    def test_only_the_constant_joint_is_floored(self, rng):
+        samples = rng.uniform(-5, 5, (4, 7, 40))
+        samples[:, 2] = 1.5
+        stats = NormalizationStats.from_windows(
+            TorqueWindow(samples=s, start_time=i) for i, s in enumerate(samples)
+        )
+        assert stats.std[2] == 1e-6
+        assert np.all(np.delete(stats.std, 2) > 0.1)
+
+    @pytest.mark.parametrize("bad", [0.0, -3.0])
+    def test_non_positive_std_rejected(self, bad):
+        std = np.ones(7)
+        std[4] = bad
+        with pytest.raises(ValueError, match="positive"):
+            NormalizationStats(mean=np.zeros(7), std=std)
+
     def test_matches_zscore_oracle(self, rng):
         samples = rng.uniform(-10, 10, (7, 40))
         mean = rng.uniform(-2, 2, 7)
@@ -384,6 +400,14 @@ class TestModelAndDatasetFiles:
             doc["normalization"][field][3] = float("nan")
 
         with pytest.raises(ValueError, match="finite"):
+            load_model(self.corrupt_model(small_model, tmp_path, edit))
+
+    @pytest.mark.parametrize("bad", [-3.0, 0.0])
+    def test_load_rejects_non_positive_std(self, small_model, tmp_path, bad):
+        def edit(doc):
+            doc["normalization"]["std"] = [bad] * 7
+
+        with pytest.raises(ValueError, match="positive"):
             load_model(self.corrupt_model(small_model, tmp_path, edit))
 
     def test_dataset_jsonl_roundtrip(self, tmp_path):

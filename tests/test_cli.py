@@ -160,6 +160,40 @@ class TestSimulateRejectsBadConfig:
         assert "trials_per_action" in captured.err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["--train-epochs", "0"], None, "train_epochs"),
+        ([], {"train_per_class": 1}, "train_per_class"),
+    ])
+    def test_training_settings_are_checked(self, refuse_training, tmp_path, capsys, argv, doc, message):
+        if doc is not None:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps(doc))
+            argv = [*argv, "--config", str(config_path)]
+        out_dir = tmp_path / "sim"
+        code = main(["simulate", *argv, "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"sync": {"pairing_window_ms": 100}},
+        {"sync": 5},
+        {"sync": {"pairing_window_ms": "soon", "debounce_frames": 3}},
+        {"fault_profiles": {"fused": {"torque_misread": [0.5]}}},
+        {"fault_profiles": {"fused": {"torque_misread": {"9": 0.5}}}},
+    ])
+    def test_malformed_config_document_is_reported(self, refuse_training, tmp_path, capsys, doc):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "sim"
+        code = main(["simulate", "--config", str(config_path), "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "invalid experiment config" in captured.err
+        assert "Traceback" not in captured.err
+        assert not out_dir.exists()
+
 
 class TestReplay:
     def test_replay_episode_log(self, saved_model, tmp_path, capsys):

@@ -149,6 +149,10 @@ class TestRunExperiment:
             ExperimentConfig(pipelines=())
         with pytest.raises(ValueError, match="action"):
             ExperimentConfig(actions=())
+        with pytest.raises(ValueError, match="train_epochs"):
+            ExperimentConfig(train_epochs=0)
+        with pytest.raises(ValueError, match="train_per_class"):
+            ExperimentConfig(train_per_class=1)
 
 
 class TestRenderReport:

@@ -110,7 +110,10 @@ def fault_profiles(draw):
 
 @st.composite
 def normalization_stats(draw):
-    mean, std = (draw(hnp.arrays(np.float64, (NUM_JOINTS,), elements=finite)) for _ in range(2))
+    mean = draw(hnp.arrays(np.float64, (NUM_JOINTS,), elements=finite))
+    # a std must be positive: NormalizationStats rejects any other
+    std = draw(hnp.arrays(np.float64, (NUM_JOINTS,),
+                          elements=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)))
     return NormalizationStats(mean=mean, std=std)
 
 
