@@ -128,7 +128,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
         config = _experiment_config(args)
     except (KeyError, TypeError, ValueError) as exc:  # whatever the config's decoders reject
-        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        reason = f"unknown or missing key {exc}" if isinstance(exc, KeyError) else exc
         print(f"invalid experiment config: {reason}", file=sys.stderr)
         return 2
     table, _records = run_experiment(config)

@@ -107,22 +107,6 @@ class TestNormalization:
         out = normalize_input(windows[0], stats)
         assert np.all(np.isfinite(out))
 
-    def test_only_the_constant_joint_is_floored(self, rng):
-        samples = rng.uniform(-5, 5, (4, 7, 40))
-        samples[:, 2] = 1.5
-        stats = NormalizationStats.from_windows(
-            TorqueWindow(samples=s, start_time=i) for i, s in enumerate(samples)
-        )
-        assert stats.std[2] == 1e-6
-        assert np.all(np.delete(stats.std, 2) > 0.1)
-
-    @pytest.mark.parametrize("bad", [0.0, -3.0])
-    def test_non_positive_std_rejected(self, bad):
-        std = np.ones(7)
-        std[4] = bad
-        with pytest.raises(ValueError, match="positive"):
-            NormalizationStats(mean=np.zeros(7), std=std)
-
     def test_matches_zscore_oracle(self, rng):
         samples = rng.uniform(-10, 10, (7, 40))
         mean = rng.uniform(-2, 2, 7)
