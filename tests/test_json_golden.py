@@ -10,7 +10,8 @@ import json
 import numpy as np
 import pytest
 
-from handover.classifier import LabeledWindow, NormalizationStats, TrainingReport
+from handover import nn_kernel as nn
+from handover.classifier import LabeledWindow, NormalizationStats, TrainingReport, load_model, save_model
 from handover.core import (
     ActionClass,
     ActionScores,
@@ -142,3 +143,57 @@ def test_pinned_text_reads_back_to_itself(name):
     value, text = GOLDEN[name]
     back = type(value).from_json_dict(json.loads(text))
     assert dumps_canonical(back.to_json_dict()) == text
+
+
+# a tiny network of every layer kind, batch norm with non-default epsilon
+# and momentum, its arrays small and exact in binary
+NETWORK = nn.Network([
+    nn.Conv1D.from_params(np.array([[[0.5, -1.0, 0.25]], [[1.5, 0.0, -0.75]]]), np.array([0.125, -0.5])),
+    nn.BatchNorm1D.from_params(np.array([1.0, 2.0]), np.array([0.0, -0.5]), np.array([0.25, 1.5]),
+                               np.array([1.0, 4.0]), epsilon=0.001, momentum=0.25),
+    nn.ReLU(),
+    nn.GlobalAvgPool1D(),
+    nn.Linear.from_params(np.array([[1.0, -1.0], [0.5, 0.25], [-2.0, 3.0]]), np.array([0.0, 0.5, -0.25])),
+])
+NETWORK_TEXT = (
+    '{"layers":['
+    '{"bias":{"data":[0.125,-0.5],"shape":[2]},"in_channels":1,"kernel_size":3,"kind":"conv1d",'
+    '"out_channels":2,"weight":{"data":[0.5,-1.0,0.25,1.5,0.0,-0.75],"shape":[2,1,3]}},'
+    '{"beta":{"data":[0.0,-0.5],"shape":[2]},"channels":2,"epsilon":0.001,'
+    '"gamma":{"data":[1.0,2.0],"shape":[2]},"kind":"batchnorm1d","momentum":0.25,'
+    '"running_mean":{"data":[0.25,1.5],"shape":[2]},"running_var":{"data":[1.0,4.0],"shape":[2]}},'
+    '{"kind":"relu"},{"kind":"global_avg_pool"},'
+    '{"bias":{"data":[0.0,0.5,-0.25],"shape":[3]},"in_features":2,"kind":"linear","out_features":3,'
+    '"weight":{"data":[1.0,-1.0,0.5,0.25,-2.0,3.0],"shape":[3,2]}}'
+    '],"version":"tcnn-v1"}'
+)
+# save_model writes json.dumps(sort_keys=True) with its default separators
+MODEL_TEXT = (
+    '{"format": "handover-model-v1", "network": {"layers": ['
+    '{"bias": {"data": [0.125, -0.5], "shape": [2]}, "in_channels": 1, "kernel_size": 3, "kind": "conv1d", '
+    '"out_channels": 2, "weight": {"data": [0.5, -1.0, 0.25, 1.5, 0.0, -0.75], "shape": [2, 1, 3]}}, '
+    '{"beta": {"data": [0.0, -0.5], "shape": [2]}, "channels": 2, "epsilon": 0.001, '
+    '"gamma": {"data": [1.0, 2.0], "shape": [2]}, "kind": "batchnorm1d", "momentum": 0.25, '
+    '"running_mean": {"data": [0.25, 1.5], "shape": [2]}, "running_var": {"data": [1.0, 4.0], "shape": [2]}}, '
+    '{"kind": "relu"}, {"kind": "global_avg_pool"}, '
+    '{"bias": {"data": [0.0, 0.5, -0.25], "shape": [3]}, "in_features": 2, "kind": "linear", "out_features": 3, '
+    '"weight": {"data": [1.0, -1.0, 0.5, 0.25, -2.0, 3.0], "shape": [3, 2]}}'
+    '], "version": "tcnn-v1"}, '
+    '"normalization": {"mean": [0.5, -1.0, 2.25, 0.0, 3.0, -0.125, 1.5], '
+    '"std": [1.0, 0.5, 2.0, 1e-06, 4.0, 0.25, 3.5]}}'
+)
+
+
+def test_network_text_is_pinned():
+    assert dumps_canonical(nn.network_to_json(NETWORK)) == NETWORK_TEXT
+    back = nn.network_from_json(json.loads(NETWORK_TEXT))
+    assert dumps_canonical(nn.network_to_json(back)) == NETWORK_TEXT
+
+
+def test_model_file_text_is_pinned(tmp_path):
+    stats, _text = GOLDEN["NormalizationStats"]
+    path = tmp_path / "model.json"
+    save_model(path, NETWORK, stats)
+    assert path.read_text(encoding="utf-8") == MODEL_TEXT
+    save_model(tmp_path / "again.json", *load_model(path))
+    assert (tmp_path / "again.json").read_text(encoding="utf-8") == MODEL_TEXT
