@@ -34,39 +34,31 @@ from .core import (
 from . import nn_kernel as nn
 
 STD_FLOOR = 1e-6
+HOLDOUT_FRACTION = 0.2  # the stratified 80/20 split
 MODEL_FORMAT_VERSION = "handover-model-v1"
 
 
 @dataclass(frozen=True)
 class TorqueNetConfig:
-    """Architecture plus training hyperparameters (defaults are the preset)."""
+    """Architecture plus training hyperparameters (defaults are the preset).
+    The input (one channel of 280 values) and the six classes are fixed."""
 
     blocks: int = 3
     filters_per_block: int = 64
     kernel_size: int = 3
-    classes: int = NUM_CLASSES
-    input_channels: int = 1
-    input_length: int = FLAT_SIZE
     seed: int = 7
     epochs: int = 30
     learning_rate: float = 1e-2
     momentum: float = 0.9
     batch_size: int = 32
-    holdout_fraction: float = 0.2
 
     def __post_init__(self) -> None:
         if self.blocks < 1 or self.filters_per_block < 1:
             raise ValueError("need at least one block and one filter")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ValueError("kernel size must be odd for same padding")
-        if self.classes < 2:
-            raise ValueError("need at least two classes")
-        if self.input_channels < 1 or self.input_length < self.kernel_size:
-            raise ValueError(f"invalid input shape {(self.input_channels, self.input_length)}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch size must be positive")
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise ValueError("holdout fraction must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -120,14 +112,14 @@ def build_network(config: TorqueNetConfig = TorqueNetConfig()) -> nn.Network:
     """Assemble the conv/batch-norm/ReLU stack; seeded, so reproducible."""
     rng = np.random.default_rng(config.seed)
     layers: list[nn.Layer] = []
-    in_ch = config.input_channels
+    in_ch = 1  # normalize_input's one flat channel
     for _ in range(config.blocks):
         layers.append(nn.Conv1D(in_ch, config.filters_per_block, config.kernel_size, rng=rng))
         layers.append(nn.BatchNorm1D(config.filters_per_block))
         layers.append(nn.ReLU())
         in_ch = config.filters_per_block
     layers.append(nn.GlobalAvgPool1D())
-    layers.append(nn.Linear(config.filters_per_block, config.classes, rng=rng))
+    layers.append(nn.Linear(config.filters_per_block, NUM_CLASSES, rng=rng))
     return nn.Network(layers)
 
 
@@ -137,15 +129,13 @@ def normalize_input(window: TorqueWindow, stats: NormalizationStats) -> np.ndarr
     return z.reshape(1, FLAT_SIZE)
 
 
-def _stratified_split(
-    labels: np.ndarray, holdout_fraction: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+def _stratified_split(labels: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     train_idx: list[int] = []
     holdout_idx: list[int] = []
     for cls in range(NUM_CLASSES):
         members = np.flatnonzero(labels == cls)
         members = members[rng.permutation(members.size)]
-        n_hold = max(1, int(round(members.size * holdout_fraction)))
+        n_hold = max(1, int(round(members.size * HOLDOUT_FRACTION)))
         if n_hold >= members.size:
             n_hold = members.size - 1
         holdout_idx.extend(members[:n_hold])
@@ -178,7 +168,7 @@ def train(
         raise ValueError(f"need >= 2 examples per class, deficient: {', '.join(missing)}")
 
     rng = np.random.default_rng(config.seed)
-    train_idx, holdout_idx = _stratified_split(labels, config.holdout_fraction, rng)
+    train_idx, holdout_idx = _stratified_split(labels, rng)
 
     stats = NormalizationStats.from_windows(dataset[i].window for i in train_idx)
     all_inputs = np.stack([normalize_input(item.window, stats) for item in dataset])

@@ -2,10 +2,10 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .classifier import (
 )
 from .core import ActionClass
 from .fusion import Pipeline, SyncConfig, replay_episode_log
-from .harness import ExperimentConfig, render_report, run_experiment
+from .harness import ExperimentConfig, default_fault_profiles, render_report, run_experiment
 from .synth import FaultProfile, default_signature_model, generate_dataset
 
 CLASS_NAMES = [a.name.lower() for a in ActionClass]
@@ -81,53 +81,54 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _json_object(doc: Any, what: str) -> dict[str, Any]:
+    if not isinstance(doc, dict):
+        raise TypeError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _fault_profiles(doc: Any) -> dict[Pipeline, FaultProfile]:
+    """The default profiles, those named in ``doc`` replaced."""
+    named = {Pipeline(k): FaultProfile.from_json_dict(v) for k, v in _json_object(doc, "fault_profiles").items()}
+    return {**default_fault_profiles(), **named}
+
+
+# the --config keys simulate reads, each with its decoder
+CONFIG_KEYS: dict[str, Callable[[Any], Any]] = {
+    "trials_per_action": int,
+    "seed": int,
+    "pipelines": lambda doc: tuple(Pipeline(p) for p in doc),
+    "actions": lambda doc: tuple(ActionClass[a.upper()] if isinstance(a, str) else ActionClass(a) for a in doc),
+    "sync": SyncConfig.from_json_dict,
+    "fault_profiles": _fault_profiles,
+    "train_per_class": int,
+    "train_epochs": int,
+}
+
+
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    config = ExperimentConfig(out_dir=args.out_dir)
+    overrides: dict[str, Any] = {}
     if args.config:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if "trials_per_action" in doc:
-            config.trials_per_action = int(doc["trials_per_action"])
-        if "seed" in doc:
-            config.seed = int(doc["seed"])
-        if "pipelines" in doc:
-            config.pipelines = tuple(Pipeline(p) for p in doc["pipelines"])
-        if "actions" in doc:
-            config.actions = tuple(
-                ActionClass[a.upper()] if isinstance(a, str) else ActionClass(a)
-                for a in doc["actions"]
-            )
-        if "sync" in doc:
-            config.sync = SyncConfig.from_json_dict(doc["sync"])
-        if "fault_profiles" in doc:
-            for key, value in doc["fault_profiles"].items():
-                config.fault_profiles[Pipeline(key)] = FaultProfile.from_json_dict(value)
-        if "train_per_class" in doc:
-            config.train_per_class = int(doc["train_per_class"])
-        if "train_epochs" in doc:
-            config.train_epochs = int(doc["train_epochs"])
-        if "fused_min_overall" in doc:
-            config.fused_min_overall = float(doc["fused_min_overall"])
+        doc = _json_object(json.loads(Path(args.config).read_text(encoding="utf-8")), "the config")
+        unread = sorted(set(doc) - set(CONFIG_KEYS))
+        if unread:
+            raise ValueError(f"simulate reads no key {', '.join(map(repr, unread))}")
+        overrides = {key: CONFIG_KEYS[key](value) for key, value in doc.items()}
     # explicit flags win over the config file
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.trials is not None:
-        config.trials_per_action = args.trials
-    if args.model is not None:
-        config.model_path = args.model
-    if args.train_per_class is not None:
-        config.train_per_class = args.train_per_class
-    if args.train_epochs is not None:
-        config.train_epochs = args.train_epochs
+    flags = {
+        "seed": args.seed, "trials_per_action": args.trials, "model_path": args.model,
+        "train_per_class": args.train_per_class, "train_epochs": args.train_epochs,
+    }
+    overrides.update((key, value) for key, value in flags.items() if value is not None)
     if args.no_episode_logs:
-        config.log_episodes = False
-    # the assignments above bypass __post_init__; rebuilding checks the merged values
-    return dataclasses.replace(config)
+        overrides["log_episodes"] = False
+    return ExperimentConfig(out_dir=args.out_dir, **overrides)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
         config = _experiment_config(args)
-    except (KeyError, TypeError, ValueError) as exc:  # whatever the config's decoders reject
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # unreadable, or rejected by a decoder
         reason = f"unknown or missing key {exc}" if isinstance(exc, KeyError) else exc
         print(f"invalid experiment config: {reason}", file=sys.stderr)
         return 2
@@ -140,7 +141,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    result = replay_episode_log(args.log)
+    try:
+        result = replay_episode_log(args.log)
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # unreadable, or not an episode log
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"invalid episode log: {reason}", file=sys.stderr)
+        return 2
     released = f"released at {result.release_time_ms} ms" if result.released else "did not release"
     print(f"replayed {result.n_events} events: {released}")
     if result.matched:

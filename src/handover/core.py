@@ -179,17 +179,6 @@ class TorqueWindow(JsonCodec):
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
-    def flatten(self) -> np.ndarray:
-        """Flatten joint-major into a 280-value vector (joint 0 first)."""
-        return self.samples.reshape(FLAT_SIZE).copy()
-
-    @classmethod
-    def unflatten(cls, vector: np.ndarray, start_time: int = 0) -> "TorqueWindow":
-        vec = np.asarray(vector, dtype=np.float64)
-        if vec.shape != (FLAT_SIZE,):
-            raise ValueError(f"flat window must have {FLAT_SIZE} values, got {vec.shape}")
-        return cls(samples=vec.reshape(NUM_JOINTS, WINDOW_SAMPLES), start_time=start_time)
-
 
 def _check_probabilities(probs: np.ndarray) -> None:
     """The checks of one probability vector, applied to each row of ``probs``."""

@@ -31,7 +31,7 @@ from .core import (
 )
 from .nn_kernel import Network
 from .synth import SAMPLE_DT_MS, ScenarioScript, WINDOW_SAMPLES
-from .vision_gate import DEFAULT_MIN_CONFIDENCE, VisionVerdict, grasp_verdicts
+from .vision_gate import VisionVerdict, grasp_verdicts
 
 DEFAULT_STRIDE_SAMPLES = 5  # 125 ms between sliding-window classifications
 
@@ -261,17 +261,10 @@ class EpisodeOutcome:
     n_samples: int = 0
 
 
-def torque_event_stream(
-    script: ScenarioScript,
-    net: Network,
-    stats: NormalizationStats,
-    stride_samples: int = DEFAULT_STRIDE_SAMPLES,
-) -> list[TorqueEvent]:
+def torque_event_stream(script: ScenarioScript, net: Network, stats: NormalizationStats) -> list[TorqueEvent]:
     """Classify sliding one-second windows; events stamped at window end."""
-    if stride_samples < 1:
-        raise ValueError("stride must be >= 1")
     n = script.torques.shape[1]
-    starts = range(0, n - WINDOW_SAMPLES + 1, stride_samples)
+    starts = range(0, n - WINDOW_SAMPLES + 1, DEFAULT_STRIDE_SAMPLES)
     windows = [
         TorqueWindow(
             samples=script.torques[:, start:start + WINDOW_SAMPLES],
@@ -289,11 +282,9 @@ def torque_event_stream(
     ]
 
 
-def vision_verdict_stream(
-    script: ScenarioScript, min_confidence: float = DEFAULT_MIN_CONFIDENCE
-) -> list[VisionVerdict]:
+def vision_verdict_stream(script: ScenarioScript) -> list[VisionVerdict]:
     """One verdict per camera frame, stamped with the frame's time."""
-    return grasp_verdicts(script.frames, script.slab, min_confidence)
+    return grasp_verdicts(script.frames, script.slab)
 
 
 def run_episode(
@@ -302,8 +293,6 @@ def run_episode(
     stats: NormalizationStats,
     config: SyncConfig = SyncConfig(),
     pipeline: Pipeline = Pipeline.FUSED,
-    stride_samples: int = DEFAULT_STRIDE_SAMPLES,
-    min_confidence: float = DEFAULT_MIN_CONFIDENCE,
 ) -> EpisodeOutcome:
     """Run one scripted episode through a pipeline variant to completion.
 
@@ -314,7 +303,7 @@ def run_episode(
     pipeline = Pipeline(pipeline)
     dropped = 0
     if pipeline is Pipeline.VISION_ONLY:
-        verdicts = vision_verdict_stream(script, min_confidence)
+        verdicts = vision_verdict_stream(script)
         if not verdicts:
             raise ValueError("episode has no vision frames")
         n_samples = len(verdicts)
@@ -324,7 +313,7 @@ def run_episode(
             "thumb_in_slab": v.thumb_in_slab,
         }, None) for v in verdicts)
     elif pipeline is Pipeline.TORQUE_ONLY:
-        events = torque_event_stream(script, net, stats, stride_samples)
+        events = torque_event_stream(script, net, stats)
         if not events:
             raise ValueError("episode torque stream is too short for one window")
         n_samples = len(events)
@@ -333,8 +322,8 @@ def run_episode(
             "vote": bool(torque_vote(e.scores)), "predicted": int(e.scores.predicted),
         }, None) for e in events)
     else:
-        events = torque_event_stream(script, net, stats, stride_samples)
-        verdicts = vision_verdict_stream(script, min_confidence)
+        events = torque_event_stream(script, net, stats)
+        verdicts = vision_verdict_stream(script)
         if not events or not verdicts:
             raise ValueError("fused episode requires both streams to be non-empty")
         sync = synchronize(events, verdicts, config)
@@ -389,10 +378,20 @@ def replay_episode_log(path: str | Path) -> ReplayResult:
 
     The log is authoritative input (the FSM steps of any pipeline) and
     expected output (transitions, decision, summary); replay feeds the
-    steps through a fresh ``ReleaseFsm`` and reports any divergence.
+    steps through a fresh ``ReleaseFsm`` and reports any divergence. A
+    file that is not such a log raises ``ValueError``.
     """
-    lines = [json.loads(s) for s in Path(path).read_text(encoding="utf-8").splitlines() if s.strip()]
-    if not lines or lines[0].get("type") != "header":
+    lines = []
+    for number, text in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if text.strip():
+            try:
+                line = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {number} is not JSON ({exc})") from None
+            if not isinstance(line, dict) or "type" not in line:
+                raise ValueError(f"line {number} is not a JSON object with a type")
+            lines.append(line)
+    if not lines or lines[0]["type"] != "header":
         raise ValueError("episode log must start with a header line")
     config = SyncConfig.from_json_dict(lines[0]["sync_config"])
     logged_summary = next((l for l in lines if l["type"] == "summary"), None)

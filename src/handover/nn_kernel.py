@@ -108,10 +108,58 @@ def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -
     return rng.uniform(-bound, bound, size=shape)
 
 
-class Conv1D:
+class Layer:
+    """Base of the layers. Each declares once what it holds:
+
+    - ``kind``: its name in model files;
+    - ``arrays``: its arrays, in ``from_params`` order; ``trained`` are
+      the ones SGD updates, which ``params()`` returns;
+    - ``scalars``: its constructor scalars, keywords of ``from_params``;
+    - ``shapes``: the attributes its arrays fix, written to model files
+      and checked against the arrays on load.
+
+    ``from_params`` builds a layer on given arrays through ``_assign``,
+    which checks them; the layer copy, ``params()`` and the model file
+    form are derived from the declaration.
+    """
+
+    kind: str
+    arrays: tuple[str, ...] = ()
+    trained: tuple[str, ...] = ()
+    scalars: tuple[str, ...] = ()
+    shapes: tuple[str, ...] = ()
+
+    def __init__(self) -> None:
+        self._assign()
+
+    def _assign(self) -> None:
+        self.grads: dict[str, np.ndarray] = {}
+
+    @classmethod
+    def from_params(cls, *arrays: np.ndarray, **scalars: Any) -> "Layer":
+        """A layer holding these arrays (not copied); draws no random init."""
+        layer = cls.__new__(cls)
+        layer._assign(*arrays, **scalars)
+        return layer
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in self.trained}
+
+    def copy(self) -> "Layer":
+        """A fresh layer with copies of this one's arrays and its scalars."""
+        return self.from_params(
+            *(getattr(self, name).copy() for name in self.arrays),
+            **{name: getattr(self, name) for name in self.scalars},
+        )
+
+
+class Conv1D(Layer):
     """1D convolution, kernel weights (out_channels, in_channels, k)."""
 
     kind = "conv1d"
+    arrays = trained = ("weight", "bias")
+    shapes = ("in_channels", "out_channels", "kernel_size")
+    _x: np.ndarray | None = None  # a training forward's channel-major input
 
     def __init__(
         self,
@@ -127,13 +175,6 @@ class Conv1D:
             np.zeros(out_channels),
         )
 
-    @classmethod
-    def from_params(cls, weight: np.ndarray, bias: np.ndarray) -> "Conv1D":
-        """A layer holding these arrays (not copied); draws no random init."""
-        layer = cls.__new__(cls)
-        layer._assign(weight, bias)
-        return layer
-
     def _assign(self, weight: np.ndarray, bias: np.ndarray) -> None:
         if weight.ndim != 3 or bias.shape != weight.shape[:1]:
             raise ValueError(f"conv weight shape {weight.shape} and bias shape {bias.shape} disagree")
@@ -141,11 +182,7 @@ class Conv1D:
         self.out_channels, self.in_channels, self.kernel_size = weight.shape
         self.weight = weight
         self.bias = bias
-        self.grads: dict[str, np.ndarray] = {}
-        self._x: np.ndarray | None = None
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"weight": self.weight, "bias": self.bias}
+        self.grads = {}
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         xc = _channel_major(x)
@@ -204,51 +241,47 @@ class Conv1D:
         return dx.transpose(1, 0, 2)
 
 
-class BatchNorm1D:
+class BatchNorm1D(Layer):
     """Per-channel batch norm with running statistics for inference."""
 
     kind = "batchnorm1d"
+    arrays = ("gamma", "beta", "running_mean", "running_var")
+    trained = ("gamma", "beta")
+    scalars = ("epsilon", "momentum")
+    shapes = ("channels",)
+    # a training forward's centred rows and per-channel 1/std
+    _centred: np.ndarray | None = None
+    _inv_std: np.ndarray | None = None
 
     def __init__(self, channels: int, epsilon: float = 1e-5, momentum: float = 0.1) -> None:
-        if not 0.0 < epsilon < np.inf:
-            raise ValueError("epsilon must be positive and finite")
-        if not 0.0 <= momentum <= 1.0:
-            raise ValueError("momentum must be finite and lie in [0, 1]")
-        self.channels = channels
-        self.epsilon = epsilon
-        self.momentum = momentum
-        self.gamma = np.ones(channels)
-        self.beta = np.zeros(channels)
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
-        self.grads: dict[str, np.ndarray] = {}
-        self._centred: np.ndarray | None = None
-        self._inv_std: np.ndarray | None = None
+        self._assign(np.ones(channels), np.zeros(channels), np.zeros(channels), np.ones(channels),
+                     epsilon, momentum)
 
-    @classmethod
-    def from_params(
-        cls,
+    def _assign(
+        self,
         gamma: np.ndarray,
         beta: np.ndarray,
         running_mean: np.ndarray,
         running_var: np.ndarray,
         epsilon: float = 1e-5,
         momentum: float = 0.1,
-    ) -> "BatchNorm1D":
-        """A layer holding these arrays (not copied)."""
-        layer = cls(gamma.size, epsilon, momentum)
-        arrays = {"gamma": gamma, "beta": beta, "running_mean": running_mean, "running_var": running_var}
-        for name, arr in arrays.items():
-            if arr.shape != (layer.channels,):
-                raise ValueError(f"batchnorm {name} shape {arr.shape} != ({layer.channels},)")
+    ) -> None:
+        if not 0.0 < epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
+        if not 0.0 <= momentum <= 1.0:
+            raise ValueError("momentum must be finite and lie in [0, 1]")
+        channels = gamma.size
+        for name, arr in zip(self.arrays, (gamma, beta, running_mean, running_var)):
+            if arr.shape != (channels,):
+                raise ValueError(f"batchnorm {name} shape {arr.shape} != ({channels},)")
         if np.any(running_var < 0.0):
             raise ValueError("batchnorm running_var must be non-negative")
-        layer.gamma, layer.beta = gamma, beta
-        layer.running_mean, layer.running_var = running_mean, running_var
-        return layer
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"gamma": self.gamma, "beta": self.beta}
+        self.channels = channels
+        self.epsilon = epsilon
+        self.momentum = momentum
+        self.gamma, self.beta = gamma, beta
+        self.running_mean, self.running_var = running_mean, running_var
+        self.grads = {}
 
     def forward(self, x: np.ndarray, training: bool = False, update_running: bool = True) -> np.ndarray:
         if x.ndim != 3 or x.shape[1] != self.channels:
@@ -296,17 +329,11 @@ class BatchNorm1D:
         return dx.reshape(channels, batch, length).transpose(1, 0, 2)
 
 
-class ReLU:
+class ReLU(Layer):
     """Elementwise, so the output keeps the input's (channel-major) strides."""
 
     kind = "relu"
-
-    def __init__(self) -> None:
-        self.grads: dict[str, np.ndarray] = {}
-        self._mask: np.ndarray | None = None
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {}
+    _mask: np.ndarray | None = None  # a training forward's positive inputs
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if training:
@@ -319,20 +346,14 @@ class ReLU:
         return grad * self._mask
 
 
-class GlobalAvgPool1D:
+class GlobalAvgPool1D(Layer):
     """Collapses (batch, channels, length) to (batch, channels) means.
 
     The means come back C-contiguous whatever the input strides, so the
     Linear GEMMs that follow see one operand layout and round alike."""
 
     kind = "global_avg_pool"
-
-    def __init__(self) -> None:
-        self.grads: dict[str, np.ndarray] = {}
-        self._length: int | None = None
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {}
+    _length: int | None = None  # a training forward's length
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.shape[-1] == 0:
@@ -348,21 +369,17 @@ class GlobalAvgPool1D:
         return np.broadcast_to(spread, (*grad.shape, self._length))
 
 
-class Linear:
+class Linear(Layer):
     """Dense map (batch, in_features) -> (batch, out_features)."""
 
     kind = "linear"
+    arrays = trained = ("weight", "bias")
+    shapes = ("in_features", "out_features")
+    _x: np.ndarray | None = None  # a training forward's input
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator | None = None) -> None:
         rng = rng if rng is not None else np.random.default_rng()
         self._assign(_he_uniform(rng, (out_features, in_features), in_features), np.zeros(out_features))
-
-    @classmethod
-    def from_params(cls, weight: np.ndarray, bias: np.ndarray) -> "Linear":
-        """A layer holding these arrays (not copied); draws no random init."""
-        layer = cls.__new__(cls)
-        layer._assign(weight, bias)
-        return layer
 
     def _assign(self, weight: np.ndarray, bias: np.ndarray) -> None:
         if weight.ndim != 2 or bias.shape != weight.shape[:1]:
@@ -370,11 +387,7 @@ class Linear:
         self.out_features, self.in_features = weight.shape
         self.weight = weight
         self.bias = bias
-        self.grads: dict[str, np.ndarray] = {}
-        self._x: np.ndarray | None = None
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"weight": self.weight, "bias": self.bias}
+        self.grads = {}
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
@@ -391,19 +404,9 @@ class Linear:
         return grad @ self.weight
 
 
-Layer = Conv1D | BatchNorm1D | ReLU | GlobalAvgPool1D | Linear
-
-
-def _param_copy(layer: Layer) -> Layer:
-    """A fresh layer with copies of ``layer``'s parameters and statistics."""
-    if isinstance(layer, (Conv1D, Linear)):
-        return type(layer).from_params(layer.weight.copy(), layer.bias.copy())
-    if isinstance(layer, BatchNorm1D):
-        return BatchNorm1D.from_params(
-            layer.gamma.copy(), layer.beta.copy(), layer.running_mean.copy(),
-            layer.running_var.copy(), layer.epsilon, layer.momentum,
-        )
-    return type(layer)()
+LAYER_KINDS: dict[str, type[Layer]] = {
+    cls.kind: cls for cls in (Conv1D, BatchNorm1D, ReLU, GlobalAvgPool1D, Linear)
+}
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +446,8 @@ class Network:
                     (prev.bias - layer.running_mean) * scale + layer.beta,
                 )
             else:
-                layers.append(_param_copy(layer))
+                layers.append(layer.copy())
         return Network(layers)
-
-    def parameters(self) -> list[tuple[int, str, np.ndarray]]:
-        out = []
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.params().items():
-                out.append((i, name, arr))
-        return out
 
 
 @dataclass
@@ -539,50 +535,14 @@ def _array_from_doc(entry: dict[str, Any], name: str) -> np.ndarray:
     return arr
 
 
-def _check_declared(entry: dict[str, Any], layer: Layer, names: tuple[str, ...]) -> None:
-    for name in names:
-        if entry[name] != getattr(layer, name):
-            raise ValueError(
-                f"{entry['kind']} declares {name}={entry[name]!r} but its parameter shapes "
-                f"give {getattr(layer, name)}"
-            )
-
-
 def network_to_json(net: Network) -> dict[str, Any]:
+    """Each layer as its kind, shape attributes, scalars and arrays."""
     layers: list[dict[str, Any]] = []
     for layer in net.layers:
-        if isinstance(layer, Conv1D):
-            layers.append({
-                "kind": layer.kind,
-                "in_channels": layer.in_channels,
-                "out_channels": layer.out_channels,
-                "kernel_size": layer.kernel_size,
-                "weight": _array_doc(layer.weight),
-                "bias": _array_doc(layer.bias),
-            })
-        elif isinstance(layer, BatchNorm1D):
-            layers.append({
-                "kind": layer.kind,
-                "channels": layer.channels,
-                "epsilon": layer.epsilon,
-                "momentum": layer.momentum,
-                "gamma": _array_doc(layer.gamma),
-                "beta": _array_doc(layer.beta),
-                "running_mean": _array_doc(layer.running_mean),
-                "running_var": _array_doc(layer.running_var),
-            })
-        elif isinstance(layer, Linear):
-            layers.append({
-                "kind": layer.kind,
-                "in_features": layer.in_features,
-                "out_features": layer.out_features,
-                "weight": _array_doc(layer.weight),
-                "bias": _array_doc(layer.bias),
-            })
-        elif isinstance(layer, (ReLU, GlobalAvgPool1D)):
-            layers.append({"kind": layer.kind})
-        else:
-            raise ValueError(f"cannot serialize layer {layer!r}")
+        entry: dict[str, Any] = {"kind": layer.kind}
+        entry.update((name, getattr(layer, name)) for name in (*layer.shapes, *layer.scalars))
+        entry.update((name, _array_doc(getattr(layer, name))) for name in layer.arrays)
+        layers.append(entry)
     return {"version": NETWORK_FORMAT_VERSION, "layers": layers}
 
 
@@ -591,25 +551,18 @@ def network_from_json(doc: dict[str, Any]) -> Network:
         raise ValueError(f"unsupported network format {doc.get('version')!r}")
     layers: list[Layer] = []
     for entry in doc["layers"]:
-        kind = entry["kind"]
-        if kind == "conv1d":
-            layer = Conv1D.from_params(_array_from_doc(entry, "weight"), _array_from_doc(entry, "bias"))
-            _check_declared(entry, layer, ("in_channels", "out_channels", "kernel_size"))
-        elif kind == "batchnorm1d":
-            layer = BatchNorm1D.from_params(
-                *(_array_from_doc(entry, name) for name in ("gamma", "beta", "running_mean", "running_var")),
-                epsilon=entry["epsilon"],
-                momentum=entry["momentum"],
-            )
-            _check_declared(entry, layer, ("channels",))
-        elif kind == "linear":
-            layer = Linear.from_params(_array_from_doc(entry, "weight"), _array_from_doc(entry, "bias"))
-            _check_declared(entry, layer, ("in_features", "out_features"))
-        elif kind == "relu":
-            layer = ReLU()
-        elif kind == "global_avg_pool":
-            layer = GlobalAvgPool1D()
-        else:
-            raise ValueError(f"unknown layer kind {kind!r}")
+        cls = LAYER_KINDS.get(entry["kind"])
+        if cls is None:
+            raise ValueError(f"unknown layer kind {entry['kind']!r}")
+        layer = cls.from_params(
+            *(_array_from_doc(entry, name) for name in cls.arrays),
+            **{name: entry[name] for name in cls.scalars},
+        )
+        for name in cls.shapes:
+            if entry[name] != getattr(layer, name):
+                raise ValueError(
+                    f"{entry['kind']} declares {name}={entry[name]!r} but its parameter shapes "
+                    f"give {getattr(layer, name)}"
+                )
         layers.append(layer)
     return Network(layers)

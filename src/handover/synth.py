@@ -20,12 +20,11 @@ from .core import (
     NUM_JOINTS,
     OPTIONAL_KEY,
     SAMPLE_DT_MS,
-    SAMPLE_RATE_HZ,
     TORQUE_LIMIT_NM,
     WINDOW_SAMPLES,
     ActionClass,
     DetectionBlock,
-    DetectionFrame,  # re-exported: hand-built scripts pass frames
+    DetectionFrame as DetectionFrame,  # re-exported: hand-built scripts pass frames
     JsonCodec,
     ObjectSlab,
     TorqueWindow,
@@ -112,7 +111,7 @@ class TorqueSignatureModel:
             raise ValueError("the no-action profile must be the null shape")
 
 
-def default_signature_model(noise_sigma: float = 0.4, amplitude_jitter: float = 0.2) -> TorqueSignatureModel:
+def default_signature_model(noise_sigma: float = 0.4) -> TorqueSignatureModel:
     """Default six-action model; amplitudes in N*m on the 7 joints."""
     profiles = {
         ActionClass.NO_ACTION: ActionProfile(
@@ -150,7 +149,6 @@ def default_signature_model(noise_sigma: float = 0.4, amplitude_jitter: float = 
         baseline=[1.5, 9.0, 2.0, 6.5, 1.0, 1.8, 0.4],
         profiles=profiles,
         noise_sigma=noise_sigma,
-        amplitude_jitter=amplitude_jitter,
     )
 
 
@@ -314,7 +312,6 @@ class ScenarioScript:
     faults: tuple[str, ...]
     action_onset_ms: int
     grasp_at_ms: int | None
-    sample_rate_hz: int = SAMPLE_RATE_HZ
 
     def __post_init__(self) -> None:
         arr = np.array(self.torques, dtype=np.float64)
@@ -351,7 +348,6 @@ def generate_scenario(
     action: ActionClass,
     profile: FaultProfile,
     seed: Seed,
-    model: TorqueSignatureModel | None = None,
 ) -> ScenarioScript:
     """Script one 3-second episode of the given action under a fault profile.
 
@@ -360,7 +356,6 @@ def generate_scenario(
     1.8-2.0 s, sustained to the end). Deterministic per seed.
     """
     action = ActionClass(action)
-    model = model if model is not None else default_signature_model()
     rng = _rng_from(seed)
 
     # fault draws happen first, in a fixed order, so the stream layout is
@@ -382,7 +377,7 @@ def generate_scenario(
 
     onset_ms = 1800.0 + rng.uniform(0.0, 200.0)
     torques = _render_torques(
-        model, effective_action, EPISODE_SAMPLES, onset_ms, rng,
+        default_signature_model(), effective_action, EPISODE_SAMPLES, onset_ms, rng,
         extra_noise=profile.torque_extra_noise,
     )
 

@@ -186,8 +186,62 @@ class TestSimulateRejectsBadConfig:
         assert "Traceback" not in captured.err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("doc", [
+        {"fault_profiles": [1]},
+        [1],
+        {"trials": 1},
+        {"fused_min_overall": 0.5},  # the fused gate is the paper's 0.95, not a setting
+        {"model_path": "model.json"},
+    ])
+    def test_wrong_shape_or_unread_key_is_reported(self, refuse_training, tmp_path, capsys, doc):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "sim"
+        code = main(["simulate", "--config", str(config_path), "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "invalid experiment config" in captured.err
+        assert not out_dir.exists()
+
+    def test_missing_config_file_is_reported(self, refuse_training, tmp_path, capsys):
+        out_dir = tmp_path / "sim"
+        code = main(["simulate", "--config", str(tmp_path / "absent.json"), "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "invalid experiment config" in captured.err
+        assert not out_dir.exists()
+
+
+HEADER = {"type": "header", "pipeline": "fused", "action": 4, "faults": [],
+          "slab": {"z_back": 0.55, "z_front": 0.4},
+          "sync_config": {"debounce_frames": 3, "pairing_window_ms": 100}}
+SUMMARY = {"type": "summary", "released": False, "release_time_ms": None,
+           "dropped_torque_events": 0, "n_samples": 0}
+
 
 class TestReplay:
+    def test_replay_of_a_log_without_steps_matches(self, tmp_path, capsys):
+        log = tmp_path / "episode.jsonl"
+        log.write_text("".join(json.dumps(line) + "\n" for line in (HEADER, SUMMARY)))
+        assert main(["replay", "--log", str(log)]) == 0
+        assert "replay matches the logged decisions" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", [
+        None,  # no file at all
+        json.dumps(HEADER) + "\nnot json\n" + json.dumps(SUMMARY) + "\n",
+        json.dumps(SUMMARY) + "\n",  # no header
+        json.dumps(HEADER) + "\n" + json.dumps({"t": 5}) + "\n" + json.dumps(SUMMARY) + "\n",
+    ], ids=["missing", "not-json", "no-header", "no-type"])
+    def test_bad_log_is_reported_apart_from_a_mismatch(self, tmp_path, capsys, text):
+        log = tmp_path / "episode.jsonl"
+        if text is not None:
+            log.write_text(text)
+        code = main(["replay", "--log", str(log)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("invalid episode log: ")
+        assert "MISMATCH" not in captured.err
+
     def test_replay_episode_log(self, saved_model, tmp_path, capsys):
         out_dir = tmp_path / "sim"
         main([

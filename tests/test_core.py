@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from handover.core import (
-    FLAT_SIZE,
     ActionClass,
     ActionScores,
     Decision,
@@ -41,27 +40,6 @@ class TestExpectedDecision:
 
 
 class TestTorqueWindow:
-    def test_zero_window_flattens_to_zeros(self):
-        w = TorqueWindow(samples=np.zeros((7, 40)), start_time=0)
-        assert np.array_equal(w.flatten(), np.zeros(280))
-
-    def test_joint_major_order(self):
-        samples = np.fromfunction(lambda j, t: j, (7, 40))
-        flat = TorqueWindow(samples=samples, start_time=0).flatten()
-        for j in range(7):
-            assert np.all(flat[40 * j:40 * (j + 1)] == j)
-
-    def test_flatten_unflatten_roundtrip(self, rng):
-        for _ in range(25):
-            samples = rng.uniform(-30, 30, size=(7, 40))
-            w = TorqueWindow(samples=samples, start_time=123)
-            back = TorqueWindow.unflatten(w.flatten(), start_time=123)
-            assert np.array_equal(back.samples, w.samples)
-
-    def test_unflatten_flatten_roundtrip(self, rng):
-        vec = rng.uniform(-30, 30, size=FLAT_SIZE)
-        assert np.array_equal(TorqueWindow.unflatten(vec).flatten(), vec)
-
     @pytest.mark.parametrize("shape", [(7, 39), (6, 40), (280,), (40, 7)])
     def test_rejects_bad_shapes(self, shape):
         with pytest.raises(ValueError):

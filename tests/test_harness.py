@@ -134,14 +134,6 @@ class TestRunExperiment:
         assert not records[0].released and not records[0].success
         assert table.per_action[Pipeline.TORQUE_ONLY][ActionClass.HOLD] == (0, 1)
 
-    def test_missing_model_with_training_disabled(self, tmp_path):
-        config = ExperimentConfig(
-            trials_per_action=1, train_if_missing=False,
-            model_path=str(tmp_path / "absent.json"),
-        )
-        with pytest.raises(ValueError, match="training is disabled"):
-            run_experiment(config)
-
     def test_config_validation(self):
         with pytest.raises(ValueError, match="trials_per_action"):
             ExperimentConfig(trials_per_action=0)

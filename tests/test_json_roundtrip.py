@@ -165,8 +165,7 @@ def test_canonical_json_round_trip(name):
 
 @given(seed=st.integers(0, 2**32 - 1), filters=st.integers(1, 8), kernel=st.sampled_from([1, 3, 5]))
 def test_network_round_trip(seed, filters, kernel):
-    net = build_network(TorqueNetConfig(blocks=2, filters_per_block=filters, kernel_size=kernel,
-                                        input_length=kernel, seed=seed))
+    net = build_network(TorqueNetConfig(blocks=2, filters_per_block=filters, kernel_size=kernel, seed=seed))
     gen = np.random.default_rng(seed)
     for layer in net.layers:
         if isinstance(layer, nn.BatchNorm1D):

@@ -229,14 +229,13 @@ class TestGenerateScenario:
         assert noisy.torques.std() > quiet.torques.std()
 
 
-def reference_scenario(action, profile, seed, model=None):
+def reference_scenario(action, profile, seed):
     """The frame-by-frame scenario generator, one rng.uniform per value:
     the oracle for generate_scenario's block-drawn fingertip noise.
 
     Returns the script and the ``DetectionFrame`` objects it was built from,
     so the generated frames can be compared with objects made one by one."""
     action = ActionClass(action)
-    model = model if model is not None else default_signature_model()
     rng = synth._rng_from(seed)
 
     r_misread, r_dropout, r_spurious = rng.random(3)
@@ -256,7 +255,7 @@ def reference_scenario(action, profile, seed, model=None):
 
     onset_ms = 1800.0 + rng.uniform(0.0, 200.0)
     torques = synth._render_torques(
-        model, effective_action, EPISODE_SAMPLES, onset_ms, rng,
+        default_signature_model(), effective_action, EPISODE_SAMPLES, onset_ms, rng,
         extra_noise=profile.torque_extra_noise,
     )
 
