@@ -18,7 +18,7 @@ from .classifier import (
     train,
     write_dataset_jsonl,
 )
-from .core import ActionClass
+from .core import ActionClass, json_object
 from .fusion import Pipeline, SyncConfig, replay_episode_log
 from .harness import ExperimentConfig, default_fault_profiles, render_report, run_experiment
 from .synth import FaultProfile, default_signature_model, generate_dataset
@@ -81,15 +81,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _json_object(doc: Any, what: str) -> dict[str, Any]:
-    if not isinstance(doc, dict):
-        raise TypeError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    return doc
-
-
 def _fault_profiles(doc: Any) -> dict[Pipeline, FaultProfile]:
     """The default profiles, those named in ``doc`` replaced."""
-    named = {Pipeline(k): FaultProfile.from_json_dict(v) for k, v in _json_object(doc, "fault_profiles").items()}
+    named = {Pipeline(k): FaultProfile.from_json_dict(v) for k, v in json_object(doc).items()}
     return {**default_fault_profiles(), **named}
 
 
@@ -109,7 +103,7 @@ CONFIG_KEYS: dict[str, Callable[[Any], Any]] = {
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     overrides: dict[str, Any] = {}
     if args.config:
-        doc = _json_object(json.loads(Path(args.config).read_text(encoding="utf-8")), "the config")
+        doc = json_object(json.loads(Path(args.config).read_text(encoding="utf-8")))
         unread = sorted(set(doc) - set(CONFIG_KEYS))
         if unread:
             raise ValueError(f"simulate reads no key {', '.join(map(repr, unread))}")

@@ -77,7 +77,7 @@ INLINE = {"json": "inline"}
 Converter = Callable[[Any], Any]
 
 
-def _json_object(doc: Any) -> dict[str, Any]:
+def json_object(doc: Any) -> dict[str, Any]:
     if not isinstance(doc, dict):
         raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
     return doc
@@ -99,7 +99,7 @@ def _converters(tp: Any) -> tuple[Converter, Converter]:
         (enc_k, dec_k), (enc_v, dec_v) = _converters(args[0]), _converters(args[1])
         return (
             lambda v: {str(enc_k(k)): enc_v(x) for k, x in sorted(v.items())},
-            lambda v: {dec_k(k): dec_v(x) for k, x in _json_object(v).items()},
+            lambda v: {dec_k(k): dec_v(x) for k, x in json_object(v).items()},
         )
     if tp is np.ndarray:
         return (lambda v: v.tolist()), (lambda v: np.asarray(v, dtype=np.float64))
@@ -139,7 +139,7 @@ class JsonCodec:
 
     @classmethod
     def from_json_dict(cls, doc: dict[str, Any]) -> Any:
-        doc = _json_object(doc)
+        doc = json_object(doc)
         kwargs = {}
         for name, declared, init, _encode, decode in _codec_fields(cls):
             if declared == "inline":

@@ -551,9 +551,10 @@ def network_from_json(doc: dict[str, Any]) -> Network:
         raise ValueError(f"unsupported network format {doc.get('version')!r}")
     layers: list[Layer] = []
     for entry in doc["layers"]:
-        cls = LAYER_KINDS.get(entry["kind"])
+        kind = entry["kind"]
+        cls = LAYER_KINDS.get(kind) if isinstance(kind, str) else None
         if cls is None:
-            raise ValueError(f"unknown layer kind {entry['kind']!r}")
+            raise ValueError(f"unknown layer kind {kind!r}")
         layer = cls.from_params(
             *(_array_from_doc(entry, name) for name in cls.arrays),
             **{name: entry[name] for name in cls.scalars},

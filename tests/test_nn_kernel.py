@@ -567,6 +567,13 @@ class TestSerialization:
         assert conv["weight"]["shape"] == [3, 1, 3]
         assert len(conv["weight"]["data"]) == 9
 
+    @pytest.mark.parametrize("kind", ["lstm", ["conv1d"], None])
+    def test_unknown_layer_kind_rejected(self, kind):
+        doc = nn.network_to_json(self.build_net())
+        doc["layers"][2]["kind"] = kind
+        with pytest.raises(ValueError, match="unknown layer kind"):
+            nn.network_from_json(doc)
+
     def test_unknown_version_rejected(self):
         doc = nn.network_to_json(self.build_net())
         doc["version"] = "tcnn-v2"
