@@ -78,6 +78,7 @@ Converter = Callable[[Any], Any]
 
 
 def json_object(doc: Any) -> dict[str, Any]:
+    """``doc`` itself when it is a JSON object; a ``TypeError`` otherwise."""
     if not isinstance(doc, dict):
         raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
     return doc
