@@ -83,7 +83,11 @@ class TestBuildNetwork:
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(probs >= 0.0)
 
-    @pytest.mark.parametrize("bad", [dict(blocks=0), dict(kernel_size=4), dict(epochs=0)])
+    @pytest.mark.parametrize("bad", [
+        pytest.param(dict(blocks=0), id="bad0"),
+        pytest.param(dict(kernel_size=4), id="bad1"),
+        pytest.param(dict(epochs=0), id="bad4"),
+    ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
             TorqueNetConfig(**bad)
