@@ -30,6 +30,7 @@ from .core import (
     ActionScores,
     JsonCodec,
     TorqueWindow,
+    json_object,
 )
 from . import nn_kernel as nn
 
@@ -382,7 +383,7 @@ def save_model(path: str | Path, net: nn.Network, stats: NormalizationStats) -> 
 
 
 def load_model(path: str | Path) -> tuple[nn.Network, NormalizationStats]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = json_object(json.loads(Path(path).read_text(encoding="utf-8")))
     if doc.get("format") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format {doc.get('format')!r}")
     return nn.network_from_json(doc["network"]), NormalizationStats.from_json_dict(doc["normalization"])

@@ -126,7 +126,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         reason = f"unknown or missing key {exc}" if isinstance(exc, KeyError) else exc
         print(f"invalid experiment config: {reason}", file=sys.stderr)
         return 2
-    table, _records = run_experiment(config)
+    try:
+        model = load_model(config.model_path) if config.model_path else None
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # missing, unreadable or malformed
+        print(f"cannot load model {config.model_path}: {exc}", file=sys.stderr)
+        return 2
+    table, _records = run_experiment(config, model)
     print(render_report(table))
     if not table.all_gates_pass():
         print("one or more gates FAILED", file=sys.stderr)

@@ -3,10 +3,11 @@
 Torque classifications (one per sliding window) are paired with the
 nearest vision verdict inside a bounded timestamp skew, each pair fusing
 the two modality votes with AND. ``ReleaseFsm`` is every pipeline's one
-decision core: idle -> contact-pending -> armed -> released, releasing on
-a run of agreeing votes consecutive in time (an unpaired torque event
-breaks the run). Episode logs hold every FSM input and transition, so
-replay re-runs the core over any pipeline's log and diffs the outcome.
+decision core: idle -> armed -> released, releasing on the
+``debounce_frames``-th agreeing vote of a run consecutive in time (an
+unpaired torque event is a non-vote, so it breaks the run). Episode logs
+hold every FSM input and transition, so replay re-runs the core over any
+pipeline's log and diffs the outcome.
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ DEFAULT_STRIDE_SAMPLES = 5  # 125 ms between sliding-window classifications
 
 class FsmState(Enum):
     HOLDING_IDLE = "holding_idle"
-    CONTACT_PENDING = "contact_pending"
     RELEASE_ARMED = "release_armed"
     RELEASED = "released"
 
@@ -135,15 +135,14 @@ def synchronize(
 
 
 class ReleaseFsm:
-    """Four-state release automaton, the package's only debounce.
+    """Three-state release automaton, the package's only debounce.
 
-    ``advance`` takes one (time, vote, contact) step. Contact moves
-    holding-idle to contact-pending; before contact, votes are ignored.
-    An agreeing vote moves contact-pending to release-armed, a disagreeing
-    one moves release-armed back to contact-pending and restarts the
-    count, and the ``debounce_frames``-th consecutive agreeing vote moves
-    to released. Released is terminal: stepping it is an error and at most
-    one release is ever emitted.
+    ``advance`` takes one (time, vote) step. An agreeing vote moves
+    holding-idle to release-armed, a disagreeing one moves release-armed
+    back to holding-idle and restarts the count, and the
+    ``debounce_frames``-th consecutive agreeing vote moves to released.
+    Released is terminal: stepping it is an error and at most one release
+    is ever emitted.
     """
 
     def __init__(self, config: SyncConfig = SyncConfig()) -> None:
@@ -156,30 +155,26 @@ class ReleaseFsm:
         self.transitions.append((at_ms, self.state, new_state))
         self.state = new_state
 
-    def advance(self, at_ms: int, vote: bool, contact: bool) -> bool:
+    def advance(self, at_ms: int, vote: bool) -> bool:
         """Feed one step; True when it releases."""
         if self.state is FsmState.RELEASED:
             raise ValueError("FSM already released; start a new episode")
-        if self.state is FsmState.HOLDING_IDLE:
-            if not contact:
-                return False
-            self._move(at_ms, FsmState.CONTACT_PENDING)
         if not vote:
             self._agreeing = 0
             if self.state is FsmState.RELEASE_ARMED:
-                self._move(at_ms, FsmState.CONTACT_PENDING)
+                self._move(at_ms, FsmState.HOLDING_IDLE)
             return False
         self._agreeing += 1
-        if self.state is FsmState.CONTACT_PENDING:
+        if self.state is FsmState.HOLDING_IDLE:
             self._move(at_ms, FsmState.RELEASE_ARMED)
         if self._agreeing >= self.config.debounce_frames:
             self._move(at_ms, FsmState.RELEASED)
         return self.state is FsmState.RELEASED
 
     def step(self, sample: FusedSample) -> ReleaseDecision | None:
-        """Advance on a fused sample (contact: any in-slab finger)."""
+        """Advance on a fused sample's AND vote."""
         ts = sample.torque.timestamp
-        if not self.advance(ts, sample.fused_vote, sample.vision.fingers_in_slab >= 1):
+        if not self.advance(ts, sample.fused_vote):
             return None
         return ReleaseDecision(
             release=True,
@@ -198,16 +193,12 @@ class ReleaseFsm:
 Step = tuple[dict[str, Any], FusedSample | None]
 
 
-def _fsm_input(line: dict[str, Any]) -> tuple[int, bool, bool]:
-    """(time, vote, contact) of a logged single-modality or unpaired step.
+def _fsm_input(line: dict[str, Any]) -> tuple[int, bool]:
+    """(time, vote) of a logged single-modality or unpaired step.
 
-    A torque-only step is always in contact, a vision-only step is in
-    contact when it votes, and an unpaired torque event is neither.
+    An unpaired torque event is a non-vote.
     """
-    if line["type"] == "unpaired_torque":
-        return line["t"], False, False
-    vote = bool(line["vote"])
-    return line["t"], vote, vote or line["source"] == "torque"
+    return line["t"], line["type"] != "unpaired_torque" and bool(line["vote"])
 
 
 def _run_fsm(

@@ -163,13 +163,7 @@ def _evaluate_gates(config: ExperimentConfig, table_per_action, overall) -> dict
     return gates
 
 
-def _resolve_model(
-    config: ExperimentConfig, model: tuple[Network, NormalizationStats] | None, out_dir: Path | None
-) -> tuple[Network, NormalizationStats]:
-    if model is not None:
-        return model
-    if config.model_path and Path(config.model_path).exists():
-        return load_model(config.model_path)
+def _train_model(config: ExperimentConfig, out_dir: Path | None) -> tuple[Network, NormalizationStats]:
     dataset = generate_dataset(default_signature_model(), config.train_per_class, seed=config.seed)
     net, stats, _report = train(
         dataset,
@@ -189,15 +183,19 @@ def run_experiment(
 
     Artifacts: model.json and dataset.jsonl (when trained here),
     trials.jsonl, report.txt, report.json, and per-trial episode logs
-    under episodes/.
+    under episodes/. A model is trained only when neither ``model`` nor
+    ``config.model_path`` is given; a model file that cannot be loaded
+    raises before anything is written.
     """
+    if model is None and config.model_path:
+        model = load_model(config.model_path)
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         if config.log_episodes:
             (out_dir / "episodes").mkdir(exist_ok=True)
 
-    net, stats = _resolve_model(config, model, out_dir)
+    net, stats = model if model is not None else _train_model(config, out_dir)
 
     records: list[TrialRecord] = []
     per_action: dict[Pipeline, dict[ActionClass, tuple[int, int]]] = {}

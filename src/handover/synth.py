@@ -152,6 +152,9 @@ def default_signature_model(noise_sigma: float = 0.4) -> TorqueSignatureModel:
     )
 
 
+_SCENARIO_SIGNATURES = default_signature_model()  # every scenario renders with the default model
+
+
 def _render_torques(
     model: TorqueSignatureModel,
     action: ActionClass,
@@ -377,7 +380,7 @@ def generate_scenario(
 
     onset_ms = 1800.0 + rng.uniform(0.0, 200.0)
     torques = _render_torques(
-        default_signature_model(), effective_action, EPISODE_SAMPLES, onset_ms, rng,
+        _SCENARIO_SIGNATURES, effective_action, EPISODE_SAMPLES, onset_ms, rng,
         extra_noise=profile.torque_extra_noise,
     )
 

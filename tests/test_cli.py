@@ -203,6 +203,19 @@ class TestSimulateRejectsBadConfig:
         assert "invalid experiment config" in captured.err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("text", [None, "[1]", "{}", "not json"], ids=["missing", "list", "no-format", "not-json"])
+    def test_unloadable_model_file_is_reported(self, refuse_training, tmp_path, capsys, text):
+        out_dir = tmp_path / "sim"
+        model = tmp_path / "model_file.json"
+        if text is not None:
+            model.write_text(text)
+        code = main(["simulate", "--model", str(model), "--trials", "1", "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"cannot load model {model}" in captured.err
+        assert "Traceback" not in captured.err
+        assert not out_dir.exists()
+
     def test_missing_config_file_is_reported(self, refuse_training, tmp_path, capsys):
         out_dir = tmp_path / "sim"
         code = main(["simulate", "--config", str(tmp_path / "absent.json"), "--out-dir", str(out_dir)])
@@ -226,13 +239,15 @@ class TestReplay:
         assert main(["replay", "--log", str(log)]) == 0
         assert "replay matches the logged decisions" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("text", [
-        None,  # no file at all
-        json.dumps(HEADER) + "\nnot json\n" + json.dumps(SUMMARY) + "\n",
-        json.dumps(SUMMARY) + "\n",  # no header
-        json.dumps(HEADER) + "\n" + json.dumps({"t": 5}) + "\n" + json.dumps(SUMMARY) + "\n",
-    ], ids=["missing", "not-json", "no-header", "no-type"])
-    def test_bad_log_is_reported_apart_from_a_mismatch(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("text, reason", [
+        (None, "No such file"),
+        (json.dumps(HEADER) + "\nnot json\n" + json.dumps(SUMMARY) + "\n", "line 2 is not JSON"),
+        (json.dumps(SUMMARY) + "\n", "must start with a header"),
+        (json.dumps(HEADER) + "\n" + json.dumps({"t": 5}) + "\n" + json.dumps(SUMMARY) + "\n",
+         "line 2 is not a JSON object with a type"),
+        (json.dumps(HEADER) + "\n[5]\n" + json.dumps(SUMMARY) + "\n", "line 2 is not a JSON object with a type"),
+    ], ids=["missing", "not-json", "no-header", "no-type", "not-object"])
+    def test_bad_log_is_reported_apart_from_a_mismatch(self, tmp_path, capsys, text, reason):
         log = tmp_path / "episode.jsonl"
         if text is not None:
             log.write_text(text)
@@ -240,6 +255,7 @@ class TestReplay:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("invalid episode log: ")
+        assert reason in captured.err
         assert "MISMATCH" not in captured.err
 
     def test_replay_episode_log(self, saved_model, tmp_path, capsys):

@@ -18,28 +18,22 @@ from handover.fusion import (
 )
 from handover.synth import SAMPLE_DT_MS, FaultProfile, generate_scenario
 
-LADDER = ["holding_idle", "contact_pending", "release_armed", "released"]
+LADDER = ["holding_idle", "release_armed", "released"]
 
 
 def reference_automaton(steps, debounce):
     """The release rule state by state: (transitions, release time or None).
 
-    After contact the state follows the run of agreeing votes: an empty run
-    is contact-pending, a short one armed, ``debounce`` long released.
-    Moving up passes every state in between; moving down is one step.
+    The state follows the run of agreeing votes: an empty run is
+    holding-idle, a short one armed, ``debounce`` long released. Moving up
+    passes every state in between; moving down is one step.
     """
     state, run, trail = "holding_idle", 0, []
-    for t, vote, contact in steps:
-        if state == "holding_idle" and not contact:
-            continue
+    for t, vote in steps:
         run = run + 1 if vote else 0
-        target = LADDER[1 + (run > 0) + (run >= debounce)]
+        target = LADDER[(run > 0) + (run >= debounce)]
         here, there = LADDER.index(state), LADDER.index(target)
-        if there > here:
-            hops = LADDER[here + 1:there + 1]
-        else:
-            hops = [target] if there < here else []
-        for nxt in hops:
+        for nxt in LADDER[here + 1:there + 1] if there >= here else [target]:
             trail.append((t, state, nxt))
             state = nxt
         if state == "released":
@@ -47,35 +41,53 @@ def reference_automaton(steps, debounce):
     return trail, None
 
 
-vote_streams = st.lists(st.tuples(st.booleans(), st.booleans()), max_size=40)
+def first_full_debounce(steps, debounce):
+    """Brute force: the stamp of the first step whose last ``debounce`` votes are all true."""
+    for k in range(debounce - 1, len(steps)):
+        if all(vote for _, vote in steps[k - debounce + 1:k + 1]):
+            return steps[k][0]
+    return None
+
+
+def release_time(fsm, steps):
+    for t, vote in steps:
+        if fsm.advance(t, vote):
+            return t
+    return None
+
+
+vote_streams = st.lists(st.booleans(), max_size=40)
 
 
 @given(vote_streams, st.integers(min_value=1, max_value=4))
-def test_advance_matches_reference_automaton(stream, debounce):
-    steps = [(10 * k, vote, contact) for k, (vote, contact) in enumerate(stream)]
+def test_advance_matches_reference_automaton(votes, debounce):
+    steps = [(10 * k, vote) for k, vote in enumerate(votes)]
     fsm = ReleaseFsm(SyncConfig(debounce_frames=debounce))
-    release_time = None
-    for t, vote, contact in steps:
-        if fsm.advance(t, vote, contact):
-            release_time = t
-            break
+    released_at = release_time(fsm, steps)
     got = [(t, a.value, b.value) for t, a, b in fsm.transitions]
-    assert (got, release_time) == reference_automaton(steps, debounce)
-    assert (fsm.state is FsmState.RELEASED) == (release_time is not None)
-    if release_time is not None:
+    assert (got, released_at) == reference_automaton(steps, debounce)
+    assert (fsm.state is FsmState.RELEASED) == (released_at is not None)
+    if released_at is not None:
         with pytest.raises(ValueError, match="released"):
-            fsm.advance(release_time + 10, True, True)
+            fsm.advance(released_at + 10, True)
+
+
+# stamps need not be distinct or ordered: the release time is a function of the votes alone
+@given(st.lists(st.tuples(st.integers(min_value=-10**6, max_value=10**6), st.booleans()), max_size=40),
+       st.integers(min_value=1, max_value=5))
+def test_release_time_is_first_full_debounce_window(steps, debounce):
+    fsm = ReleaseFsm(SyncConfig(debounce_frames=debounce))
+    assert release_time(fsm, steps) == first_full_debounce(steps, debounce)
 
 
 def test_agree_agree_disagree_arms_then_disarms():
     fsm = ReleaseFsm(SyncConfig(debounce_frames=3))
-    assert not any(fsm.advance(t, vote, True) for t, vote in [(0, True), (10, True), (20, False)])
+    assert not any(fsm.advance(t, vote) for t, vote in [(0, True), (10, True), (20, False)])
     assert [(t, a.value, b.value) for t, a, b in fsm.transitions] == [
-        (0, "holding_idle", "contact_pending"),
-        (0, "contact_pending", "release_armed"),
-        (20, "release_armed", "contact_pending"),
+        (0, "holding_idle", "release_armed"),
+        (20, "release_armed", "holding_idle"),
     ]
-    assert fsm.state is FsmState.CONTACT_PENDING
+    assert fsm.state is FsmState.HOLDING_IDLE
 
 
 PROFILES = [FaultProfile.clean(), FaultProfile.torque_degraded(),
@@ -89,6 +101,16 @@ episodes = st.fixed_dictionaries({
     "config": st.builds(SyncConfig, pairing_window_ms=st.sampled_from([5, 15, 40, 100]),
                         debounce_frames=st.integers(min_value=1, max_value=4)),
 })
+
+
+STEP_TYPES = ("vote_sample", "fused_sample", "unpaired_torque")
+
+
+def logged_vote(event):
+    """(time, vote) of one logged FSM input, read from its own fields."""
+    if event["type"] == "fused_sample":
+        return event["torque"]["timestamp"], event["fused_vote"]
+    return event["t"], event["type"] == "vote_sample" and event["vote"]
 
 
 def _run(small_model, pipeline, episode):
@@ -108,6 +130,9 @@ def test_replay_of_logged_run_matches(small_model, pipeline, episode):
         result = replay_episode_log(path)
     assert result.matched, result.mismatches
     assert (result.released, result.release_time_ms) == (outcome.released, outcome.release_time_ms)
+    # the logged FSM inputs up to the decision, checked against the brute-force rule
+    steps = [logged_vote(e) for e in outcome.events if e["type"] in STEP_TYPES]
+    assert first_full_debounce(steps, episode["config"].debounce_frames) == outcome.release_time_ms
 
 
 @settings(max_examples=30)

@@ -169,8 +169,7 @@ class TestReleaseFsm:
         fsm.step(fused(ActionClass.HOLD, True, 20))
         names = [(a.value, b.value) for _, a, b in fsm.transitions]
         assert names == [
-            ("holding_idle", "contact_pending"),
-            ("contact_pending", "release_armed"),
+            ("holding_idle", "release_armed"),
             ("release_armed", "released"),
         ]
 
@@ -178,7 +177,8 @@ class TestReleaseFsm:
         fsm = ReleaseFsm(SyncConfig(debounce_frames=3))
         for ts in range(0, 1000, 100):
             assert fsm.step(fused(ActionClass.PUSH, True, ts)) is None
-        assert fsm.state is FsmState.CONTACT_PENDING
+        assert fsm.state is FsmState.HOLDING_IDLE
+        assert fsm.transitions == []
 
     def test_pull_without_vision_never_releases(self):
         fsm = ReleaseFsm(SyncConfig(debounce_frames=3))
@@ -196,12 +196,6 @@ class TestReleaseFsm:
             if decision is not None:
                 released_at = k
         assert released_at == 6
-
-    def test_contact_without_votes_parks_in_contact_pending(self):
-        fsm = ReleaseFsm(SyncConfig(debounce_frames=3))
-        # two fingers in the slab: contact, but no release vote
-        fsm.step(fused(ActionClass.PULL, False, 50, fingers=2))
-        assert fsm.state is FsmState.CONTACT_PENDING
 
     def test_stepping_released_state_rejected(self):
         fsm = ReleaseFsm(SyncConfig(debounce_frames=1))

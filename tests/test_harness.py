@@ -4,9 +4,16 @@ from pathlib import Path
 
 import pytest
 
+from handover.classifier import load_model
 from handover.core import ActionClass, Decision, expected_decision
 from handover.fusion import Pipeline
-from handover.harness import ExperimentConfig, default_fault_profiles, render_report, run_experiment
+from handover.harness import (
+    ExperimentConfig,
+    _evaluate_gates,
+    default_fault_profiles,
+    render_report,
+    run_experiment,
+)
 from handover.synth import FaultProfile
 
 
@@ -134,6 +141,24 @@ class TestRunExperiment:
         assert not records[0].released and not records[0].success
         assert table.per_action[Pipeline.TORQUE_ONLY][ActionClass.HOLD] == (0, 1)
 
+    def test_trains_and_saves_a_model_when_none_is_given(self, tmp_path):
+        config = ExperimentConfig(trials_per_action=1, actions=(ActionClass.HOLD,), pipelines=(Pipeline.FUSED,),
+                                  train_per_class=2, train_epochs=1, out_dir=str(tmp_path))
+        _table, records = run_experiment(config)
+        assert len(records) == 1
+        assert len((tmp_path / "dataset.jsonl").read_text().splitlines()) == 12
+        load_model(tmp_path / "model.json")
+
+    def test_missing_model_file_raises_before_training(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_experiment trained in place of the named model")
+        monkeypatch.setattr("handover.harness.train", refuse)
+        config = ExperimentConfig(trials_per_action=1, model_path=str(tmp_path / "absent.json"),
+                                  out_dir=str(tmp_path / "out"))
+        with pytest.raises(FileNotFoundError, match="absent.json"):
+            run_experiment(config)
+        assert not (tmp_path / "out").exists()
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="trials_per_action"):
             ExperimentConfig(trials_per_action=0)
@@ -145,6 +170,34 @@ class TestRunExperiment:
             ExperimentConfig(train_epochs=0)
         with pytest.raises(ValueError, match="train_per_class"):
             ExperimentConfig(train_per_class=1)
+        # the smallest training settings are accepted
+        config = ExperimentConfig(train_epochs=1, train_per_class=2)
+        assert (config.train_epochs, config.train_per_class) == (1, 2)
+
+
+FUSED, TORQUE, VISION = Pipeline.FUSED, Pipeline.TORQUE_ONLY, Pipeline.VISION_ONLY
+
+
+class TestGates:
+    @pytest.mark.parametrize("successes, want", [
+        # the paper's 95% exactly, tied with both single modalities
+        ({FUSED: 171, TORQUE: 171, VISION: 171},
+         {"fused_overall_at_least_min": True, "vision_only_push_all_fail": True,
+          "fused_not_below_torque_only": True, "fused_not_below_vision_only": True}),
+        ({FUSED: 170, TORQUE: 171, VISION: 171},
+         {"fused_overall_at_least_min": False, "vision_only_push_all_fail": True,
+          "fused_not_below_torque_only": False, "fused_not_below_vision_only": False}),
+        # a gate that compares with a pipeline is absent when that pipeline is not run
+        ({FUSED: 171, TORQUE: 160}, {"fused_overall_at_least_min": True, "fused_not_below_torque_only": True}),
+        ({FUSED: 171, VISION: 160}, {"fused_overall_at_least_min": True, "vision_only_push_all_fail": True,
+                                     "fused_not_below_vision_only": True}),
+        ({VISION: 140}, {"vision_only_push_all_fail": True}),
+    ], ids=["at-bounds", "below-bounds", "no-vision", "no-torque", "vision-alone"])
+    def test_gate_boundaries(self, successes, want):
+        pipelines = tuple(successes)
+        per_action = {p: {ActionClass.PUSH: (0, 30)} for p in pipelines}
+        overall = {p: (180, n) for p, n in successes.items()}
+        assert _evaluate_gates(ExperimentConfig(pipelines=pipelines), per_action, overall) == want
 
 
 class TestRenderReport:

@@ -6,11 +6,12 @@ trials.jsonl, report.json, episode logs, model files and datasets do not
 drift (key names, int vs float, enum codes, optional nulls, table keys).
 """
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from handover import nn_kernel as nn
+from handover import fusion, nn_kernel as nn
 from handover.classifier import LabeledWindow, NormalizationStats, TrainingReport, load_model, save_model
 from handover.core import (
     ActionClass,
@@ -22,7 +23,15 @@ from handover.core import (
     TorqueWindow,
     dumps_canonical,
 )
-from handover.fusion import FusedSample, Pipeline, SyncConfig, TorqueEvent
+from handover.fusion import (
+    FusedSample,
+    Pipeline,
+    SyncConfig,
+    TorqueEvent,
+    replay_episode_log,
+    run_episode,
+    write_episode_log,
+)
 from handover.harness import ReportTable, TrialRecord
 from handover.multibox import Box, GroundTruth, MultiboxInstance, Prediction
 from handover.synth import FaultProfile
@@ -197,3 +206,92 @@ def test_model_file_text_is_pinned(tmp_path):
     assert path.read_text(encoding="utf-8") == MODEL_TEXT
     save_model(tmp_path / "again.json", *load_model(path))
     assert (tmp_path / "again.json").read_text(encoding="utf-8") == MODEL_TEXT
+
+
+# One hand-built episode for every pipeline: torque votes at 125, 375 and
+# 500 ms around a non-vote at 250 ms, which no verdict lies within 20 ms
+# of, so the fused pipeline logs it as unpaired. Each pipeline arms,
+# disarms, re-arms and releases at 500 ms.
+NO_VOTE = ActionScores.from_probabilities([0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
+EPISODE_EVENTS = [TorqueEvent(scores=s, timestamp=t)
+                  for t, s in [(125, SCORES), (250, NO_VOTE), (375, SCORES), (500, SCORES)]]
+EPISODE_VERDICTS = [
+    VisionVerdict(vote=vote, fingers_in_slab=fingers, thumb_in_slab=thumb, evaluated_at=t)
+    for t, vote, fingers, thumb in [(100, False, 2, True), (133, True, 3, True), (225, False, 0, False),
+                                    (367, True, 4, True), (500, True, 4, True)]
+]
+# run_episode reads only these fields of a script once its two streams are given
+EPISODE_SCRIPT = SimpleNamespace(action=ActionClass.HOLD, slab=ObjectSlab(z_front=0.4, z_back=0.55),
+                                 faults=("vision_dropout",))
+
+
+def _header(pipeline):
+    return ('{"action":3,"faults":["vision_dropout"],"pipeline":"' + pipeline + '",'
+            '"slab":{"z_back":0.55,"z_front":0.4},"sync_config":{"debounce_frames":2,"pairing_window_ms":20},'
+            '"type":"header"}')
+
+
+def _move(t, old, new):
+    return '{"from":"' + old + '","t":' + str(t) + ',"to":"' + new + '","type":"transition"}'
+
+
+def _fused(t, skew, vision):
+    return ('{"fused_vote":true,"skew_ms":' + str(skew) + ',"torque":{"predicted":3,'
+            '"probabilities":[0.1,0.2,0.05,0.4,0.15,0.1],"timestamp":' + str(t) + '},'
+            '"type":"fused_sample","vision":' + vision + '}')
+
+
+EPISODE_LOGS = {
+    Pipeline.TORQUE_ONLY: [
+        _header("torque_only"),
+        '{"predicted":3,"source":"torque","t":125,"type":"vote_sample","vote":true}',
+        _move(125, "holding_idle", "release_armed"),
+        '{"predicted":0,"source":"torque","t":250,"type":"vote_sample","vote":false}',
+        _move(250, "release_armed", "holding_idle"),
+        '{"predicted":3,"source":"torque","t":375,"type":"vote_sample","vote":true}',
+        _move(375, "holding_idle", "release_armed"),
+        '{"predicted":3,"source":"torque","t":500,"type":"vote_sample","vote":true}',
+        _move(500, "release_armed", "released"),
+        '{"dropped_torque_events":0,"n_samples":4,"release_time_ms":500,"released":true,"type":"summary"}',
+    ],
+    Pipeline.VISION_ONLY: [
+        _header("vision_only"),
+        '{"fingers_in_slab":2,"source":"vision","t":100,"thumb_in_slab":true,"type":"vote_sample","vote":false}',
+        '{"fingers_in_slab":3,"source":"vision","t":133,"thumb_in_slab":true,"type":"vote_sample","vote":true}',
+        _move(133, "holding_idle", "release_armed"),
+        '{"fingers_in_slab":0,"source":"vision","t":225,"thumb_in_slab":false,"type":"vote_sample","vote":false}',
+        _move(225, "release_armed", "holding_idle"),
+        '{"fingers_in_slab":4,"source":"vision","t":367,"thumb_in_slab":true,"type":"vote_sample","vote":true}',
+        _move(367, "holding_idle", "release_armed"),
+        '{"fingers_in_slab":4,"source":"vision","t":500,"thumb_in_slab":true,"type":"vote_sample","vote":true}',
+        _move(500, "release_armed", "released"),
+        '{"dropped_torque_events":0,"n_samples":5,"release_time_ms":500,"released":true,"type":"summary"}',
+    ],
+    Pipeline.FUSED: [
+        _header("fused"),
+        _fused(125, -8, '{"evaluated_at":133,"fingers_in_slab":3,"thumb_in_slab":true,"vote":true}'),
+        _move(125, "holding_idle", "release_armed"),
+        '{"t":250,"type":"unpaired_torque"}',
+        _move(250, "release_armed", "holding_idle"),
+        _fused(375, 8, '{"evaluated_at":367,"fingers_in_slab":4,"thumb_in_slab":true,"vote":true}'),
+        _move(375, "holding_idle", "release_armed"),
+        _fused(500, 0, '{"evaluated_at":500,"fingers_in_slab":4,"thumb_in_slab":true,"vote":true}'),
+        _move(500, "release_armed", "released"),
+        '{"action":3,"decided_at":500,"release":true,"torque_vote":true,"type":"decision","vision_vote":true}',
+        '{"dropped_torque_events":1,"n_samples":3,"release_time_ms":500,"released":true,"type":"summary"}',
+    ],
+}
+
+
+@pytest.mark.parametrize("pipeline", list(Pipeline))
+def test_episode_log_text_is_pinned(monkeypatch, tmp_path, pipeline):
+    monkeypatch.setattr(fusion, "torque_event_stream", lambda script, net, stats: EPISODE_EVENTS)
+    monkeypatch.setattr(fusion, "vision_verdict_stream", lambda script: EPISODE_VERDICTS)
+    outcome = run_episode(EPISODE_SCRIPT, None, None, SyncConfig(pairing_window_ms=20, debounce_frames=2),
+                          pipeline)
+    path = tmp_path / "episode.jsonl"
+    write_episode_log(path, outcome)
+    assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in EPISODE_LOGS[pipeline])
+    result = replay_episode_log(path)
+    assert result.matched, result.mismatches
+    assert (result.released, result.release_time_ms) == (True, 500)
