@@ -1,10 +1,11 @@
-"""Mutation sweep of the decision path, standard library only.
+"""Mutation sweep of the decision path and its inputs, standard library only.
 
-Makes one mutant per site in ``fusion.py``, ``vision_gate.py`` and
-``harness.py``: each compare boundary swapped (``<`` and ``<=``, ``>`` and
+Makes one mutant per site in ``fusion.py``, ``vision_gate.py``,
+``harness.py``, ``core.py`` (the domain types' checks) and ``synth.py``
+(the fault draws): each compare boundary swapped (``<`` and ``<=``, ``>`` and
 ``>=``), each ``and``/``or`` swapped, and each ``not`` dropped. Every
 mutant is written into a scratch copy of ``src/``, ``tests/`` and
-``pyproject.toml`` and the decision-path tests run against it; a mutant
+``pyproject.toml`` and the tests of those modules run against it; a mutant
 they still pass on survives. One line is printed per mutant, then the
 survivors. The unmutated copy must pass first.
 
@@ -26,8 +27,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TARGETS = ["fusion.py", "vision_gate.py", "harness.py"]
+TARGETS = ["fusion.py", "vision_gate.py", "harness.py", "core.py", "synth.py"]
 TESTS = [
+    "tests/test_core.py",
+    "tests/test_synth.py",
+    "tests/test_json_roundtrip.py",
     "tests/test_fusion.py",
     "tests/test_fsm_properties.py",
     "tests/test_vision_gate.py",

@@ -37,6 +37,7 @@ from . import nn_kernel as nn
 STD_FLOOR = 1e-6
 HOLDOUT_FRACTION = 0.2  # the stratified 80/20 split
 MODEL_FORMAT_VERSION = "handover-model-v1"
+MOMENTUM = 0.9  # heavy-ball SGD
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,6 @@ class TorqueNetConfig:
     seed: int = 7
     epochs: int = 30
     learning_rate: float = 1e-2
-    momentum: float = 0.9
     batch_size: int = 32
 
     def __post_init__(self) -> None:
@@ -177,7 +177,7 @@ def train(
     x_hold, y_hold = all_inputs[holdout_idx], labels[holdout_idx]
 
     net = build_network(config)
-    optimizer = nn.MomentumSGD(net, config.learning_rate, config.momentum)
+    optimizer = nn.MomentumSGD(net, config.learning_rate, MOMENTUM)
 
     started = time.perf_counter()
     epoch_losses: list[float] = []

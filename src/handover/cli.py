@@ -4,8 +4,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -26,6 +27,20 @@ from .synth import FaultProfile, default_signature_model, generate_dataset
 CLASS_NAMES = [a.name.lower() for a in ActionClass]
 
 
+class BadInput(Exception):
+    """A bad input or setting; ``main`` reports it in one line and exits 2."""
+
+
+@contextmanager
+def _reading(what: str) -> Iterator[None]:
+    """Re-raise what reading or checking an input raises as ``BadInput``."""
+    try:
+        yield
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise BadInput(f"{what}: {reason}") from exc
+
+
 def render_confusion(confusion: np.ndarray) -> str:
     width = max(len(n) for n in CLASS_NAMES) + 2
     corner = "true \\ pred"
@@ -36,21 +51,23 @@ def render_confusion(confusion: np.ndarray) -> str:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    model = default_signature_model(noise_sigma=args.noise)
-    dataset = generate_dataset(model, per_class_count=args.per_class, seed=args.seed)
+    with _reading("invalid synth settings"):
+        model = default_signature_model(noise_sigma=args.noise)
+        dataset = generate_dataset(model, per_class_count=args.per_class, seed=args.seed)
     n = write_dataset_jsonl(args.out, dataset)
     print(f"wrote {n} labeled windows to {args.out}")
     return 0
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    dataset = read_dataset_jsonl(args.dataset)
-    config = TorqueNetConfig(
-        seed=args.seed,
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-    )
+    with _reading("invalid training input"):
+        dataset = read_dataset_jsonl(args.dataset)
+        config = TorqueNetConfig(
+            seed=args.seed,
+            epochs=args.epochs,
+            learning_rate=args.learning_rate,
+            batch_size=args.batch_size,
+        )
     net, stats, report = train(dataset, config)
     save_model(args.out, net, stats)
     print(f"trained on {report.n_train} windows ({report.n_holdout} held out)")
@@ -65,8 +82,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    net, stats = load_model(args.model)
-    dataset = read_dataset_jsonl(args.dataset)
+    with _reading("invalid evaluation input"):
+        net, stats = load_model(args.model)
+        dataset = read_dataset_jsonl(args.dataset)
     accuracy, confusion = evaluate(net, stats, dataset)
     print(render_confusion(confusion))
     print(f"accuracy: {accuracy:.4f} over {len(dataset)} windows")
@@ -110,7 +128,7 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides = {key: CONFIG_KEYS[key](value) for key, value in doc.items()}
     # explicit flags win over the config file
     flags = {
-        "seed": args.seed, "trials_per_action": args.trials, "model_path": args.model,
+        "seed": args.seed, "trials_per_action": args.trials,
         "train_per_class": args.train_per_class, "train_epochs": args.train_epochs,
     }
     overrides.update((key, value) for key, value in flags.items() if value is not None)
@@ -120,17 +138,10 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    try:
+    with _reading("invalid experiment config"):
         config = _experiment_config(args)
-    except (OSError, KeyError, TypeError, ValueError) as exc:  # unreadable, or rejected by a decoder
-        reason = f"unknown or missing key {exc}" if isinstance(exc, KeyError) else exc
-        print(f"invalid experiment config: {reason}", file=sys.stderr)
-        return 2
-    try:
-        model = load_model(config.model_path) if config.model_path else None
-    except (OSError, KeyError, TypeError, ValueError) as exc:  # missing, unreadable or malformed
-        print(f"cannot load model {config.model_path}: {exc}", file=sys.stderr)
-        return 2
+    with _reading(f"cannot load model {args.model}"):
+        model = load_model(args.model) if args.model else None
     table, _records = run_experiment(config, model)
     print(render_report(table))
     if not table.all_gates_pass():
@@ -140,12 +151,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    try:
+    with _reading("invalid episode log"):
         result = replay_episode_log(args.log)
-    except (OSError, KeyError, TypeError, ValueError) as exc:  # unreadable, or not an episode log
-        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        print(f"invalid episode log: {reason}", file=sys.stderr)
-        return 2
     released = f"released at {result.release_time_ms} ms" if result.released else "did not release"
     print(f"replayed {result.n_events} events: {released}")
     if result.matched:
@@ -205,7 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BadInput as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ import numpy as np
 from .classifier import (
     NormalizationStats,
     TorqueNetConfig,
-    load_model,
     save_model,
     train,
     write_dataset_jsonl,
@@ -54,7 +53,6 @@ class ExperimentConfig:
     seed: int = 0
     fault_profiles: dict[Pipeline, FaultProfile] = field(default_factory=default_fault_profiles)
     sync: SyncConfig = field(default_factory=SyncConfig)
-    model_path: str | None = None
     train_per_class: int = 300
     train_epochs: int = 30
     out_dir: str | None = None
@@ -183,12 +181,8 @@ def run_experiment(
 
     Artifacts: model.json and dataset.jsonl (when trained here),
     trials.jsonl, report.txt, report.json, and per-trial episode logs
-    under episodes/. A model is trained only when neither ``model`` nor
-    ``config.model_path`` is given; a model file that cannot be loaded
-    raises before anything is written.
+    under episodes/. A model is trained only when ``model`` is not given.
     """
-    if model is None and config.model_path:
-        model = load_model(config.model_path)
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

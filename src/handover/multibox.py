@@ -10,7 +10,7 @@ best overlap reaches 0.5. Class confidences are probability vectors over
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,9 +45,6 @@ class Box:
         w = self.x_max - self.x_min
         h = self.y_max - self.y_min
         return np.array([self.x_min + 0.5 * w, self.y_min + 0.5 * h, np.log(w), np.log(h)])
-
-    def to_list(self) -> list[float]:
-        return [self.x_min, self.y_min, self.x_max, self.y_max]
 
 
 def iou(a: Box, b: Box) -> float:
@@ -176,31 +173,6 @@ class MultiboxInstance:
             match=match_boxes([p.box for p in preds], gts),
         )
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "predicted": [
-                {"box": p.box.to_list(), "confidences": list(p.confidences)}
-                for p in self.predicted
-            ],
-            "ground_truth": [
-                {"box": g.box.to_list(), "class_index": g.class_index}
-                for g in self.ground_truth
-            ],
-            "alpha": self.alpha,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict[str, Any]) -> "MultiboxInstance":
-        preds = [
-            Prediction(box=Box(*p["box"]), confidences=tuple(p["confidences"]))
-            for p in doc["predicted"]
-        ]
-        gts = [
-            GroundTruth(box=Box(*g["box"]), class_index=int(g["class_index"]))
-            for g in doc["ground_truth"]
-        ]
-        return cls.build(preds, gts, alpha=float(doc.get("alpha", 1.0)))
-
 
 def confidence_loss(instance: MultiboxInstance) -> float:
     """Cross-entropy of matched boxes against their class, rest against
@@ -223,16 +195,12 @@ def localization_loss(instance: MultiboxInstance) -> float:
     total = 0.0
     for i, j in instance.match.pairs:
         g = instance.ground_truth[j].box
-        if g.area <= 0.0:
-            raise ValueError("degenerate ground-truth box")
         total += _smooth_l1(instance.predicted[i].box.encode() - g.encode())
     return total
 
 
 def total_loss(instance: MultiboxInstance) -> float:
     """(confidence + alpha * localization) / matched count; 0 if no matches."""
-    if instance.alpha < 0.0:
-        raise ValueError("alpha must be non-negative")
     n = instance.match.matched_count
     if n == 0:
         return 0.0

@@ -45,6 +45,8 @@ from typing import Any
 
 import numpy as np
 
+from .core import json_object
+
 NETWORK_FORMAT_VERSION = "tcnn-v1"
 LOG_CLAMP = 1e-12
 
@@ -283,7 +285,7 @@ class BatchNorm1D(Layer):
         self.running_mean, self.running_var = running_mean, running_var
         self.grads = {}
 
-    def forward(self, x: np.ndarray, training: bool = False, update_running: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != 3 or x.shape[1] != self.channels:
             raise ValueError(f"batchnorm expects (batch, {self.channels}, length), got {x.shape}")
         batch, channels, length = x.shape
@@ -295,9 +297,8 @@ class BatchNorm1D(Layer):
             mean = rows.sum(axis=1) / m
             centred = rows - mean[:, None]
             var = np.einsum("ij,ij->i", centred, centred) / m  # biased, as normalized
-            if update_running:
-                self.running_mean = (1.0 - self.momentum) * self.running_mean + self.momentum * mean
-                self.running_var = (1.0 - self.momentum) * self.running_var + self.momentum * var
+            self.running_mean = (1.0 - self.momentum) * self.running_mean + self.momentum * mean
+            self.running_var = (1.0 - self.momentum) * self.running_var + self.momentum * var
         else:
             centred = rows - self.running_mean[:, None]
             var = self.running_var
@@ -419,13 +420,10 @@ class Network:
     def __init__(self, layers: list[Layer]) -> None:
         self.layers = list(layers)
 
-    def forward(self, x: np.ndarray, training: bool = False, update_running: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         out = np.asarray(x, dtype=np.float64)
         for layer in self.layers:
-            if isinstance(layer, BatchNorm1D):
-                out = layer.forward(out, training, update_running)
-            else:
-                out = layer.forward(out, training)
+            out = layer.forward(out, training)
         return out
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
@@ -468,12 +466,7 @@ class GradientTape:
                     raise ValueError(f"gradient shape {g.shape} != param shape {params[name].shape}")
 
 
-def backward(
-    net: Network,
-    x: np.ndarray,
-    targets: np.ndarray,
-    update_running: bool = True,
-) -> tuple[float, np.ndarray, GradientTape]:
+def backward(net: Network, x: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray, GradientTape]:
     """One training step's worth of differentiation.
 
     Runs the training-mode forward, then backpropagates the mean
@@ -483,7 +476,7 @@ def backward(
     idx = np.asarray(targets, dtype=np.int64)
     if batch.shape[0] != idx.shape[0]:
         raise ValueError("inputs and targets disagree on batch size")
-    logits = net.forward(batch, training=True, update_running=update_running)
+    logits = net.forward(batch, training=True)
     probs = softmax(logits)
     loss = mean_cross_entropy(probs, idx)
     one_hot = np.zeros_like(probs)
@@ -547,7 +540,7 @@ def network_to_json(net: Network) -> dict[str, Any]:
 
 
 def network_from_json(doc: dict[str, Any]) -> Network:
-    if doc.get("version") != NETWORK_FORMAT_VERSION:
+    if json_object(doc).get("version") != NETWORK_FORMAT_VERSION:
         raise ValueError(f"unsupported network format {doc.get('version')!r}")
     layers: list[Layer] = []
     for entry in doc["layers"]:

@@ -332,10 +332,6 @@ class ScenarioScript:
         if self.grasp_at_ms is not None and self.grasp_at_ms >= self.action_onset_ms:
             raise ValueError("contact (grasp) must precede the action onset")
 
-    @property
-    def duration_ms(self) -> int:
-        return self.torques.shape[1] * SAMPLE_DT_MS
-
 
 def _finger_boxes(rng: np.random.Generator) -> list[tuple[float, float]]:
     # four fingertip box centers spread across the image, thumb first

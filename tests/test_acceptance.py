@@ -164,10 +164,10 @@ def test_criterion_2_gradient_check():
     ])
     x = gen.standard_normal((6, 1, 20))
     targets = gen.integers(0, 6, 6)
-    _, _, tape = nn.backward(net, x, targets, update_running=False)
+    _, _, tape = nn.backward(net, x, targets)
 
     def loss_now():
-        logits = net.forward(x, training=True, update_running=False)
+        logits = net.forward(x, training=True)
         return nn.mean_cross_entropy(nn.softmax(logits), targets)
 
     slots = []

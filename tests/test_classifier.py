@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from handover.classifier import (
     _find_runs,
@@ -38,6 +38,36 @@ from handover.synth import (
     generate_dataset,
     generate_window,
 )
+from test_json_golden import MODEL_TEXT
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@st.composite
+def damaged_model_docs(draw):
+    """The save file of a hand-built network with one value, at any depth,
+    replaced by any JSON value, or one key deleted. Each step down is a
+    coin flip, so the top-level keys are damaged about half the time."""
+    doc = json.loads(MODEL_TEXT)
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+        parent = node
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        node = node[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(JSON_VALUES)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def damaged_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("damaged") / "model.json"
 
 
 def trained_arrays(net):
@@ -398,6 +428,16 @@ class TestModelAndDatasetFiles:
 
         with pytest.raises(ValueError, match="positive"):
             load_model(self.corrupt_model(small_model, tmp_path, edit))
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=damaged_model_docs())
+    def test_damaged_file_loads_or_raises_a_reported_error(self, damaged_file, doc):
+        # simulate and eval report these four as a bad model file (exit 2)
+        damaged_file.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            load_model(damaged_file)
+        except (OSError, KeyError, TypeError, ValueError):
+            pass
 
     def test_dataset_jsonl_roundtrip(self, tmp_path):
         items = generate_dataset(default_signature_model(), per_class_count=2, seed=9)

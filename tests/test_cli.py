@@ -3,8 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from handover.classifier import save_model
+from handover.classifier import MODEL_FORMAT_VERSION, save_model, write_dataset_jsonl
 from handover.cli import main
+from handover.synth import default_signature_model, generate_dataset
+
+# a model file whose network is a JSON list, not an object
+NETWORK_LIST_MODEL = json.dumps({"format": MODEL_FORMAT_VERSION, "network": [1], "normalization": {}})
 
 
 @pytest.fixture(scope="module")
@@ -203,7 +207,11 @@ class TestSimulateRejectsBadConfig:
         assert "invalid experiment config" in captured.err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("text", [None, "[1]", "{}", "not json"], ids=["missing", "list", "no-format", "not-json"])
+    @pytest.mark.parametrize(
+        "text",
+        [None, "[1]", "{}", "not json", NETWORK_LIST_MODEL],
+        ids=["missing", "list", "no-format", "not-json", "network-list"],
+    )
     def test_unloadable_model_file_is_reported(self, refuse_training, tmp_path, capsys, text):
         out_dir = tmp_path / "sim"
         model = tmp_path / "model_file.json"
@@ -223,6 +231,36 @@ class TestSimulateRejectsBadConfig:
         assert code == 2
         assert "invalid experiment config" in captured.err
         assert not out_dir.exists()
+
+
+class TestSynthTrainEvalRejectBadInput:
+    """Bad input ends synth, train and eval with exit 2 and one line on
+    stderr, before any output file is written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--per-class", "1", "--out", "{out}"],
+        ["synth", "--noise", "-1", "--out", "{out}"],
+        ["train", "--dataset", "{absent}", "--out", "{out}"],
+        ["train", "--dataset", "{not_json}", "--out", "{out}"],
+        ["train", "--dataset", "{data}", "--epochs", "0", "--out", "{out}"],
+        ["eval", "--model", "{network_list}", "--dataset", "{data}", "--report", "{out}"],
+        ["eval", "--model", "{absent}", "--dataset", "{data}", "--report", "{out}"],
+        ["eval", "--model", "{model}", "--dataset", "{absent}", "--report", "{out}"],
+    ], ids=[
+        "synth-per-class", "synth-noise", "train-missing-dataset", "train-not-json", "train-epochs",
+        "eval-network-list", "eval-missing-model", "eval-missing-dataset",
+    ])
+    def test_bad_input_is_reported(self, saved_model, tmp_path, capsys, argv):
+        files = {name: tmp_path / f"{name}.json" for name in ("out", "absent", "not_json", "data", "network_list")}
+        files["not_json"].write_text("not json\n")
+        write_dataset_jsonl(files["data"], generate_dataset(default_signature_model(), per_class_count=2))
+        files["network_list"].write_text(NETWORK_LIST_MODEL)
+        code = main([arg.format(model=saved_model, **files) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert not files["out"].exists()
 
 
 HEADER = {"type": "header", "pipeline": "fused", "action": 4, "faults": [],

@@ -217,6 +217,7 @@ BAD_DETECTIONS = [
     dict(position_3d=(np.nan, 0.0, 0.4)),
     dict(box=(0.1, 0.2, np.inf, 0.4)),
     dict(confidence=np.nan),
+    dict(box=(0.2, 0.2, 0.2, 0.4)),
 ]
 
 

@@ -16,7 +16,7 @@ def tiny_network(seed=42):
 
 
 def training_loss(net, x, targets):
-    logits = net.forward(x, training=True, update_running=False)
+    logits = net.forward(x, training=True)
     return nn.mean_cross_entropy(nn.softmax(logits), targets)
 
 
@@ -54,7 +54,7 @@ class TestFiniteDifferences:
         gen = np.random.default_rng(1)
         x = gen.standard_normal((6, 1, 16))
         targets = gen.integers(0, 6, 6)
-        _, _, tape = nn.backward(net, x, targets, update_running=False)
+        _, _, tape = nn.backward(net, x, targets)
         for li, name, idx in sample_coordinates(net, 40, seed=2):
             analytic = tape.per_layer[li][name].ravel()[idx]
             numeric = finite_difference(net, x, targets, li, name, idx)
@@ -65,7 +65,7 @@ class TestFiniteDifferences:
         gen = np.random.default_rng(3)
         x = gen.standard_normal((5, 1, 16))
         targets = gen.integers(0, 6, 5)
-        _, probs, tape = nn.backward(net, x, targets, update_running=False)
+        _, probs, tape = nn.backward(net, x, targets)
         one_hot = np.zeros_like(probs)
         one_hot[np.arange(5), targets] = 1.0
         want = (probs - one_hot).mean(axis=0)
@@ -80,7 +80,7 @@ class TestFiniteDifferences:
         gen = np.random.default_rng(4)
         x = gen.standard_normal((4, 1, 16))
         targets = np.zeros(4, dtype=np.int64)
-        loss, _, tape = nn.backward(net, x, targets, update_running=False)
+        loss, _, tape = nn.backward(net, x, targets)
         assert loss < 1e-12
         norm = np.sqrt(sum(
             float(np.sum(g**2)) for grads in tape.per_layer for g in grads.values()

@@ -149,16 +149,6 @@ class TestRunExperiment:
         assert len((tmp_path / "dataset.jsonl").read_text().splitlines()) == 12
         load_model(tmp_path / "model.json")
 
-    def test_missing_model_file_raises_before_training(self, monkeypatch, tmp_path):
-        def refuse(*args, **kwargs):
-            raise AssertionError("run_experiment trained in place of the named model")
-        monkeypatch.setattr("handover.harness.train", refuse)
-        config = ExperimentConfig(trials_per_action=1, model_path=str(tmp_path / "absent.json"),
-                                  out_dir=str(tmp_path / "out"))
-        with pytest.raises(FileNotFoundError, match="absent.json"):
-            run_experiment(config)
-        assert not (tmp_path / "out").exists()
-
     def test_config_validation(self):
         with pytest.raises(ValueError, match="trials_per_action"):
             ExperimentConfig(trials_per_action=0)

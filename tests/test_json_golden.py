@@ -33,7 +33,6 @@ from handover.fusion import (
     write_episode_log,
 )
 from handover.harness import ReportTable, TrialRecord
-from handover.multibox import Box, GroundTruth, MultiboxInstance, Prediction
 from handover.synth import FaultProfile
 from handover.vision_gate import VisionVerdict
 
@@ -125,19 +124,13 @@ GOLDEN = {
         '"hold":{"failures":0,"successes":2}}},"pipelines":["vision_only"],"seed":5,'
         '"trials_per_action":2}',
     ),
-    "MultiboxInstance": (
-        MultiboxInstance.build([Prediction(Box(0.1, 0.1, 0.5, 0.5), (0.25, 0.75))],
-                               [GroundTruth(Box(0.1, 0.1, 0.5, 0.5), 1)], alpha=2),
-        '{"alpha":2.0,"ground_truth":[{"box":[0.1,0.1,0.5,0.5],"class_index":1}],'
-        '"predicted":[{"box":[0.1,0.1,0.5,0.5],"confidences":[0.25,0.75]}]}',
-    ),
 }
 
 # the types whose documents are read back as well as written
 READ_BACK = {
     "TorqueWindow", "LabeledWindow", "ActionScores", "FingertipDetection", "ObjectSlab",
     "ReleaseDecision", "NormalizationStats", "SyncConfig", "VisionVerdict", "FusedSample",
-    "FaultProfile", "MultiboxInstance",
+    "FaultProfile",
 }
 
 

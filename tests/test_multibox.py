@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -345,33 +344,21 @@ class TestTotalLoss:
 
 
 class TestInstanceJson:
-    GOLDEN = """
-    {
-      "predicted": [
-        {"box": [0.10, 0.10, 0.50, 0.50], "confidences": [0.1, 0.8, 0.1]},
-        {"box": [0.55, 0.55, 0.90, 0.95], "confidences": [0.7, 0.2, 0.1]}
-      ],
-      "ground_truth": [
-        {"box": [0.10, 0.10, 0.50, 0.50], "class_index": 1}
-      ],
-      "alpha": 1.0
-    }
-    """
-
     def test_golden_instance_losses(self):
-        inst = MultiboxInstance.from_json_dict(json.loads(self.GOLDEN))
+        inst = MultiboxInstance.build(
+            [
+                Prediction(Box(0.10, 0.10, 0.50, 0.50), (0.1, 0.8, 0.1)),
+                Prediction(Box(0.55, 0.55, 0.90, 0.95), (0.7, 0.2, 0.1)),
+            ],
+            [GroundTruth(Box(0.10, 0.10, 0.50, 0.50), 1)],
+            alpha=1.0,
+        )
         assert inst.match.pairs == ((0, 0),)
         # matched box: -log 0.8; unmatched box against background: -log 0.7
         want_conf = -math.log(0.8) - math.log(0.7)
         assert confidence_loss(inst) == pytest.approx(want_conf, abs=1e-12)
         assert localization_loss(inst) == 0.0  # matched pair coincides
         assert total_loss(inst) == pytest.approx(want_conf / 1, abs=1e-12)
-
-    def test_roundtrip(self, rng):
-        inst = random_instance(rng)
-        back = MultiboxInstance.from_json_dict(inst.to_json_dict())
-        assert back.match.pairs == inst.match.pairs
-        assert total_loss(back) == pytest.approx(total_loss(inst), abs=1e-12)
 
     def test_ground_truth_class_validation(self):
         with pytest.raises(ValueError, match="object class"):

@@ -29,7 +29,7 @@ from handover.synth import (
     generate_scenario,
     generate_window,
 )
-from handover.vision_gate import evaluate_grasp
+from handover.vision_gate import evaluate_grasp, grasp_verdicts
 
 
 def constant_model(shape=ProfileShape.STEP, amp=None, onset=(250.0, 250.0), **kwargs):
@@ -44,6 +44,28 @@ def constant_model(shape=ProfileShape.STEP, amp=None, onset=(250.0, 250.0), **kw
         noise_sigma=0.0,
         amplitude_jitter=0.0,
     )
+
+
+class TestModelChecks:
+    @pytest.mark.parametrize("shape", [ProfileShape.RAMP, ProfileShape.IMPULSE])
+    def test_ramp_and_impulse_need_a_positive_duration(self, shape):
+        with pytest.raises(ValueError, match="positive duration"):
+            ActionProfile(shape, np.ones(7), (250.0, 250.0), duration_ms=0.0)
+
+    def test_amplitude_jitter_must_be_below_one(self):
+        base = default_signature_model()
+        with pytest.raises(ValueError, match="amplitude_jitter"):
+            TorqueSignatureModel(baseline=base.baseline, profiles=base.profiles, amplitude_jitter=1.0)
+
+    def test_impulse_is_a_half_open_pulse(self):
+        amp = np.zeros(7)
+        amp[2] = 3.5
+        model = constant_model(ProfileShape.IMPULSE, amp, onset=(250.0, 250.0), duration=100.0, baseline=np.zeros(7))
+        row = generate_window(model, ActionClass.PULL, seed=0).window.samples[2]
+        # samples 10-14 sit at 0, 25, 50, 75 and 100 ms after onset: the pulse
+        # is sin(pi * t / 100) on [0, 100), exactly zero at both ends
+        assert row[10] == 0.0 and row[14] == 0.0
+        assert np.all(row[11:14] > 0.0)
 
 
 class TestGenerateWindow:
@@ -154,6 +176,66 @@ class TestFaultProfile:
         assert ActionClass.PUSH in FaultProfile.fused_nominal().torque_misread
 
 
+class BoundaryDraws(np.random.Generator):
+    """A seeded generator whose fault draws, dropout-mode coin and grasp-time
+    offset are set by the test, so a scenario can sit exactly on a bound."""
+
+    def __init__(self, faults=(0.0, 0.0, 0.0), coin=0.5, grasp_offset_ms=17.0):
+        super().__init__(np.random.PCG64(0))
+        self.faults, self.coin, self.grasp_offset_ms = faults, coin, grasp_offset_ms
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        if size == 3:  # the three fault draws
+            return np.array(self.faults)
+        if size is None:  # the dropout-mode coin
+            return self.coin
+        return super().random(size, dtype, out)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        if (low, high) == (0.0, 250.0):  # the grasp time after 1,250 ms
+            return self.grasp_offset_ms
+        return super().uniform(low, high, size)
+
+
+class TestScenarioBounds:
+    def script(self, **overrides):
+        fields = dict(
+            action=ActionClass.HOLD, torques=np.zeros((7, 40)), torque_start_ms=0, frames=(),
+            slab=ObjectSlab(z_front=0.4, z_back=0.55), faults=(), action_onset_ms=1800, grasp_at_ms=1250,
+        )
+        fields.update(overrides)
+        return ScenarioScript(**fields)
+
+    def test_one_window_of_torque_is_enough(self):
+        assert self.script().torques.shape == (7, 40)
+
+    @pytest.mark.parametrize("shape", [(7, 39), (6, 120)])
+    def test_rejects_a_bad_torque_shape(self, shape):
+        with pytest.raises(ValueError, match="torque stream"):
+            self.script(torques=np.zeros(shape))
+
+    def test_grasp_at_the_onset_is_rejected(self):
+        with pytest.raises(ValueError, match="precede"):
+            self.script(grasp_at_ms=1800)
+
+    def test_zero_probability_faults_never_fire(self):
+        script = generate_scenario(ActionClass.HOLD, FaultProfile.clean(), BoundaryDraws(faults=(0.0, 0.0, 0.0)))
+        assert script.faults == ()
+
+    def test_a_dropout_coin_of_one_half_drops_two_fingers(self):
+        profile = FaultProfile(vision_dropout={ActionClass.HOLD: 1.0})
+        script = generate_scenario(ActionClass.HOLD, profile, BoundaryDraws(coin=0.5))
+        last = grasp_verdicts(script.frames, script.slab)[-1]
+        assert (last.fingers_in_slab, last.thumb_in_slab) == (2, True)
+
+    def test_fingers_are_in_the_slab_from_the_frame_stamped_at_the_grasp(self):
+        script = generate_scenario(ActionClass.HOLD, FaultProfile.clean(), BoundaryDraws(grasp_offset_ms=17.0))
+        assert script.grasp_at_ms == 1267
+        k = script.frames.stamps.tolist().index(1267)
+        verdicts = grasp_verdicts(script.frames, script.slab)
+        assert (verdicts[k - 1].fingers_in_slab, verdicts[k].fingers_in_slab) == (0, 4)
+
+
 class TestGenerateScenario:
     def grasp_satisfied_at_some_frame(self, script):
         return any(
@@ -187,7 +269,6 @@ class TestGenerateScenario:
         assert len(script.frames) == EPISODE_FRAMES
         stamps = [f.timestamp for f in script.frames]
         assert stamps == sorted(stamps)
-        assert script.duration_ms == 3000
 
     def test_deterministic_per_seed(self):
         a = generate_scenario(ActionClass.HOLD, FaultProfile.vision_degraded(), seed=13)

@@ -91,7 +91,7 @@ class TestEvaluateGrasp:
             detection(0.5, FingerType.THUMB, confidence=0.4),
             detection(0.45), detection(0.5), detection(0.55),
         ]
-        verdict = evaluate_grasp(dets, SLAB, min_confidence=0.5)
+        verdict = evaluate_grasp(dets, SLAB)
         assert verdict.thumb_in_slab is False
         assert verdict.fingers_in_slab == 3
         assert verdict.vote is False
@@ -103,10 +103,6 @@ class TestEvaluateGrasp:
     def test_timestamp_defaults_to_latest_detection(self):
         dets = [detection(0.5, ts=120), detection(0.5, ts=180)]
         assert evaluate_grasp(dets, SLAB).evaluated_at == 180
-
-    def test_min_confidence_validated(self):
-        with pytest.raises(ValueError, match="min_confidence"):
-            evaluate_grasp([], SLAB, min_confidence=1.5)
 
     def test_exhaustive_five_finger_configurations(self):
         # all 4^5 = 1024 combinations of (in/out, thumb/other) for 5 fingers
@@ -167,9 +163,10 @@ class TestVisionVerdict:
         assert MIN_FINGERS_FOR_GRASP == 3
 
 
-def oracle_verdict(detections, slab, min_confidence=0.5, at_ms=None):
-    """The per-detection grasp rule, one object at a time."""
-    kept = [d for d in detections if d.confidence >= min_confidence]
+def oracle_verdict(detections, slab, at_ms=None):
+    """The per-detection grasp rule, one object at a time; detections below
+    the paper's 0.5 confidence are ignored."""
+    kept = [d for d in detections if d.confidence >= 0.5]
     inside = [d for d in kept if slab.z_front <= d.position_3d[2] <= slab.z_back]
     thumb = any(d.finger_type is FingerType.THUMB for d in inside)
     if at_ms is None:
@@ -189,13 +186,12 @@ def _near(value):
 
 @st.composite
 def gate_cases(draw):
-    """A slab, a confidence threshold and ragged frames of 0-6 detections whose
-    depths and confidences often sit exactly on the rule's bounds."""
+    """A slab and ragged frames of 0-6 detections whose depths and
+    confidences often sit exactly on the rule's bounds."""
     z_front = draw(st.floats(0.05, 1.0))
     slab = ObjectSlab(z_front=z_front, z_back=z_front + draw(st.floats(0.01, 0.5)))
-    min_confidence = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
     depth = st.one_of(_near(slab.z_front), _near(slab.z_back), st.floats(0.0, 2.0))
-    confidence = st.one_of(_near(min_confidence).filter(lambda c: 0.0 <= c <= 1.0), st.floats(0.0, 1.0))
+    confidence = st.one_of(_near(0.5), st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
     frames, stamp = [], 0
     for _ in range(draw(st.integers(0, 5))):
         stamp += draw(st.integers(1, 100))
@@ -210,26 +206,22 @@ def gate_cases(draw):
             for _ in range(draw(st.integers(0, 6)))
         )
         frames.append(DetectionFrame(timestamp=stamp, detections=detections))
-    return slab, min_confidence, frames
+    return slab, frames
 
 
 class TestArrayRuleMatchesOracle:
     @given(case=gate_cases(), give_stamp=st.booleans())
     def test_evaluate_grasp(self, case, give_stamp):
-        slab, min_confidence, frames = case
+        slab, frames = case
         for frame in frames:
             at_ms = frame.timestamp if give_stamp else None
-            assert evaluate_grasp(frame.detections, slab, min_confidence, at_ms) == oracle_verdict(
-                frame.detections, slab, min_confidence, at_ms
-            )
+            assert evaluate_grasp(frame.detections, slab, at_ms) == oracle_verdict(frame.detections, slab, at_ms)
 
     @given(case=gate_cases())
     def test_whole_block(self, case):
-        slab, min_confidence, frames = case
-        got = grasp_verdicts(DetectionBlock.from_frames(frames), slab, min_confidence)
-        assert got == [
-            oracle_verdict(f.detections, slab, min_confidence, at_ms=f.timestamp) for f in frames
-        ]
+        slab, frames = case
+        got = grasp_verdicts(DetectionBlock.from_frames(frames), slab)
+        assert got == [oracle_verdict(f.detections, slab, at_ms=f.timestamp) for f in frames]
 
     @pytest.mark.parametrize("thumbs", [(), (0,), (0, 1), (0, 1, 2, 3)])
     @pytest.mark.parametrize("z", [SLAB.z_front, SLAB.z_back])
@@ -238,8 +230,8 @@ class TestArrayRuleMatchesOracle:
             detection(z, FingerType.THUMB if i in thumbs else FingerType.OTHER, confidence=0.5)
             for i in range(4)
         ]
-        verdict = evaluate_grasp(dets, SLAB, min_confidence=0.5)
-        assert verdict == oracle_verdict(dets, SLAB, 0.5)
+        verdict = evaluate_grasp(dets, SLAB)
+        assert verdict == oracle_verdict(dets, SLAB)
         assert verdict.fingers_in_slab == 4
         assert verdict.vote is bool(thumbs)
 
