@@ -1,9 +1,11 @@
 """Mutation sweep of the decision path and its inputs, standard library only.
 
 Makes one mutant per site in ``fusion.py``, ``vision_gate.py``,
-``harness.py``, ``core.py`` (the domain types' checks) and ``synth.py``
-(the fault draws): each compare boundary swapped (``<`` and ``<=``, ``>`` and
-``>=``), each ``and``/``or`` swapped, and each ``not`` dropped. Every
+``harness.py``, ``core.py`` (the domain types' checks), ``synth.py``
+(the fault draws) and ``classifier.py`` (the training split, the seam
+bands, the model-file checks): each compare boundary swapped (``<`` and
+``<=``, ``>`` and ``>=``), each ``and``/``or`` swapped, and each ``not``
+dropped. Every
 mutant is written into a scratch copy of ``src/``, ``tests/`` and
 ``pyproject.toml`` and the tests of those modules run against it; a mutant
 they still pass on survives. One line is printed per mutant, then the
@@ -27,9 +29,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TARGETS = ["fusion.py", "vision_gate.py", "harness.py", "core.py", "synth.py"]
+TARGETS = ["fusion.py", "vision_gate.py", "harness.py", "core.py", "synth.py", "classifier.py"]
 TESTS = [
     "tests/test_core.py",
+    "tests/test_classifier.py",
     "tests/test_synth.py",
     "tests/test_json_roundtrip.py",
     "tests/test_fusion.py",

@@ -30,6 +30,7 @@ from .core import (
     ActionScores,
     JsonCodec,
     TorqueWindow,
+    dumps_canonical,
     json_object,
 )
 from . import nn_kernel as nn
@@ -38,26 +39,23 @@ STD_FLOOR = 1e-6
 HOLDOUT_FRACTION = 0.2  # the stratified 80/20 split
 MODEL_FORMAT_VERSION = "handover-model-v1"
 MOMENTUM = 0.9  # heavy-ball SGD
+# the one network, the FCN baseline of Wang, Yan & Oates (arXiv 1611.06455);
+# load_model rejects any other stack, so classify_windows may assume it
+BLOCKS = 3
+FILTERS = 64
+KERNEL_SIZE = 3
 
 
 @dataclass(frozen=True)
 class TorqueNetConfig:
-    """Architecture plus training hyperparameters (defaults are the preset).
-    The input (one channel of 280 values) and the six classes are fixed."""
+    """Training hyperparameters (defaults are the preset)."""
 
-    blocks: int = 3
-    filters_per_block: int = 64
-    kernel_size: int = 3
     seed: int = 7
     epochs: int = 30
     learning_rate: float = 1e-2
     batch_size: int = 32
 
     def __post_init__(self) -> None:
-        if self.blocks < 1 or self.filters_per_block < 1:
-            raise ValueError("need at least one block and one filter")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ValueError("kernel size must be odd for same padding")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch size must be positive")
 
@@ -114,14 +112,18 @@ def build_network(config: TorqueNetConfig = TorqueNetConfig()) -> nn.Network:
     rng = np.random.default_rng(config.seed)
     layers: list[nn.Layer] = []
     in_ch = 1  # normalize_input's one flat channel
-    for _ in range(config.blocks):
-        layers.append(nn.Conv1D(in_ch, config.filters_per_block, config.kernel_size, rng=rng))
-        layers.append(nn.BatchNorm1D(config.filters_per_block))
+    for _ in range(BLOCKS):
+        layers.append(nn.Conv1D(in_ch, FILTERS, KERNEL_SIZE, rng=rng))
+        layers.append(nn.BatchNorm1D(FILTERS))
         layers.append(nn.ReLU())
-        in_ch = config.filters_per_block
+        in_ch = FILTERS
     layers.append(nn.GlobalAvgPool1D())
-    layers.append(nn.Linear(config.filters_per_block, NUM_CLASSES, rng=rng))
+    layers.append(nn.Linear(FILTERS, NUM_CLASSES, rng=rng))
     return nn.Network(layers)
+
+
+def _architecture(net: nn.Network) -> list[tuple]:
+    return [(layer.kind, *(getattr(layer, name) for name in layer.shapes)) for layer in net.layers]
 
 
 def normalize_input(window: TorqueWindow, stats: NormalizationStats) -> np.ndarray:
@@ -136,9 +138,7 @@ def _stratified_split(labels: np.ndarray, rng: np.random.Generator) -> tuple[np.
     for cls in range(NUM_CLASSES):
         members = np.flatnonzero(labels == cls)
         members = members[rng.permutation(members.size)]
-        n_hold = max(1, int(round(members.size * HOLDOUT_FRACTION)))
-        if n_hold >= members.size:
-            n_hold = members.size - 1
+        n_hold = max(1, int(round(members.size * HOLDOUT_FRACTION)))  # < size, as size >= 2
         holdout_idx.extend(members[:n_hold])
         train_idx.extend(members[n_hold:])
     return np.sort(np.asarray(train_idx)), np.sort(np.asarray(holdout_idx))
@@ -152,6 +152,17 @@ def _predict_classes(net: nn.Network, inputs: np.ndarray, batch_size: int = 32) 
     return np.concatenate(preds)
 
 
+def training_labels(dataset: Sequence[LabeledWindow]) -> np.ndarray:
+    """Each window's class index; raises ``ValueError`` unless every class
+    has the two windows a stratified split needs."""
+    labels = np.asarray([int(item.label) for item in dataset], dtype=np.int64)
+    counts = np.bincount(labels, minlength=NUM_CLASSES)
+    missing = [ActionClass(i).name for i in range(NUM_CLASSES) if counts[i] < 2]
+    if missing:
+        raise ValueError(f"need >= 2 examples per class, deficient: {', '.join(missing)}")
+    return labels
+
+
 def train(
     dataset: Sequence[LabeledWindow],
     config: TorqueNetConfig = TorqueNetConfig(),
@@ -162,12 +173,7 @@ def train(
     statistics come from the training split only, and the whole run is
     deterministic for a fixed seed.
     """
-    labels = np.asarray([int(item.label) for item in dataset], dtype=np.int64)
-    counts = np.bincount(labels, minlength=NUM_CLASSES)
-    missing = [ActionClass(i).name for i in range(NUM_CLASSES) if counts[i] < 2]
-    if missing:
-        raise ValueError(f"need >= 2 examples per class, deficient: {', '.join(missing)}")
-
+    labels = training_labels(dataset)
     rng = np.random.default_rng(config.seed)
     train_idx, holdout_idx = _stratified_split(labels, rng)
 
@@ -200,8 +206,7 @@ def train(
     wall = time.perf_counter() - started
 
     confusion = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
-    for true, pred in zip(y_hold, hold_pred):
-        confusion[true, pred] += 1
+    np.add.at(confusion, (y_hold, hold_pred), 1)
     report = TrainingReport(
         epoch_losses=epoch_losses,
         epoch_train_accuracy=epoch_train_acc,
@@ -230,33 +235,21 @@ def classify_windows(
 ) -> list[ActionScores]:
     """Batched classify_window; equal to it up to rounding.
 
-    The frozen network's layers before the pooling see +-R samples. So in
-    a flat window, a position at least R samples from both ends of its
-    joint's segment has the feature that joint's whole series has there.
-    Consecutive windows that slice one stream form a run: each joint's
-    series of the run goes through those layers once, and each window
-    recomputes only the positions within R of a joint seam or a window
-    end. When 2R >= W, the window's 40 samples, the bands cover whole
-    segments, and the windows take the flat forward.
+    The frozen network's layers before the pooling see +-R samples, R =
+    BLOCKS * (KERNEL_SIZE // 2) = 3. So in a flat window, a position at
+    least R samples from both ends of its joint's segment has the feature
+    that joint's whole series has there. Consecutive windows that slice
+    one stream form a run: each joint's series of the run goes through
+    those layers once, and each window recomputes only the positions
+    within R of a joint seam or a window end.
     """
     if not windows:
         return []
-    frozen = net.frozen()
-    layers = frozen.layers
-    cut = next((i for i, layer in enumerate(layers) if isinstance(layer, nn.GlobalAvgPool1D)), None)
-    reach = None if cut is None else sum(_half_width(layer) for layer in layers[:cut])
-    if reach is None or 2 * reach >= WINDOW_SAMPLES:
-        logits = frozen.forward(np.stack([normalize_input(w, stats) for w in windows]))
-    else:
-        logits = _run_logits(layers, cut, stats, windows)
+    logits = _run_logits(net.frozen().layers, stats, windows)
     return ActionScores.from_probability_rows(nn.softmax(logits))
 
 
 _SEAMS = NUM_JOINTS + 1  # the joint boundaries of a flat window, its two ends included
-
-
-def _half_width(layer: nn.Layer) -> int:
-    return (layer.kernel_size - 1) // 2 if isinstance(layer, nn.Conv1D) else 0
 
 
 def _overlap_shift(prev: TorqueWindow, cur: TorqueWindow) -> int:
@@ -288,15 +281,13 @@ def _find_runs(windows: Sequence[TorqueWindow]) -> list[tuple[int, int, int]]:
 
 
 def _run_logits(
-    layers: list[nn.Layer],
-    cut: int,
-    stats: NormalizationStats,
-    windows: Sequence[TorqueWindow],
+    layers: list[nn.Layer], stats: NormalizationStats, windows: Sequence[TorqueWindow]
 ) -> np.ndarray:
-    """Logits of ``windows`` from per-run joint series plus seam bands.
+    """Logits of ``windows`` from the preset's frozen ``layers``, using
+    per-run joint series plus seam bands.
 
-    ``layers[:cut]`` are position-local and see R samples either side,
-    with 2R < W; ``layers[cut]`` pools and the rest is the head.
+    ``layers[:-2]`` are position-local and see R samples either side,
+    with 2R < W; ``layers[-2]`` pools and ``layers[-1]`` is the head.
 
     Every layer runs once over a tape of columns: first every joint series
     of every run end to end, then one context per (window, seam). A context
@@ -326,8 +317,8 @@ def _run_logits(
         """Column of the band value d positions past a context's seam, -r <= d < r."""
         return size + context * width + start + r + d
 
-    for layer in layers[:cut]:
-        p = _half_width(layer)
+    for layer in layers[:-2]:
+        p = KERNEL_SIZE // 2 if isinstance(layer, nn.Conv1D) else 0
         if p:
             d = np.arange(-r - 2 * p, r + 2 * p)
             cols = np.where(d < -r, before + w + d, np.where(d < r, band(contexts, d), after + d))
@@ -346,9 +337,7 @@ def _run_logits(
     cols = np.where((u < r) | (u >= w - r), band(seams, np.where(u < r, u, u - w)), base + u)
     flat = np.take(tape, cols.ravel(), axis=1).reshape(len(tape), n_windows, FLAT_SIZE)
     pooled = np.ascontiguousarray(flat.mean(axis=-1).T)
-    for layer in layers[cut + 1:]:
-        pooled = layer.forward(pooled)
-    return pooled
+    return layers[-1].forward(pooled)
 
 
 def torque_vote(scores: ActionScores) -> bool:
@@ -364,8 +353,7 @@ def evaluate(
     labels = np.asarray([int(item.label) for item in dataset], dtype=np.int64)
     preds = _predict_classes(net, inputs)
     confusion = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
-    for true, pred in zip(labels, preds):
-        confusion[true, pred] += 1
+    np.add.at(confusion, (labels, preds), 1)
     return float(np.mean(preds == labels)), confusion
 
 
@@ -383,15 +371,17 @@ def save_model(path: str | Path, net: nn.Network, stats: NormalizationStats) -> 
 
 
 def load_model(path: str | Path) -> tuple[nn.Network, NormalizationStats]:
+    """The saved network and statistics; any network but the preset is a ``ValueError``."""
     doc = json_object(json.loads(Path(path).read_text(encoding="utf-8")))
     if doc.get("format") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format {doc.get('format')!r}")
-    return nn.network_from_json(doc["network"]), NormalizationStats.from_json_dict(doc["normalization"])
+    net = nn.network_from_json(doc["network"])
+    if _architecture(net) != _architecture(build_network()):
+        raise ValueError(f"model network is not the preset ({BLOCKS} blocks, {FILTERS} filters, kernel {KERNEL_SIZE})")
+    return net, NormalizationStats.from_json_dict(doc["normalization"])
 
 
 def write_dataset_jsonl(path: str | Path, items: Iterable[LabeledWindow]) -> int:
-    from .core import dumps_canonical
-
     n = 0
     with Path(path).open("w", encoding="utf-8") as fh:
         for item in items:

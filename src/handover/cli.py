@@ -17,6 +17,7 @@ from .classifier import (
     read_dataset_jsonl,
     save_model,
     train,
+    training_labels,
     write_dataset_jsonl,
 )
 from .core import ActionClass, json_object
@@ -36,7 +37,7 @@ def _reading(what: str) -> Iterator[None]:
     """Re-raise what reading or checking an input raises as ``BadInput``."""
     try:
         yield
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise BadInput(f"{what}: {reason}") from exc
 
@@ -62,6 +63,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     with _reading("invalid training input"):
         dataset = read_dataset_jsonl(args.dataset)
+        training_labels(dataset)
         config = TorqueNetConfig(
             seed=args.seed,
             epochs=args.epochs,
@@ -85,6 +87,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     with _reading("invalid evaluation input"):
         net, stats = load_model(args.model)
         dataset = read_dataset_jsonl(args.dataset)
+        if not dataset:
+            raise ValueError(f"{args.dataset} holds no windows")
     accuracy, confusion = evaluate(net, stats, dataset)
     print(render_confusion(confusion))
     print(f"accuracy: {accuracy:.4f} over {len(dataset)} windows")

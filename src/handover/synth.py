@@ -39,12 +39,6 @@ EPISODE_FRAMES = 90
 Seed = int | np.random.SeedSequence | np.random.Generator
 
 
-def _rng_from(seed: Seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 class ProfileShape(Enum):
     STEP = "step"
     RAMP = "ramp"
@@ -182,7 +176,7 @@ def generate_window(
     start_time: int = 0,
 ) -> LabeledWindow:
     """One labeled training window; deterministic for a fixed seed."""
-    rng = _rng_from(seed)
+    rng = np.random.default_rng(seed)
     profile = model.profiles.get(ActionClass(action))
     if profile is None:
         raise ValueError(f"signature model has no profile for {action!r}")
@@ -355,7 +349,7 @@ def generate_scenario(
     1.8-2.0 s, sustained to the end). Deterministic per seed.
     """
     action = ActionClass(action)
-    rng = _rng_from(seed)
+    rng = np.random.default_rng(seed)
 
     # fault draws happen first, in a fixed order, so the stream layout is
     # identical whether or not a fault fires

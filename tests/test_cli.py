@@ -1,9 +1,15 @@
 import json
-from pathlib import Path
 
+import numpy as np
 import pytest
 
-from handover.classifier import MODEL_FORMAT_VERSION, save_model, write_dataset_jsonl
+from handover.classifier import (
+    MODEL_FORMAT_VERSION,
+    NormalizationStats,
+    build_network,
+    save_model,
+    write_dataset_jsonl,
+)
 from handover.cli import main
 from handover.synth import default_signature_model, generate_dataset
 
@@ -17,6 +23,34 @@ def saved_model(small_model, tmp_path_factory):
     path = tmp_path_factory.mktemp("model") / "model.json"
     save_model(path, net, stats)
     return path
+
+
+@pytest.fixture(scope="module")
+def inputs(saved_model, tmp_path_factory):
+    """Named input files, each good or bad in one way."""
+    root = tmp_path_factory.mktemp("inputs")
+    names = ("absent", "not_json", "data", "network_list", "empty", "deficient", "huge_data",
+             "huge_model", "non_preset")
+    files = {name: root / f"{name}.json" for name in names}
+    files["model"] = saved_model
+    files["not_json"].write_text("not json\n")
+    write_dataset_jsonl(files["data"], generate_dataset(default_signature_model(), per_class_count=2))
+    files["network_list"].write_text(NETWORK_LIST_MODEL)
+    files["empty"].write_text("")
+    lines = files["data"].read_text().splitlines(keepends=True)
+    files["deficient"].write_text("".join(lines[:4]))  # two classes, two windows each
+    # an integer beyond float range, as a torque sample and as a mean
+    doc = json.loads(lines[0])
+    doc["window"]["samples"][0][0] = 10**400
+    files["huge_data"].write_text(json.dumps(doc) + "\n" + "".join(lines[1:]))
+    doc = json.loads(saved_model.read_text())
+    doc["normalization"]["mean"][0] = 10**400
+    files["huge_model"].write_text(json.dumps(doc))
+    # a network without the preset's first block
+    net = build_network()
+    net.layers = net.layers[3:]
+    save_model(files["non_preset"], net, NormalizationStats(mean=np.zeros(7), std=np.ones(7)))
+    return files
 
 
 class TestSynthTrainEval:
@@ -224,6 +258,36 @@ class TestSimulateRejectsBadConfig:
         assert "Traceback" not in captured.err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("name, reason", [
+        ("non_preset", "preset"),
+        ("huge_model", "too large"),
+    ])
+    def test_rejected_model_file_is_reported(
+        self, refuse_training, inputs, tmp_path, capsys, name, reason
+    ):
+        out_dir = tmp_path / "sim"
+        code = main(["simulate", "--model", str(inputs[name]), "--trials", "1", "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"cannot load model {inputs[name]}" in captured.err
+        assert reason in captured.err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("text", [
+        '{"seed": 1e400}',
+        '{"sync": {"pairing_window_ms": 1e400, "debounce_frames": 3}}',
+    ], ids=["seed", "pairing-window"])
+    def test_number_beyond_range_is_reported(self, refuse_training, tmp_path, capsys, text):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        out_dir = tmp_path / "sim"
+        code = main(["simulate", "--config", str(config_path), "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "invalid experiment config" in captured.err
+        assert "Traceback" not in captured.err
+        assert not out_dir.exists()
+
     def test_missing_config_file_is_reported(self, refuse_training, tmp_path, capsys):
         out_dir = tmp_path / "sim"
         code = main(["simulate", "--config", str(tmp_path / "absent.json"), "--out-dir", str(out_dir)])
@@ -243,24 +307,30 @@ class TestSynthTrainEvalRejectBadInput:
         ["train", "--dataset", "{absent}", "--out", "{out}"],
         ["train", "--dataset", "{not_json}", "--out", "{out}"],
         ["train", "--dataset", "{data}", "--epochs", "0", "--out", "{out}"],
+        ["train", "--dataset", "{huge_data}", "--out", "{out}"],
+        ["train", "--dataset", "{empty}", "--out", "{out}"],
+        ["train", "--dataset", "{deficient}", "--out", "{out}"],
         ["eval", "--model", "{network_list}", "--dataset", "{data}", "--report", "{out}"],
         ["eval", "--model", "{absent}", "--dataset", "{data}", "--report", "{out}"],
         ["eval", "--model", "{model}", "--dataset", "{absent}", "--report", "{out}"],
+        ["eval", "--model", "{huge_model}", "--dataset", "{data}", "--report", "{out}"],
+        ["eval", "--model", "{non_preset}", "--dataset", "{data}", "--report", "{out}"],
+        ["eval", "--model", "{model}", "--dataset", "{huge_data}", "--report", "{out}"],
+        ["eval", "--model", "{model}", "--dataset", "{empty}", "--report", "{out}"],
     ], ids=[
         "synth-per-class", "synth-noise", "train-missing-dataset", "train-not-json", "train-epochs",
+        "train-huge-sample", "train-empty", "train-deficient",
         "eval-network-list", "eval-missing-model", "eval-missing-dataset",
+        "eval-huge-mean", "eval-non-preset", "eval-huge-sample", "eval-empty",
     ])
-    def test_bad_input_is_reported(self, saved_model, tmp_path, capsys, argv):
-        files = {name: tmp_path / f"{name}.json" for name in ("out", "absent", "not_json", "data", "network_list")}
-        files["not_json"].write_text("not json\n")
-        write_dataset_jsonl(files["data"], generate_dataset(default_signature_model(), per_class_count=2))
-        files["network_list"].write_text(NETWORK_LIST_MODEL)
-        code = main([arg.format(model=saved_model, **files) for arg in argv])
+    def test_bad_input_is_reported(self, inputs, tmp_path, capsys, argv):
+        out = tmp_path / "out.json"
+        code = main([arg.format(out=out, **inputs) for arg in argv])
         captured = capsys.readouterr()
         assert code == 2
         assert "Traceback" not in captured.err
         assert len(captured.err.splitlines()) == 1
-        assert not files["out"].exists()
+        assert not out.exists()
 
 
 HEADER = {"type": "header", "pipeline": "fused", "action": 4, "faults": [],
@@ -284,7 +354,9 @@ class TestReplay:
         (json.dumps(HEADER) + "\n" + json.dumps({"t": 5}) + "\n" + json.dumps(SUMMARY) + "\n",
          "line 2 is not a JSON object with a type"),
         (json.dumps(HEADER) + "\n[5]\n" + json.dumps(SUMMARY) + "\n", "line 2 is not a JSON object with a type"),
-    ], ids=["missing", "not-json", "no-header", "no-type", "not-object"])
+        (json.dumps(HEADER).replace('"debounce_frames": 3', '"debounce_frames": 1e400') + "\n"
+         + json.dumps(SUMMARY) + "\n", "infinity"),
+    ], ids=["missing", "not-json", "no-header", "no-type", "not-object", "huge-number"])
     def test_bad_log_is_reported_apart_from_a_mismatch(self, tmp_path, capsys, text, reason):
         log = tmp_path / "episode.jsonl"
         if text is not None:

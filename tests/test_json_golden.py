@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from handover import fusion, nn_kernel as nn
-from handover.classifier import LabeledWindow, NormalizationStats, TrainingReport, load_model, save_model
+from handover.classifier import (
+    LabeledWindow,
+    NormalizationStats,
+    TrainingReport,
+    build_network,
+    load_model,
+    save_model,
+)
 from handover.core import (
     ActionClass,
     ActionScores,
@@ -197,8 +204,12 @@ def test_model_file_text_is_pinned(tmp_path):
     path = tmp_path / "model.json"
     save_model(path, NETWORK, stats)
     assert path.read_text(encoding="utf-8") == MODEL_TEXT
+    with pytest.raises(ValueError, match="preset"):
+        load_model(path)  # a model file holds the classifier's preset network only
+    save_model(path, build_network(), stats)
+    text = path.read_text(encoding="utf-8")
     save_model(tmp_path / "again.json", *load_model(path))
-    assert (tmp_path / "again.json").read_text(encoding="utf-8") == MODEL_TEXT
+    assert (tmp_path / "again.json").read_text(encoding="utf-8") == text
 
 
 # One hand-built episode for every pipeline: torque votes at 125, 375 and

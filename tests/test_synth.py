@@ -317,7 +317,7 @@ def reference_scenario(action, profile, seed):
     Returns the script and the ``DetectionFrame`` objects it was built from,
     so the generated frames can be compared with objects made one by one."""
     action = ActionClass(action)
-    rng = synth._rng_from(seed)
+    rng = np.random.default_rng(seed)
 
     r_misread, r_dropout, r_spurious = rng.random(3)
     misread = r_misread < profile.torque_misread.get(action, 0.0) and action in synth.MISREAD_TARGET
