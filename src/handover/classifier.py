@@ -318,7 +318,7 @@ def _run_logits(
         return size + context * width + start + r + d
 
     for layer in layers[:-2]:
-        p = KERNEL_SIZE // 2 if isinstance(layer, nn.Conv1D) else 0
+        p = layer.kernel_size // 2 if isinstance(layer, nn.Conv1D) else 0
         if p:
             d = np.arange(-r - 2 * p, r + 2 * p)
             cols = np.where(d < -r, before + w + d, np.where(d < r, band(contexts, d), after + d))

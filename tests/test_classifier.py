@@ -38,7 +38,7 @@ from handover.synth import (
     generate_dataset,
     generate_window,
 )
-from test_json_golden import MODEL_TEXT
+from test_json_golden import GOLDEN
 
 JSON_VALUES = st.recursive(
     # integers from 2**1024 up overflow a float64
@@ -49,11 +49,11 @@ JSON_VALUES = st.recursive(
 
 
 @st.composite
-def damaged_model_docs(draw):
-    """The save file of a hand-built network with one value, at any depth,
-    replaced by any JSON value, or one key deleted. Each step down is a
-    coin flip, so the top-level keys are damaged about half the time."""
-    doc = json.loads(MODEL_TEXT)
+def damaged_model_docs(draw, text):
+    """The model file ``text`` with one value, at any depth, replaced by any
+    JSON value, or one key deleted. Each step down is a coin flip, so the
+    top-level keys are damaged about half the time."""
+    doc = json.loads(text)
     parent, key, node = None, None, doc
     while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
         parent = node
@@ -69,6 +69,14 @@ def damaged_model_docs(draw):
 @pytest.fixture(scope="module")
 def damaged_file(tmp_path_factory):
     return tmp_path_factory.mktemp("damaged") / "model.json"
+
+
+@pytest.fixture(scope="module")
+def preset_model_text(tmp_path_factory):
+    """The save file of the preset network with the golden input statistics."""
+    path = tmp_path_factory.mktemp("preset") / "model.json"
+    save_model(path, build_network(), GOLDEN["NormalizationStats"][0])
+    return path.read_text(encoding="utf-8")
 
 
 def trained_arrays(net):
@@ -455,10 +463,19 @@ class TestModelAndDatasetFiles:
         with pytest.raises(ValueError, match="positive"):
             load_model(self.corrupt_model(small_model, tmp_path, edit))
 
+    @pytest.mark.parametrize("field", ["mean", "std"])
+    def test_load_reports_a_number_beyond_float_range(self, small_model, tmp_path, field):
+        def edit(doc):
+            doc["normalization"][field][0] = 10**400
+
+        with pytest.raises(OverflowError):
+            load_model(self.corrupt_model(small_model, tmp_path, edit))
+
     @settings(max_examples=300, deadline=None)
-    @given(doc=damaged_model_docs())
-    def test_damaged_file_loads_or_raises_a_reported_error(self, damaged_file, doc):
+    @given(data=st.data())
+    def test_damaged_file_loads_or_raises_a_reported_error(self, damaged_file, preset_model_text, data):
         # simulate and eval report these five as a bad model file (exit 2)
+        doc = data.draw(damaged_model_docs(preset_model_text))
         damaged_file.write_text(json.dumps(doc), encoding="utf-8")
         try:
             load_model(damaged_file)
