@@ -2,24 +2,28 @@
 
 Makes one mutant per site in ``fusion.py``, ``vision_gate.py``,
 ``harness.py``, ``core.py`` (the domain types' checks), ``synth.py``
-(the fault draws) and ``classifier.py`` (the training split, the seam
-bands, the model-file checks): each compare boundary swapped (``<`` and
+(the fault draws) and ``classifier.py`` (the training split, the run
+plans, the model-file checks): each compare boundary swapped (``<`` and
 ``<=``, ``>`` and ``>=``), each ``and``/``or`` swapped, and each ``not``
-dropped. Every
-mutant is written into a scratch copy of ``src/``, ``tests/`` and
-``pyproject.toml`` and the tests of those modules run against it; a mutant
-they still pass on survives. One line is printed per mutant, then the
+dropped. Every mutant is written into a scratch copy of ``src/``,
+``tests/`` and ``pyproject.toml`` and the tests of those modules run
+against it; a mutant they still pass on survives. One line is printed per mutant, then the
 survivors. The unmutated copy must pass first.
 
 Run from anywhere (about 10-15 s per mutant on a 2-core machine):
 
     python3 scripts/mutation_sweep.py
+    python3 scripts/mutation_sweep.py --targets classifier.py
+
+``--targets`` names the module files under ``src/handover/`` to mutate,
+in order; the default is the six above.
 
 The line numbers refer to the checked-in sources. The file name does not
 match ``test_*.py``, so pytest does not collect this script.
 """
 from __future__ import annotations
 
+import argparse
 import ast
 import os
 import shutil
@@ -106,7 +110,19 @@ def tests_pass(copy: Path) -> bool:
     return done.returncode == 0
 
 
-def main() -> int:
+def parse_args(argv: list[str] | None) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(description="Mutation sweep of the decision path.")
+    parser.add_argument("--targets", nargs="+", default=TARGETS, metavar="MODULE",
+                        help="module files under src/handover/ to mutate (default: %(default)s)")
+    args = parser.parse_args(argv)
+    missing = [name for name in args.targets if not (ROOT / "src" / "handover" / name).is_file()]
+    if missing:
+        parser.error(f"no such module under src/handover/: {', '.join(missing)}")
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    targets = parse_args(argv).targets
     survivors: list[str] = []
     with tempfile.TemporaryDirectory(prefix="mutation_sweep_") as tmp:
         copy = Path(tmp)
@@ -114,7 +130,7 @@ def main() -> int:
         shutil.copytree(ROOT / "src", copy / "src", ignore=ignore)
         shutil.copytree(ROOT / "tests", copy / "tests", ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", copy / "pyproject.toml")
-        for name in TARGETS:
+        for name in targets:
             path = copy / "src" / "handover" / name
             source = path.read_text(encoding="utf-8")
             unmutated, counter = mutate(source, -1)

@@ -5,17 +5,20 @@ signal and stacks three identical conv blocks (conv -> batch norm -> ReLU,
 64 filters, kernel 3), global average pooling, and a dense 64 -> 6 head.
 Inputs are standardized per joint with statistics from the training split.
 
-``classify_windows`` runs sliding windows of one stream as a run: each
+``classify_windows`` scores sliding windows of one stream as a run: each
 joint's series goes through the convolutions once, and each window
-recomputes only the positions near its joint seams.
+recomputes only the positions near its joint-segment ends. A cached plan
+per run geometry holds the index arrays that gather each conv's im2col
+matrix and the 0/1 matrix that pools each window.
 """
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,6 +61,8 @@ class TorqueNetConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch size must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning rate must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -235,21 +240,19 @@ def classify_windows(
 ) -> list[ActionScores]:
     """Batched classify_window; equal to it up to rounding.
 
-    The frozen network's layers before the pooling see +-R samples, R =
-    BLOCKS * (KERNEL_SIZE // 2) = 3. So in a flat window, a position at
-    least R samples from both ends of its joint's segment has the feature
-    that joint's whole series has there. Consecutive windows that slice
-    one stream form a run: each joint's series of the run goes through
-    those layers once, and each window recomputes only the positions
-    within R of a joint seam or a window end.
+    After r convs the frozen network sees +-r samples (one per conv of
+    kernel 3). So in a flat window, a position at least r samples from
+    both ends of its joint's segment has the feature that joint's whole
+    series has there. Consecutive windows that slice one stream form a
+    run: each conv computes the run's joint series once, plus, per window,
+    only the band of positions within r of its 14 joint-segment ends. The
+    gathers and the pooling come from ``_run_plan``, cached per run
+    geometry; a lone window is a run of one.
     """
     if not windows:
         return []
     logits = _run_logits(net.frozen().layers, stats, windows)
     return ActionScores.from_probability_rows(nn.softmax(logits))
-
-
-_SEAMS = NUM_JOINTS + 1  # the joint boundaries of a flat window, its two ends included
 
 
 def _overlap_shift(prev: TorqueWindow, cur: TorqueWindow) -> int:
@@ -280,64 +283,91 @@ def _find_runs(windows: Sequence[TorqueWindow]) -> list[tuple[int, int, int]]:
     return runs
 
 
+# the most windows one plan scores: its pooling matrix grows with the
+# square of its windows, so a longer run is scored in pieces
+_PLAN_WINDOWS = 32
+
+
+class _RunPlan(NamedTuple):
+    """How to score one run; every array is read-only.
+
+    A layer's output is a (channels, columns + 1) matrix: the run's joint
+    series end to end, then the layer's band of each window in window and
+    flat order, then one zero column that stands for same padding.
+    """
+
+    gathers: tuple[np.ndarray, ...]  # per conv, (KERNEL_SIZE, outputs): its input's columns per tap
+    pool: np.ndarray  # (windows, last conv's columns + 1): 1 where a window reads a column
+
+
+def _tap_columns(rows: np.ndarray, positions: np.ndarray, zero: int) -> np.ndarray:
+    """The (KERNEL_SIZE, rows * positions) columns that each tap of the
+    outputs at ``positions`` of each row of ``rows`` reads; a tap past
+    either end of its row reads ``zero``."""
+    p = KERNEL_SIZE // 2
+    padded = np.pad(rows, ((0, 0), (p, p)), constant_values=zero)
+    taps = positions + np.arange(KERNEL_SIZE)[:, None]
+    return padded[:, taps].transpose(1, 0, 2).reshape(KERNEL_SIZE, -1)
+
+
+@functools.lru_cache(maxsize=8)
+def _run_plan(count: int, step: int) -> _RunPlan:
+    """The plan for ``count`` windows that slice one stream ``step`` samples apart."""
+    w, p = WINDOW_SAMPLES, KERNEL_SIZE // 2
+    length = w + (count - 1) * step
+    n_series = NUM_JOINTS * length
+    series = np.arange(n_series).reshape(NUM_JOINTS, length)
+    u = np.arange(FLAT_SIZE)
+    offset = u % w
+    # the column of each window's flat positions: a series value for now
+    cols = u // w * length + offset + step * np.arange(count)[:, None]
+    zero = n_series
+    gathers = []
+    for r in range(p, BLOCKS * p + 1, p):  # the reach after this conv
+        band = (offset < r) | (offset >= w - r)
+        # a series output reads its joint's series, a band output its window
+        gathers.append(np.concatenate(
+            [_tap_columns(series, np.arange(length), zero), _tap_columns(cols, u[band], zero)], axis=1
+        ))
+        n_band = int(band.sum())
+        cols = np.where(band, n_series + np.arange(count)[:, None] * n_band + np.cumsum(band) - 1, cols)
+        zero = n_series + count * n_band
+    pool = np.zeros((count, zero + 1))
+    np.put_along_axis(pool, cols, 1.0, axis=1)
+    for array in (*gathers, pool):
+        array.flags.writeable = False
+    return _RunPlan(tuple(gathers), pool)
+
+
 def _run_logits(
     layers: list[nn.Layer], stats: NormalizationStats, windows: Sequence[TorqueWindow]
 ) -> np.ndarray:
-    """Logits of ``windows`` from the preset's frozen ``layers``, using
-    per-run joint series plus seam bands.
-
-    ``layers[:-2]`` are position-local and see R samples either side,
-    with 2R < W; ``layers[-2]`` pools and ``layers[-1]`` is the head.
-
-    Every layer runs once over a tape of columns: first every joint series
-    of every run end to end, then one context per (window, seam). A context
-    holds the band of positions within r of the seam, r growing to R, with
-    series values either side for the layer's reach; the layer's outputs
-    that read across a junction of the tape are never used.
-    """
-    w, n_windows = WINDOW_SAMPLES, len(windows)
-    parts, bases, size = [], [], 0
-    for first, count, step in _find_runs(windows):
-        run = windows[first:first + count]
+    """Logits of ``windows`` from the preset's frozen ``layers``: conv and
+    ReLU pairs, then the pooling and the head. Per run of at most
+    ``_PLAN_WINDOWS`` windows, each conv is one gather, one GEMM with the
+    bias and an in-place ReLU; the pooling is one GEMM with the plan's 0/1
+    matrix."""
+    w = WINDOW_SAMPLES
+    pieces = [
+        (windows[start:min(start + _PLAN_WINDOWS, first + count)], step)
+        for first, count, step in _find_runs(windows)
+        for start in range(first, first + count, _PLAN_WINDOWS)
+    ]
+    pooled = []
+    for run, step in pieces:
+        plan = _run_plan(len(run), step)
         stream = np.concatenate([run[0].samples] + [x.samples[:, w - step:] for x in run[1:]], axis=1)
-        z = (stream - stats.mean[:, None]) / stats.std[:, None]
-        parts.append(z.ravel())
-        bases.append(size + np.arange(NUM_JOINTS) * z.shape[1] + np.arange(count)[:, None] * step)
-        size += z.size
-    tape = np.concatenate(parts)[None]  # (channels, columns)
-    base = np.concatenate(bases)[..., None]  # (windows, joints, 1): column of each segment's start
-    # the segment before and after each seam; the window ends get a dummy
-    # segment whose values are replaced by same padding's zeros
-    before = np.concatenate([base[:, :1], base], axis=1)
-    after = np.concatenate([base, base[:, -1:]], axis=1)
-    contexts = np.arange(n_windows * _SEAMS).reshape(n_windows, _SEAMS, 1)
-    width = start = r = 0
-
-    def band(context: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Column of the band value d positions past a context's seam, -r <= d < r."""
-        return size + context * width + start + r + d
-
-    for layer in layers[:-2]:
-        p = layer.kernel_size // 2 if isinstance(layer, nn.Conv1D) else 0
-        if p:
-            d = np.arange(-r - 2 * p, r + 2 * p)
-            cols = np.where(d < -r, before + w + d, np.where(d < r, band(contexts, d), after + d))
-            tape = np.take(tape, np.concatenate([np.arange(size), cols.ravel()]), axis=1)
-            context = tape[:, size:].reshape(len(tape), n_windows, _SEAMS, d.size)
-            context[:, :, 0, d < 0] = 0.0  # same padding before the window
-            context[:, :, -1, d >= 0] = 0.0  # and after it
-            width, start = d.size, p
-            r += p
-        tape = layer.forward(tape[None])[0]
-
-    # the tape column of each window's flat positions, in flat order, so
-    # the pooling averages the values the flat network would in its order
-    u = np.arange(w)
-    seams = contexts[:, :NUM_JOINTS] + (u >= w - r)
-    cols = np.where((u < r) | (u >= w - r), band(seams, np.where(u < r, u, u - w)), base + u)
-    flat = np.take(tape, cols.ravel(), axis=1).reshape(len(tape), n_windows, FLAT_SIZE)
-    pooled = np.ascontiguousarray(flat.mean(axis=-1).T)
-    return layers[-1].forward(pooled)
+        x = np.zeros((1, stream.size + 1))
+        x[0, :-1] = ((stream - stats.mean[:, None]) / stats.std[:, None]).ravel()
+        for conv, gather in zip(layers[:-2:2], plan.gathers):
+            y = np.empty((conv.out_channels, gather.shape[1] + 1))
+            y[:, -1] = 0.0
+            # the gathered matrix dies right after its GEMM: while two were
+            # alive, malloc returned and re-faulted ~1,400 pages per call
+            conv.gemm(np.take(x, gather, axis=1).reshape(-1, gather.shape[1]), out=y[:, :-1])
+            x = np.maximum(y, 0.0, out=y)
+        pooled.append(plan.pool @ x.T)
+    return layers[-1].forward(np.concatenate(pooled) / FLAT_SIZE)
 
 
 def torque_vote(scores: ActionScores) -> bool:

@@ -200,12 +200,17 @@ class Conv1D(Layer):
             cols[:, j, :, :lo] = 0.0
             cols[:, j, :, hi:] = 0.0
             cols[:, j, :, lo:hi] = xc[:, :, lo + j - p:hi + j - p]
-        cols = cols.reshape(channels * k, batch * length)
-        out = self.weight.reshape(self.out_channels, channels * k) @ cols
-        out += self.bias[:, None]
+        out = self.gemm(cols.reshape(channels * k, batch * length))
         if training:
             self._x = xc
         return out.reshape(self.out_channels, batch, length).transpose(1, 0, 2)
+
+    def gemm(self, cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``weight @ cols + bias`` for an im2col matrix whose rows are in
+        (channel, tap) order, written into ``out`` when one is given."""
+        out = np.matmul(self.weight.reshape(self.out_channels, -1), cols, out=out)
+        out += self.bias[:, None]
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._x is None:
@@ -492,8 +497,8 @@ class MomentumSGD:
     """Heavy-ball SGD; momentum 0 reduces to the plain step."""
 
     def __init__(self, net: Network, learning_rate: float, momentum: float = 0.9) -> None:
-        if learning_rate <= 0.0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < learning_rate < np.inf:
+            raise ValueError("learning rate must be positive and finite")
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         self.net = net

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from handover.classifier import (
     _find_runs,
+    _run_plan,
     LabeledWindow,
     NormalizationStats,
     TorqueNetConfig,
@@ -125,6 +126,10 @@ class TestBuildNetwork:
     @pytest.mark.parametrize("bad", [
         pytest.param(dict(epochs=0), id="bad4"),
         pytest.param(dict(batch_size=0), id="batch-size-0"),
+        pytest.param(dict(learning_rate=0.0), id="learning-rate-0"),
+        pytest.param(dict(learning_rate=-1.0), id="learning-rate-negative"),
+        pytest.param(dict(learning_rate=float("nan")), id="learning-rate-nan"),
+        pytest.param(dict(learning_rate=float("inf")), id="learning-rate-inf"),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -357,6 +362,41 @@ class TestClassifyWindowsRuns:
         net, stats = random_model(5)
         windows = sliding_windows(5, 80, 40)
         assert _find_runs(windows) == [(0, 1, 0), (1, 1, 0)]
+        assert_matches_single(net, stats, windows)
+
+
+class TestRunPlan:
+    """The cached plan of a run geometry: its column counts, no computed
+    band column left unread, and runs of different geometries in one call."""
+
+    def test_conv_columns_of_an_episode(self):
+        # 7 joint series of 120 samples, then 14 segment-end positions per
+        # window for each conv so far
+        plan = _run_plan(17, 5)
+        assert [gather.shape for gather in plan.gathers] == [(3, 1078), (3, 1316), (3, 1554)]
+        assert plan.pool.shape == (17, 1555)
+
+    @pytest.mark.parametrize("count, step", [(17, 5), (1, 0), (2, 39), (30, 1)])
+    def test_every_computed_band_column_is_read(self, count, step):
+        plan = _run_plan(count, step)
+        n_series = 7 * (40 + (count - 1) * step)
+        readers = [*plan.gathers[1:], np.flatnonzero(plan.pool.any(axis=0))]
+        for gather, read in zip(plan.gathers, readers):
+            assert np.isin(np.arange(n_series, gather.shape[1]), read).all()
+        assert np.array_equal(plan.pool.sum(axis=1), np.full(count, 280.0))
+        assert not any(array.flags.writeable for array in (*plan.gathers, plan.pool))
+
+    def test_two_runs_of_different_steps_and_a_lone_window(self):
+        net, stats = random_model(11)
+        windows = (sliding_windows(11, 60, 5) + sliding_windows(12, 70, 3, t0=10**5)
+                   + sliding_windows(13, 40, 1, t0=2 * 10**5))
+        assert _find_runs(windows) == [(0, 5, 5), (5, 11, 3), (16, 1, 0)]
+        assert_matches_single(net, stats, windows)
+
+    def test_a_run_longer_than_one_plan(self):
+        net, stats = random_model(12)
+        windows = sliding_windows(12, 120, 1)  # 81 windows: plans of 32, 32 and 17
+        assert _find_runs(windows) == [(0, 81, 1)]
         assert_matches_single(net, stats, windows)
 
 

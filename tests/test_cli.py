@@ -307,6 +307,9 @@ class TestSynthTrainEvalRejectBadInput:
         ["train", "--dataset", "{absent}", "--out", "{out}"],
         ["train", "--dataset", "{not_json}", "--out", "{out}"],
         ["train", "--dataset", "{data}", "--epochs", "0", "--out", "{out}"],
+        ["train", "--dataset", "{data}", "--learning-rate", "0", "--out", "{out}"],
+        ["train", "--dataset", "{data}", "--learning-rate", "-1", "--out", "{out}"],
+        ["train", "--dataset", "{data}", "--learning-rate", "nan", "--out", "{out}"],
         ["train", "--dataset", "{huge_data}", "--out", "{out}"],
         ["train", "--dataset", "{empty}", "--out", "{out}"],
         ["train", "--dataset", "{deficient}", "--out", "{out}"],
@@ -319,6 +322,7 @@ class TestSynthTrainEvalRejectBadInput:
         ["eval", "--model", "{model}", "--dataset", "{empty}", "--report", "{out}"],
     ], ids=[
         "synth-per-class", "synth-noise", "train-missing-dataset", "train-not-json", "train-epochs",
+        "train-learning-rate-0", "train-learning-rate-negative", "train-learning-rate-nan",
         "train-huge-sample", "train-empty", "train-deficient",
         "eval-network-list", "eval-missing-model", "eval-missing-dataset",
         "eval-huge-mean", "eval-non-preset", "eval-huge-sample", "eval-empty",

@@ -267,6 +267,12 @@ class TestOptimizers:
         with pytest.raises(ValueError, match="learning rate"):
             nn.MomentumSGD(net, learning_rate=0.0, momentum=0.0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_rejected(self, rate):
+        net, _ = self.single_linear_net()
+        with pytest.raises(ValueError, match="learning rate"):
+            nn.MomentumSGD(net, learning_rate=rate, momentum=0.0)
+
     def test_shape_mismatch_rejected(self):
         net, layer = self.single_linear_net()
         tape = nn.GradientTape([{"weight": np.zeros((3, 3)), "bias": np.zeros_like(layer.bias)}])
