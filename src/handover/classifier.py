@@ -5,11 +5,12 @@ signal and stacks three identical conv blocks (conv -> batch norm -> ReLU,
 64 filters, kernel 3), global average pooling, and a dense 64 -> 6 head.
 Inputs are standardized per joint with statistics from the training split.
 
-``classify_windows`` scores sliding windows of one stream as a run: each
-joint's series goes through the convolutions once, and each window
-recomputes only the positions near its joint-segment ends. A cached plan
-per run geometry holds the index arrays that gather each conv's im2col
-matrix and the 0/1 matrix that pools each window.
+``classify_windows`` scores the windows of one (7, n) stream that start at
+a range of samples: each joint's series goes through the convolutions
+once, and each window recomputes only the positions near its
+joint-segment ends. A cached plan per geometry (window count, step) holds
+the index arrays that gather each conv's im2col matrix and the 0/1 matrix
+that pools each window.
 """
 from __future__ import annotations
 
@@ -27,12 +28,12 @@ from .core import (
     NUM_CLASSES,
     NUM_JOINTS,
     RELEASE_ACTIONS,
-    SAMPLE_DT_MS,
     WINDOW_SAMPLES,
     ActionClass,
     ActionScores,
     JsonCodec,
     TorqueWindow,
+    check_torques,
     dumps_canonical,
     json_object,
 )
@@ -236,51 +237,34 @@ def classify_window(
 
 
 def classify_windows(
-    net: nn.Network, stats: NormalizationStats, windows: Sequence[TorqueWindow]
+    net: nn.Network, stats: NormalizationStats, windows: range, torques: np.ndarray
 ) -> list[ActionScores]:
-    """Batched classify_window; equal to it up to rounding.
+    """Score the windows of the (7, n) stream ``torques`` that start at each
+    sample of ``windows``; equal to classify_window on each window up to
+    rounding.
 
     After r convs the frozen network sees +-r samples (one per conv of
     kernel 3). So in a flat window, a position at least r samples from
     both ends of its joint's segment has the feature that joint's whole
-    series has there. Consecutive windows that slice one stream form a
-    run: each conv computes the run's joint series once, plus, per window,
-    only the band of positions within r of its 14 joint-segment ends. The
-    gathers and the pooling come from ``_run_plan``, cached per run
-    geometry; a lone window is a run of one.
+    series has there. Each conv computes the stream's joint series once,
+    plus, per window, only the band of positions within r of its 14
+    joint-segment ends. The gathers and the pooling come from
+    ``_run_plan``, cached per geometry (count, step); a single window has
+    step 0. A stream that is not (7, n), a step < 1, a window outside the
+    stream, or a scored sample that is not finite or beyond
+    +-TORQUE_LIMIT_NM raises ``ValueError``.
     """
+    if torques.ndim != 2 or torques.shape[0] != NUM_JOINTS:
+        raise ValueError(f"torque stream must be ({NUM_JOINTS}, n), got {torques.shape}")
+    if windows.step < 1:
+        raise ValueError(f"window step must be positive, got {windows.step}")
     if not windows:
         return []
-    logits = _run_logits(net.frozen().layers, stats, windows)
+    if windows[0] < 0 or windows[-1] + WINDOW_SAMPLES > torques.shape[1]:
+        raise ValueError(f"windows {windows} do not fit a stream of {torques.shape[1]} samples")
+    check_torques(torques[:, windows[0]:windows[-1] + WINDOW_SAMPLES])
+    logits = _run_logits(net.frozen().layers, stats, windows, torques)
     return ActionScores.from_probability_rows(nn.softmax(logits))
-
-
-def _overlap_shift(prev: TorqueWindow, cur: TorqueWindow) -> int:
-    """How many samples ``cur`` starts after ``prev`` when the two slice one
-    stream: a step of 1..W-1 samples with the overlapping samples equal.
-    0 when they do not."""
-    shift, rest = divmod(cur.start_time - prev.start_time, SAMPLE_DT_MS)
-    if rest != 0 or not 0 < shift < WINDOW_SAMPLES:
-        return 0
-    shift = int(shift)
-    same = np.array_equal(prev.samples[:, shift:], cur.samples[:, :WINDOW_SAMPLES - shift])
-    return shift if same else 0
-
-
-def _find_runs(windows: Sequence[TorqueWindow]) -> list[tuple[int, int, int]]:
-    """``(first, count, step)`` per run of consecutive windows that slice one
-    stream at a constant step; a lone window is a run of one (step 0)."""
-    runs = []
-    first, step = 0, 0
-    for i in range(1, len(windows)):
-        shift = _overlap_shift(windows[i - 1], windows[i])
-        if shift and step in (0, shift):
-            step = shift
-        else:
-            runs.append((first, i - first, step))
-            first, step = i, 0
-    runs.append((first, len(windows) - first, step))
-    return runs
 
 
 # the most windows one plan scores: its pooling matrix grows with the
@@ -340,23 +324,18 @@ def _run_plan(count: int, step: int) -> _RunPlan:
 
 
 def _run_logits(
-    layers: list[nn.Layer], stats: NormalizationStats, windows: Sequence[TorqueWindow]
+    layers: list[nn.Layer], stats: NormalizationStats, windows: range, torques: np.ndarray
 ) -> np.ndarray:
-    """Logits of ``windows`` from the preset's frozen ``layers``: conv and
-    ReLU pairs, then the pooling and the head. Per run of at most
-    ``_PLAN_WINDOWS`` windows, each conv is one gather, one GEMM with the
-    bias and an in-place ReLU; the pooling is one GEMM with the plan's 0/1
-    matrix."""
-    w = WINDOW_SAMPLES
-    pieces = [
-        (windows[start:min(start + _PLAN_WINDOWS, first + count)], step)
-        for first, count, step in _find_runs(windows)
-        for start in range(first, first + count, _PLAN_WINDOWS)
-    ]
+    """Logits of the ``windows`` of ``torques`` from the preset's frozen
+    ``layers``: conv and ReLU pairs, then the pooling and the head. Per
+    piece of at most ``_PLAN_WINDOWS`` windows, each conv is one gather,
+    one GEMM with the bias and an in-place ReLU; the pooling is one GEMM
+    with the plan's 0/1 matrix."""
     pooled = []
-    for run, step in pieces:
-        plan = _run_plan(len(run), step)
-        stream = np.concatenate([run[0].samples] + [x.samples[:, w - step:] for x in run[1:]], axis=1)
+    for i in range(0, len(windows), _PLAN_WINDOWS):
+        run = windows[i:i + _PLAN_WINDOWS]
+        plan = _run_plan(len(run), run.step if len(run) > 1 else 0)
+        stream = torques[:, run[0]:run[-1] + WINDOW_SAMPLES]
         x = np.zeros((1, stream.size + 1))
         x[0, :-1] = ((stream - stats.mean[:, None]) / stats.std[:, None]).ravel()
         for conv, gather in zip(layers[:-2:2], plan.gathers):

@@ -150,6 +150,15 @@ class JsonCodec:
         return cls(**kwargs)
 
 
+def check_torques(samples: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every torque sample is finite and within
+    +-``TORQUE_LIMIT_NM``."""
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("torque samples must be finite")
+    if np.any(np.abs(samples) > TORQUE_LIMIT_NM):
+        raise ValueError(f"torque sample out of range [-{TORQUE_LIMIT_NM}, {TORQUE_LIMIT_NM}] N*m")
+
+
 @dataclass(frozen=True)
 class TorqueWindow(JsonCodec):
     """One second of 7-joint torque samples at 40 Hz.
@@ -169,12 +178,7 @@ class TorqueWindow(JsonCodec):
             raise ValueError(
                 f"torque window must be ({NUM_JOINTS}, {WINDOW_SAMPLES}), got {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("torque window contains non-finite samples")
-        if np.any(np.abs(arr) > TORQUE_LIMIT_NM):
-            raise ValueError(
-                f"torque sample out of range [-{TORQUE_LIMIT_NM}, {TORQUE_LIMIT_NM}] N*m"
-            )
+        check_torques(arr)
         if self.sample_rate_hz != SAMPLE_RATE_HZ:
             raise ValueError(f"sample rate must be {SAMPLE_RATE_HZ} Hz")
         arr.flags.writeable = False

@@ -27,7 +27,6 @@ from .core import (
     ActionScores,
     JsonCodec,
     ReleaseDecision,
-    TorqueWindow,
     dumps_canonical,
 )
 from .nn_kernel import Network
@@ -254,28 +253,14 @@ class EpisodeOutcome:
 
 def torque_event_stream(script: ScenarioScript, net: Network, stats: NormalizationStats) -> list[TorqueEvent]:
     """Classify sliding one-second windows; events stamped at window end."""
-    n = script.torques.shape[1]
-    starts = range(0, n - WINDOW_SAMPLES + 1, DEFAULT_STRIDE_SAMPLES)
-    windows = [
-        TorqueWindow(
-            samples=script.torques[:, start:start + WINDOW_SAMPLES],
-            start_time=script.torque_start_ms + start * SAMPLE_DT_MS,
-        )
-        for start in starts
-    ]
-    scores = classify_windows(net, stats, windows)
+    starts = range(0, script.torques.shape[1] - WINDOW_SAMPLES + 1, DEFAULT_STRIDE_SAMPLES)
     return [
         TorqueEvent(
             scores=s,
             timestamp=script.torque_start_ms + (start + WINDOW_SAMPLES) * SAMPLE_DT_MS,
         )
-        for start, s in zip(starts, scores)
+        for start, s in zip(starts, classify_windows(net, stats, starts, script.torques))
     ]
-
-
-def vision_verdict_stream(script: ScenarioScript) -> list[VisionVerdict]:
-    """One verdict per camera frame, stamped with the frame's time."""
-    return grasp_verdicts(script.frames, script.slab)
 
 
 def run_episode(
@@ -294,7 +279,7 @@ def run_episode(
     pipeline = Pipeline(pipeline)
     dropped = 0
     if pipeline is Pipeline.VISION_ONLY:
-        verdicts = vision_verdict_stream(script)
+        verdicts = grasp_verdicts(script.frames, script.slab)
         if not verdicts:
             raise ValueError("episode has no vision frames")
         n_samples = len(verdicts)
@@ -314,7 +299,7 @@ def run_episode(
         }, None) for e in events)
     else:
         events = torque_event_stream(script, net, stats)
-        verdicts = vision_verdict_stream(script)
+        verdicts = grasp_verdicts(script.frames, script.slab)
         if not events or not verdicts:
             raise ValueError("fused episode requires both streams to be non-empty")
         sync = synchronize(events, verdicts, config)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from handover.classifier import (
-    _find_runs,
     _run_plan,
     LabeledWindow,
     NormalizationStats,
@@ -23,7 +22,6 @@ from handover.classifier import (
     write_dataset_jsonl,
 )
 from handover.core import (
-    SAMPLE_DT_MS,
     ActionClass,
     ActionScores,
     Decision,
@@ -255,10 +253,10 @@ class TestClassifyWindow(object):
         # GEMM summation order differs with batch size, so bitwise equality
         # is not guaranteed; agreement to 1e-12 is
         net, stats, _ = small_model
-        windows = [TorqueWindow(rng.uniform(-5, 5, (7, 40)), start_time=i) for i in range(5)]
-        batched = classify_windows(net, stats, windows)
-        for w, scores in zip(windows, batched):
-            single = classify_window(net, stats, w)
+        torques = rng.uniform(-5, 5, (7, 200))
+        batched = classify_windows(net, stats, range(0, 200, 40), torques)
+        for start, scores in zip(range(0, 200, 40), batched):
+            single = classify_window(net, stats, TorqueWindow(torques[:, start:start + 40], start_time=0))
             assert np.allclose(scores.probabilities, single.probabilities, atol=1e-12)
             assert scores.predicted is single.predicted
 
@@ -283,91 +281,71 @@ def random_model(seed):
     return net, stats
 
 
-def sliding_windows(seed, length, stride, t0=0):
-    stream = np.random.default_rng([seed, 1]).uniform(-30.0, 30.0, (7, length))
-    return [
-        TorqueWindow(stream[:, s:s + 40], start_time=t0 + s * SAMPLE_DT_MS)
-        for s in range(0, length - 39, stride)
-    ]
+def random_stream(seed, length):
+    return np.random.default_rng([seed, 1]).uniform(-30.0, 30.0, (7, length))
 
 
-def assert_matches_single(net, stats, windows):
-    batched = classify_windows(net, stats, windows)
+def assert_matches_single(net, stats, windows, torques):
+    batched = classify_windows(net, stats, windows, torques)
     assert len(batched) == len(windows)
-    for window, scores in zip(windows, batched):
-        single = classify_window(net, stats, window)
+    for start, scores in zip(windows, batched):
+        single = classify_window(net, stats, TorqueWindow(torques[:, start:start + 40], start_time=0))
         assert np.max(np.abs(scores.probabilities - single.probabilities)) <= 1e-9
         assert scores.predicted is single.predicted
-
-
-def merged_across(runs, index):
-    """True when windows index - 1 and index sit in one run."""
-    return any(first < index < first + count for first, count, _ in runs)
 
 
 networks = dict(seed=st.integers(0, 2**32 - 1))
 
 
 class TestClassifyWindowsRuns:
-    """classify_windows shares per-joint features across sliding windows;
-    classify_window on each window is the oracle."""
+    """classify_windows scores the windows of one stream that start at a
+    range of samples; classify_window on each window is the oracle."""
 
-    @given(**networks, length=st.integers(40, 120), stride=st.integers(1, 39),
-           t0=st.integers(-10**6, 10**6))
-    def test_sliding_windows_match_single(self, seed, length, stride, t0):
+    # up to 40 windows, so a range can span two plans of 32
+    @given(**networks, start=st.integers(0, 50), step=st.integers(1, 60), count=st.integers(1, 40),
+           tail=st.integers(0, 30))
+    def test_sliding_windows_match_single(self, seed, start, step, count, tail):
         net, stats = random_model(seed)
-        windows = sliding_windows(seed, length, stride, t0)
-        assert _find_runs(windows) == [(0, len(windows), stride if len(windows) > 1 else 0)]
-        assert_matches_single(net, stats, windows)
+        windows = range(start, start + count * step, step)
+        assert_matches_single(net, stats, windows, random_stream(seed, windows[-1] + 40 + tail))
 
-    @given(**networks, length=st.integers(100, 140), stride=st.integers(1, 20),
-           edit=st.sampled_from(["shuffle", "drop", "time_gap", "sub_sample", "same_start", "altered"]),
-           pick=st.integers(0, 10**6))
-    def test_unmergeable_windows_match_single(self, seed, length, stride, edit, pick):
-        net, stats = random_model(seed)
-        windows = sliding_windows(seed, length, stride)
-        # windows k - 2 and k - 1 already fix their run's step, so dropping
-        # window k leaves a step the run cannot take
-        k = 2 + pick % (len(windows) - 3)
-        if edit == "shuffle":
-            windows = [windows[i] for i in np.random.default_rng(pick).permutation(len(windows))]
-        elif edit == "drop":
-            del windows[k]  # the step doubles at k, or the windows stop overlapping
-        elif edit == "time_gap":
-            windows[k:] = [TorqueWindow(w.samples, w.start_time + 40 * SAMPLE_DT_MS) for w in windows[k:]]
-        elif edit == "sub_sample":  # the samples still overlap, the stamps do not
-            windows[k:] = [TorqueWindow(w.samples, w.start_time + 1) for w in windows[k:]]
-        elif edit == "same_start":
-            windows.insert(k, windows[k - 1])
-        else:
-            samples = np.array(windows[k].samples)
-            col = pick % (40 - stride)  # a sample window k shares with window k - 1
-            samples[pick % 7, col] += 1.0 if samples[pick % 7, col] < 0.0 else -1.0
-            windows[k] = TorqueWindow(samples, windows[k].start_time)
-        runs = _find_runs(windows)
-        assert sum(count for _, count, _ in runs) == len(windows)
-        if edit in ("drop", "time_gap", "sub_sample", "same_start", "altered"):
-            assert not merged_across(runs, k)
-        assert_matches_single(net, stats, windows)
 
-    def test_lone_and_empty(self):
-        net, stats = random_model(3)
-        assert classify_windows(net, stats, []) == []
-        windows = sliding_windows(3, 40, 1)
-        assert _find_runs(windows) == [(0, 1, 0)]
-        assert_matches_single(net, stats, windows)
+def spiked(row, col, value):
+    torques = np.zeros((7, 80))
+    torques[row, col] = value
+    return torques
 
-    def test_abutting_windows_are_separate_runs(self):
-        # a run's windows overlap: a step of a whole window starts a new run
-        net, stats = random_model(5)
-        windows = sliding_windows(5, 80, 40)
-        assert _find_runs(windows) == [(0, 1, 0), (1, 1, 0)]
-        assert_matches_single(net, stats, windows)
+
+class TestClassifyWindowsRejects:
+    """The stream and the range are checked where classify_windows takes them."""
+
+    @pytest.mark.parametrize("windows, torques, match", [
+        (range(0, 41, 5), np.zeros((6, 80)), "torque stream"),
+        (range(0, 1), np.zeros(280), "torque stream"),
+        (range(40, 0, -5), np.zeros((7, 80)), "step"),
+        (range(-1, 40, 5), np.zeros((7, 80)), "do not fit"),
+        (range(1, 42, 5), np.zeros((7, 80)), "do not fit"),  # the last window ends at 81
+        (range(0, 41, 5), spiked(2, 79, np.nan), "finite"),
+        (range(0, 41, 5), spiked(4, 0, 40.0), "out of range"),
+    ], ids=["six-joints", "flat", "negative-step", "negative-start", "one-past-the-end", "nan", "40-nm"])
+    def test_bad_input_rejected(self, windows, torques, match):
+        net, stats = random_model(2)
+        with pytest.raises(ValueError, match=match):
+            classify_windows(net, stats, windows, torques)
+
+    def test_a_window_ending_at_the_stream_end_is_accepted(self):
+        net, stats = random_model(2)
+        assert_matches_single(net, stats, range(0, 41, 5), random_stream(2, 80))
+
+    def test_empty_range(self):
+        net, stats = random_model(2)
+        assert classify_windows(net, stats, range(0), random_stream(2, 80)) == []
+        assert classify_windows(net, stats, range(50, 50, 5), random_stream(2, 80)) == []
 
 
 class TestRunPlan:
-    """The cached plan of a run geometry: its column counts, no computed
-    band column left unread, and runs of different geometries in one call."""
+    """The cached plan of a window geometry: its column counts, no computed
+    band column left unread, and one plan for every single window."""
 
     def test_conv_columns_of_an_episode(self):
         # 7 joint series of 120 samples, then 14 segment-end positions per
@@ -386,18 +364,19 @@ class TestRunPlan:
         assert np.array_equal(plan.pool.sum(axis=1), np.full(count, 280.0))
         assert not any(array.flags.writeable for array in (*plan.gathers, plan.pool))
 
-    def test_two_runs_of_different_steps_and_a_lone_window(self):
-        net, stats = random_model(11)
-        windows = (sliding_windows(11, 60, 5) + sliding_windows(12, 70, 3, t0=10**5)
-                   + sliding_windows(13, 40, 1, t0=2 * 10**5))
-        assert _find_runs(windows) == [(0, 5, 5), (5, 11, 3), (16, 1, 0)]
-        assert_matches_single(net, stats, windows)
+    def test_a_single_window_has_step_zero(self):
+        # whatever its range's step, a single window shares the (1, 0) plan
+        net, stats = random_model(4)
+        torques = random_stream(4, 100)
+        _run_plan.cache_clear()
+        for windows in (range(0, 1), range(7, 8, 5), range(60, 61, 39)):
+            assert_matches_single(net, stats, windows, torques)
+        assert _run_plan.cache_info().currsize == 1
 
     def test_a_run_longer_than_one_plan(self):
         net, stats = random_model(12)
-        windows = sliding_windows(12, 120, 1)  # 81 windows: plans of 32, 32 and 17
-        assert _find_runs(windows) == [(0, 81, 1)]
-        assert_matches_single(net, stats, windows)
+        # 81 windows: plans of 32, 32 and 17
+        assert_matches_single(net, stats, range(0, 81, 1), random_stream(12, 120))
 
 
 class TestTorqueVote:

@@ -18,12 +18,11 @@ from handover.fusion import (
     run_episode,
     synchronize,
     torque_event_stream,
-    vision_verdict_stream,
     write_episode_log,
 )
 from handover.harness import ExperimentConfig, run_experiment
 from handover.synth import FaultProfile, ScenarioScript, generate_scenario
-from handover.vision_gate import VisionVerdict
+from handover.vision_gate import VisionVerdict, grasp_verdicts
 
 
 def scores_for(action):
@@ -276,7 +275,7 @@ class TestRunEpisode:
         net, stats, _ = small_model
         script = generate_scenario(ActionClass.HOLD, FaultProfile.clean(), seed=46)
         events = torque_event_stream(script, net, stats)
-        verdicts = vision_verdict_stream(script)
+        verdicts = grasp_verdicts(script.frames, script.slab)
         result = synchronize(events, verdicts, SyncConfig())
         assert result.samples, "expected paired samples"
         for sample in result.samples:
@@ -390,7 +389,7 @@ class TestDebounceOverTime:
         ]
         verdicts = [verdict(True, t) for t in (1000, 1500, 1600)]
         monkeypatch.setattr(fusion, "torque_event_stream", lambda *args: events)
-        monkeypatch.setattr(fusion, "vision_verdict_stream", lambda *args: verdicts)
+        monkeypatch.setattr(fusion, "grasp_verdicts", lambda *args: verdicts)
         script = generate_scenario(ActionClass.PULL, FaultProfile.clean(), seed=60)
         outcome = run_episode(script, None, None, SyncConfig(debounce_frames=3))
         assert outcome.dropped_torque_events == 3

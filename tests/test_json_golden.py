@@ -226,7 +226,7 @@ EPISODE_VERDICTS = [
 ]
 # run_episode reads only these fields of a script once its two streams are given
 EPISODE_SCRIPT = SimpleNamespace(action=ActionClass.HOLD, slab=ObjectSlab(z_front=0.4, z_back=0.55),
-                                 faults=("vision_dropout",))
+                                 frames=None, faults=("vision_dropout",))
 
 
 def _header(pipeline):
@@ -290,7 +290,7 @@ EPISODE_LOGS = {
 @pytest.mark.parametrize("pipeline", list(Pipeline))
 def test_episode_log_text_is_pinned(monkeypatch, tmp_path, pipeline):
     monkeypatch.setattr(fusion, "torque_event_stream", lambda script, net, stats: EPISODE_EVENTS)
-    monkeypatch.setattr(fusion, "vision_verdict_stream", lambda script: EPISODE_VERDICTS)
+    monkeypatch.setattr(fusion, "grasp_verdicts", lambda frames, slab: EPISODE_VERDICTS)
     outcome = run_episode(EPISODE_SCRIPT, None, None, SyncConfig(pairing_window_ms=20, debounce_frames=2),
                           pipeline)
     path = tmp_path / "episode.jsonl"
