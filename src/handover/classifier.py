@@ -95,10 +95,13 @@ class NormalizationStats(JsonCodec):
         object.__setattr__(self, "std", std)
 
     @classmethod
-    def from_windows(cls, windows: Iterable[TorqueWindow]) -> "NormalizationStats":
-        """Statistics of ``windows``; a constant joint's std is floored at 1e-6."""
-        stacked = np.stack([w.samples for w in windows])
-        return cls(mean=stacked.mean(axis=(0, 2)), std=np.maximum(stacked.std(axis=(0, 2)), STD_FLOOR))
+    def from_samples(cls, samples: np.ndarray) -> "NormalizationStats":
+        """Statistics of an (n, 7, 40) window stack; a constant joint's std is floored at 1e-6."""
+        return cls(mean=samples.mean(axis=(0, 2)), std=np.maximum(samples.std(axis=(0, 2)), STD_FLOOR))
+
+    def zscore(self, samples: np.ndarray) -> np.ndarray:
+        """Per-joint z-score of a (7, n) stream or an (n, 7, 40) window stack."""
+        return (samples - self.mean[:, None]) / self.std[:, None]
 
 
 @dataclass
@@ -132,10 +135,9 @@ def _architecture(net: nn.Network) -> list[tuple]:
     return [(layer.kind, *(getattr(layer, name) for name in layer.shapes)) for layer in net.layers]
 
 
-def normalize_input(window: TorqueWindow, stats: NormalizationStats) -> np.ndarray:
-    """Per-joint z-score, then flatten to the (1, 280) network input."""
-    z = (window.samples - stats.mean[:, None]) / stats.std[:, None]
-    return z.reshape(1, FLAT_SIZE)
+def normalize_input(samples: np.ndarray, stats: NormalizationStats) -> np.ndarray:
+    """The (n, 1, 280) network inputs of an (n, 7, 40) window stack: z-scored, flattened."""
+    return stats.zscore(samples).reshape(samples.shape[0], 1, FLAT_SIZE)
 
 
 def _stratified_split(labels: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -150,12 +152,17 @@ def _stratified_split(labels: np.ndarray, rng: np.random.Generator) -> tuple[np.
     return np.sort(np.asarray(train_idx)), np.sort(np.asarray(holdout_idx))
 
 
-def _predict_classes(net: nn.Network, inputs: np.ndarray, batch_size: int = 32) -> np.ndarray:
-    preds = []
-    for start in range(0, inputs.shape[0], batch_size):
-        probs = net.predict_proba(inputs[start:start + batch_size])
-        preds.append(np.argmax(probs, axis=1))
-    return np.concatenate(preds)
+def _confusion(net: nn.Network, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The 6x6 confusion matrix (rows true, cols predicted) of ``net`` on
+    ``inputs``, folded once and run 32 windows at a time."""
+    frozen = net.frozen()
+    preds = np.concatenate([
+        np.argmax(nn.softmax(frozen.forward(inputs[start:start + 32])), axis=1)
+        for start in range(0, inputs.shape[0], 32)
+    ])
+    confusion = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
+    np.add.at(confusion, (labels, preds), 1)
+    return confusion
 
 
 def training_labels(dataset: Sequence[LabeledWindow]) -> np.ndarray:
@@ -183,10 +190,11 @@ def train(
     rng = np.random.default_rng(config.seed)
     train_idx, holdout_idx = _stratified_split(labels, rng)
 
-    stats = NormalizationStats.from_windows(dataset[i].window for i in train_idx)
-    all_inputs = np.stack([normalize_input(item.window, stats) for item in dataset])
-    x_train, y_train = all_inputs[train_idx], labels[train_idx]
-    x_hold, y_hold = all_inputs[holdout_idx], labels[holdout_idx]
+    inputs = np.stack([item.window.samples for item in dataset])
+    stats = NormalizationStats.from_samples(inputs[train_idx])
+    inputs = normalize_input(inputs, stats)  # training keeps no raw copy
+    x_train, y_train = inputs[train_idx], labels[train_idx]
+    x_hold, y_hold = inputs[holdout_idx], labels[holdout_idx]
 
     net = build_network(config)
     optimizer = nn.MomentumSGD(net, config.learning_rate, MOMENTUM)
@@ -201,24 +209,22 @@ def train(
         correct = 0
         for start in range(0, order.size, config.batch_size):
             batch = order[start:start + config.batch_size]
-            loss, probs, tape = nn.backward(net, x_train[batch], y_train[batch])
-            optimizer.step(tape)
+            loss, probs = nn.backward(net, x_train[batch], y_train[batch])
+            optimizer.step()
             batch_losses.append(loss)
             correct += int(np.sum(np.argmax(probs, axis=1) == y_train[batch]))
         epoch_losses.append(float(np.mean(batch_losses)))
         epoch_train_acc.append(correct / order.size)
-        hold_pred = _predict_classes(net, x_hold)
-        epoch_hold_acc.append(float(np.mean(hold_pred == y_hold)))
+        confusion = _confusion(net, x_hold, y_hold)
+        epoch_hold_acc.append(float(np.trace(confusion) / confusion.sum()))
     wall = time.perf_counter() - started
 
-    confusion = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
-    np.add.at(confusion, (y_hold, hold_pred), 1)
     report = TrainingReport(
         epoch_losses=epoch_losses,
         epoch_train_accuracy=epoch_train_acc,
         epoch_holdout_accuracy=epoch_hold_acc,
         confusion_matrix=confusion,
-        holdout_accuracy=float(np.trace(confusion) / max(1, confusion.sum())),
+        holdout_accuracy=epoch_hold_acc[-1],
         n_train=int(train_idx.size),
         n_holdout=int(holdout_idx.size),
         wall_seconds=wall,
@@ -232,7 +238,7 @@ def classify_window(
     """Classify one window; pure (batch norm frozen to running stats)."""
     if not isinstance(window, TorqueWindow):
         raise TypeError("classify_window expects a TorqueWindow")
-    probs = net.predict_proba(normalize_input(window, stats)[None])[0]
+    probs = net.predict_proba(normalize_input(window.samples[None], stats))[0]
     return ActionScores.from_probabilities(probs)
 
 
@@ -337,7 +343,7 @@ def _run_logits(
         plan = _run_plan(len(run), run.step if len(run) > 1 else 0)
         stream = torques[:, run[0]:run[-1] + WINDOW_SAMPLES]
         x = np.zeros((1, stream.size + 1))
-        x[0, :-1] = ((stream - stats.mean[:, None]) / stats.std[:, None]).ravel()
+        x[0, :-1] = stats.zscore(stream).ravel()
         for conv, gather in zip(layers[:-2:2], plan.gathers):
             y = np.empty((conv.out_channels, gather.shape[1] + 1))
             y[:, -1] = 0.0
@@ -358,12 +364,10 @@ def evaluate(
     net: nn.Network, stats: NormalizationStats, dataset: Sequence[LabeledWindow]
 ) -> tuple[float, np.ndarray]:
     """Accuracy and 6x6 confusion matrix (rows true, cols predicted)."""
-    inputs = np.stack([normalize_input(item.window, stats) for item in dataset])
+    samples = np.stack([item.window.samples for item in dataset])
     labels = np.asarray([int(item.label) for item in dataset], dtype=np.int64)
-    preds = _predict_classes(net, inputs)
-    confusion = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
-    np.add.at(confusion, (labels, preds), 1)
-    return float(np.mean(preds == labels)), confusion
+    confusion = _confusion(net, normalize_input(samples, stats), labels)
+    return float(np.trace(confusion) / confusion.sum()), confusion
 
 
 # ---------------------------------------------------------------------------

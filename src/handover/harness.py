@@ -71,8 +71,8 @@ class ExperimentConfig:
             raise ValueError("train_epochs must be >= 1")
         if self.train_per_class < 2:
             raise ValueError("train_per_class must be >= 2")
-        for pipeline in self.pipelines:
-            self.fault_profiles.setdefault(pipeline, FaultProfile.clean())
+        clean = {pipeline: FaultProfile.clean() for pipeline in self.pipelines}
+        self.fault_profiles = {**clean, **self.fault_profiles}
 
 
 @dataclass

@@ -34,14 +34,18 @@ differently from summing each sample over length and then the samples
 in order, or from one im2col GEMM, so training results are not
 bit-identical to those orders; they agree within 1e-12 relative.
 
+Each layer's ``backward`` leaves its parameter gradients in its ``grads``;
+``backward(net, x, targets)`` returns (loss, probabilities) and
+``MomentumSGD.step()`` reads the gradients there.
+
 ``Network.frozen()`` returns an inference copy with each batch norm
 folded into the conv before it; ``predict_proba`` runs that copy, so
 inference never runs the training kernels.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -122,7 +126,9 @@ class Layer:
 
     ``from_params`` builds a layer on given arrays through ``_assign``,
     which checks them; the layer copy, ``params()`` and the model file
-    form are derived from the declaration.
+    form are derived from the declaration. ``grads`` maps each trained
+    array to its gradient from the layer's last ``backward``, a new dict
+    per call; it is empty before the first.
     """
 
     kind: str
@@ -130,12 +136,10 @@ class Layer:
     trained: tuple[str, ...] = ()
     scalars: tuple[str, ...] = ()
     shapes: tuple[str, ...] = ()
-
-    def __init__(self) -> None:
-        self._assign()
+    grads: Mapping[str, np.ndarray] = MappingProxyType({})
 
     def _assign(self) -> None:
-        self.grads: dict[str, np.ndarray] = {}
+        """A layer without arrays has none to check."""
 
     @classmethod
     def from_params(cls, *arrays: np.ndarray, **scalars: Any) -> "Layer":
@@ -184,7 +188,6 @@ class Conv1D(Layer):
         self.out_channels, self.in_channels, self.kernel_size = weight.shape
         self.weight = weight
         self.bias = bias
-        self.grads = {}
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         xc = _channel_major(x)
@@ -236,8 +239,7 @@ class Conv1D(Layer):
             elif s < 0:
                 tap -= g[:, 1:, :lo].reshape(o, -1) @ x[:, :-1, length + s:].reshape(c, -1).T
             dw[:, :, j] = tap
-        self.grads["weight"] = dw
-        self.grads["bias"] = g2.sum(axis=1)
+        self.grads = {"weight": dw, "bias": g2.sum(axis=1)}
         dcols = (self.weight.reshape(o, c * k).T @ g2).reshape(c, k, batch, length)
         # col2im: scatter each tap's slab back to the input positions it read;
         # the centre tap reads every position, so it seeds dx
@@ -288,7 +290,6 @@ class BatchNorm1D(Layer):
         self.momentum = momentum
         self.gamma, self.beta = gamma, beta
         self.running_mean, self.running_var = running_mean, running_var
-        self.grads = {}
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != 3 or x.shape[1] != self.channels:
@@ -325,8 +326,7 @@ class BatchNorm1D(Layer):
         g = _channel_major(grad).reshape(channels, m)
         sum_g = g.sum(axis=1)
         sum_gx = np.einsum("ij,ij->i", g, dx) * inv_std  # sum of g * x_hat
-        self.grads["gamma"] = sum_gx
-        self.grads["beta"] = sum_g
+        self.grads = {"gamma": sum_gx, "beta": sum_g}
         # dx = gamma * inv_std * (g - mean(g) - x_hat * mean(g * x_hat))
         dx *= (-inv_std * sum_gx / m)[:, None]
         dx += g
@@ -393,7 +393,6 @@ class Linear(Layer):
         self.out_features, self.in_features = weight.shape
         self.weight = weight
         self.bias = bias
-        self.grads = {}
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
@@ -405,8 +404,7 @@ class Linear(Layer):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise ValueError("backward called without a training forward")
-        self.grads["weight"] = grad.T @ self._x
-        self.grads["bias"] = grad.sum(axis=0)
+        self.grads = {"weight": grad.T @ self._x, "bias": grad.sum(axis=0)}
         return grad @ self.weight
 
 
@@ -453,44 +451,24 @@ class Network:
         return Network(layers)
 
 
-@dataclass
-class GradientTape:
-    """Per-layer parameter gradients, shapes mirroring the layer params."""
-
-    per_layer: list[dict[str, np.ndarray]]
-
-    def validate_against(self, net: Network) -> None:
-        if len(self.per_layer) != len(net.layers):
-            raise ValueError("gradient tape does not match network depth")
-        for layer, grads in zip(net.layers, self.per_layer):
-            params = layer.params()
-            if set(grads) != set(params):
-                raise ValueError(f"gradient names {set(grads)} != params {set(params)}")
-            for name, g in grads.items():
-                if g.shape != params[name].shape:
-                    raise ValueError(f"gradient shape {g.shape} != param shape {params[name].shape}")
-
-
-def backward(net: Network, x: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray, GradientTape]:
+def backward(net: Network, x: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """One training step's worth of differentiation.
 
-    Runs the training-mode forward, then backpropagates the mean
-    cross-entropy; returns (loss, batch probabilities, gradient tape).
+    Runs the training-mode forward, then backpropagates the mean cross-
+    entropy into each layer's ``grads``; returns (loss, batch probabilities).
     """
     batch = np.asarray(x, dtype=np.float64)
     idx = np.asarray(targets, dtype=np.int64)
     if batch.shape[0] != idx.shape[0]:
         raise ValueError("inputs and targets disagree on batch size")
-    logits = net.forward(batch, training=True)
-    probs = softmax(logits)
+    probs = softmax(net.forward(batch, training=True))
     loss = mean_cross_entropy(probs, idx)
     one_hot = np.zeros_like(probs)
     one_hot[np.arange(idx.shape[0]), idx] = 1.0
     grad = (probs - one_hot) / idx.shape[0]
     for layer in reversed(net.layers):
         grad = layer.backward(grad)
-    tape = GradientTape([{k: v.copy() for k, v in layer.grads.items()} for layer in net.layers])
-    return loss, probs, tape
+    return loss, probs
 
 
 class MomentumSGD:
@@ -509,10 +487,13 @@ class MomentumSGD:
             for layer in net.layers
         ]
 
-    def step(self, tape: GradientTape) -> None:
-        tape.validate_against(self.net)
-        for layer, grads, vel in zip(self.net.layers, tape.per_layer, self._velocity):
-            for name, g in grads.items():
+    def step(self) -> None:
+        """Move each trained array against the gradient that ``backward`` left in
+        its layer's ``grads``; before any backward, raise ``ValueError``."""
+        if any(set(layer.grads) != set(layer.trained) for layer in self.net.layers):
+            raise ValueError("step needs the gradients of a backward pass first")
+        for layer, vel in zip(self.net.layers, self._velocity):
+            for name, g in layer.grads.items():
                 vel[name] = self.momentum * vel[name] + g
                 layer.params()[name] -= self.learning_rate * vel[name]
 

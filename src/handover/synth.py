@@ -28,6 +28,7 @@ from .core import (
     JsonCodec,
     ObjectSlab,
     TorqueWindow,
+    check_torques,
 )
 
 WINDOW_MS = 1000
@@ -314,8 +315,7 @@ class ScenarioScript:
         arr = np.array(self.torques, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != NUM_JOINTS or arr.shape[1] < WINDOW_SAMPLES:
             raise ValueError(f"torque stream must be ({NUM_JOINTS}, >={WINDOW_SAMPLES})")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("torque stream contains non-finite samples")
+        check_torques(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "torques", arr)
         object.__setattr__(self, "action", ActionClass(self.action))

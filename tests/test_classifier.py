@@ -141,30 +141,41 @@ class TestBuildNetwork:
 class TestNormalization:
     def test_window_at_training_mean_maps_to_zero(self, rng):
         samples = rng.uniform(-5, 5, (7, 40))
-        w = TorqueWindow(samples=samples, start_time=0)
         stats = NormalizationStats(mean=samples.mean(axis=1), std=samples.std(axis=1))
-        out = normalize_input(
-            TorqueWindow(samples=np.repeat(samples.mean(axis=1)[:, None], 40, axis=1), start_time=0),
-            stats,
-        )
+        out = normalize_input(np.repeat(samples.mean(axis=1)[None, :, None], 40, axis=2), stats)
         assert np.abs(out).max() < 1e-9
-        assert out.shape == (1, 280)
+        assert out.shape == (1, 1, 280)
 
     def test_constant_joint_gets_floored_std(self):
-        windows = [TorqueWindow(samples=np.ones((7, 40)) * 3.0, start_time=i) for i in range(4)]
-        stats = NormalizationStats.from_windows(windows)
+        samples = np.ones((4, 7, 40)) * 3.0
+        stats = NormalizationStats.from_samples(samples)
         assert np.all(stats.std == 1e-6)
-        out = normalize_input(windows[0], stats)
+        out = normalize_input(samples, stats)
         assert np.all(np.isfinite(out))
 
     def test_matches_zscore_oracle(self, rng):
-        samples = rng.uniform(-10, 10, (7, 40))
+        samples = rng.uniform(-10, 10, (3, 7, 40))
         mean = rng.uniform(-2, 2, 7)
         std = rng.uniform(0.5, 3.0, 7)
         stats = NormalizationStats(mean=mean, std=std)
-        out = normalize_input(TorqueWindow(samples=samples, start_time=0), stats)
-        want = ((samples - mean[:, None]) / std[:, None]).reshape(1, 280)
-        assert np.abs(out - want).max() < 1e-12
+        out = normalize_input(samples, stats)
+        assert out.shape == (3, 1, 280)
+        for row, window in zip(out, samples):
+            want = ((window - mean[:, None]) / std[:, None]).reshape(1, 280)
+            assert np.abs(row - want).max() < 1e-12
+
+    def test_a_stack_normalizes_as_its_rows_do(self, rng):
+        samples = rng.uniform(-30, 30, (5, 7, 40))
+        stats = NormalizationStats(mean=rng.uniform(-2, 2, 7), std=rng.uniform(0.5, 3.0, 7))
+        rows = [normalize_input(window[None], stats)[0] for window in samples]
+        assert np.array_equal(normalize_input(samples, stats), np.stack(rows))
+
+    def test_stats_are_each_joints_mean_and_std(self, rng):
+        samples = rng.standard_normal((6, 7, 40)) * np.arange(1, 8)[:, None] + np.arange(7)[:, None]
+        stats = NormalizationStats.from_samples(samples)
+        joint_major = samples.transpose(1, 0, 2).reshape(7, -1)
+        assert np.allclose(stats.mean, joint_major.mean(axis=1), rtol=0, atol=1e-12)
+        assert np.allclose(stats.std, joint_major.std(axis=1), rtol=0, atol=1e-12)
 
 
 class TestTrain:
@@ -518,6 +529,16 @@ class TestModelAndDatasetFiles:
         for a, b in zip(items, back):
             assert a.label == b.label
             assert np.array_equal(a.window.samples, b.window.samples)
+
+    def test_evaluate_matches_classify_window(self, small_model):
+        net, stats, _ = small_model
+        items = generate_dataset(default_signature_model(), per_class_count=10, seed=34)
+        want = np.zeros((6, 6), dtype=np.int64)
+        for item in items:
+            want[int(item.label), int(classify_window(net, stats, item.window).predicted)] += 1
+        accuracy, confusion = evaluate(net, stats, items)
+        assert np.array_equal(confusion, want)
+        assert accuracy == np.trace(want) / 60
 
     def test_evaluate_confusion_row_sums(self, small_model):
         net, stats, _ = small_model

@@ -298,21 +298,21 @@ class TestRunEpisode:
         with pytest.raises(ValueError, match="non-empty"):
             run_episode(stripped, net, stats, pipeline=Pipeline.FUSED)
 
-    @pytest.mark.parametrize("pipeline", [Pipeline.FUSED, Pipeline.TORQUE_ONLY])
+    @pytest.mark.parametrize("pipeline", [Pipeline.FUSED, Pipeline.TORQUE_ONLY, Pipeline.VISION_ONLY])
     def test_out_of_range_torque_sample_rejected(self, small_model, pipeline):
-        # the script accepts any finite torque; the per-window check must
-        # still run when the windows are classified as one run
+        # the script checks its torques as a TorqueWindow does, so no
+        # pipeline, not even vision-only, runs an out-of-range stream
         net, stats, _ = small_model
         script = generate_scenario(ActionClass.PULL, FaultProfile.clean(), seed=48)
         torques = np.array(script.torques)
         torques[3, 57] = 40.0
-        spiked = ScenarioScript(
-            action=script.action, torques=torques,
-            torque_start_ms=script.torque_start_ms, frames=script.frames,
-            slab=script.slab, faults=script.faults,
-            action_onset_ms=script.action_onset_ms, grasp_at_ms=script.grasp_at_ms,
-        )
         with pytest.raises(ValueError, match="out of range"):
+            spiked = ScenarioScript(
+                action=script.action, torques=torques,
+                torque_start_ms=script.torque_start_ms, frames=script.frames,
+                slab=script.slab, faults=script.faults,
+                action_onset_ms=script.action_onset_ms, grasp_at_ms=script.grasp_at_ms,
+            )
             run_episode(spiked, net, stats, pipeline=pipeline)
 
     def test_event_stream_matches_single_windows(self, small_model):

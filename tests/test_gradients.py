@@ -54,9 +54,9 @@ class TestFiniteDifferences:
         gen = np.random.default_rng(1)
         x = gen.standard_normal((6, 1, 16))
         targets = gen.integers(0, 6, 6)
-        _, _, tape = nn.backward(net, x, targets)
+        nn.backward(net, x, targets)
         for li, name, idx in sample_coordinates(net, 40, seed=2):
-            analytic = tape.per_layer[li][name].ravel()[idx]
+            analytic = net.layers[li].grads[name].ravel()[idx]
             numeric = finite_difference(net, x, targets, li, name, idx)
             assert relative_error(analytic, numeric) < 1e-4, (li, name, idx)
 
@@ -65,11 +65,11 @@ class TestFiniteDifferences:
         gen = np.random.default_rng(3)
         x = gen.standard_normal((5, 1, 16))
         targets = gen.integers(0, 6, 5)
-        _, probs, tape = nn.backward(net, x, targets)
+        _, probs = nn.backward(net, x, targets)
         one_hot = np.zeros_like(probs)
         one_hot[np.arange(5), targets] = 1.0
         want = (probs - one_hot).mean(axis=0)
-        assert np.abs(tape.per_layer[-1]["bias"] - want).max() < 1e-12
+        assert np.abs(net.layers[-1].grads["bias"] - want).max() < 1e-12
 
     def test_saturated_perfect_batch_has_zero_gradient(self):
         net = tiny_network(seed=11)
@@ -80,10 +80,10 @@ class TestFiniteDifferences:
         gen = np.random.default_rng(4)
         x = gen.standard_normal((4, 1, 16))
         targets = np.zeros(4, dtype=np.int64)
-        loss, _, tape = nn.backward(net, x, targets)
+        loss, _ = nn.backward(net, x, targets)
         assert loss < 1e-12
         norm = np.sqrt(sum(
-            float(np.sum(g**2)) for grads in tape.per_layer for g in grads.values()
+            float(np.sum(g**2)) for layer in net.layers for g in layer.grads.values()
         ))
         assert norm < 1e-6
 

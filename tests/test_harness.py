@@ -164,6 +164,12 @@ class TestRunExperiment:
         config = ExperimentConfig(train_epochs=1, train_per_class=2)
         assert (config.train_epochs, config.train_per_class) == (1, 2)
 
+    def test_missing_fault_profiles_leave_the_callers_dict_alone(self):
+        profiles = {}
+        config = ExperimentConfig(fault_profiles=profiles, pipelines=(Pipeline.FUSED,))
+        assert profiles == {}
+        assert config.fault_profiles == {Pipeline.FUSED: FaultProfile.clean()}
+
 
 FUSED, TORQUE, VISION = Pipeline.FUSED, Pipeline.TORQUE_ONLY, Pipeline.VISION_ONLY
 

@@ -181,5 +181,4 @@ def test_network_round_trip(seed, filters, kernel):
     for got, want in zip(back.layers, net.layers):
         assert vars(got).keys() == vars(want).keys()
         for key, value in vars(want).items():
-            if key != "grads":
-                assert_same(vars(got)[key], value)
+            assert_same(vars(got)[key], value)

@@ -248,18 +248,15 @@ class TestOptimizers:
     def test_zero_gradient_leaves_parameters(self):
         net, layer = self.single_linear_net()
         before = layer.weight.copy()
-        tape = nn.GradientTape([{
-            "weight": np.zeros_like(layer.weight), "bias": np.zeros_like(layer.bias),
-        }])
-        nn.MomentumSGD(net, learning_rate=0.5, momentum=0.0).step(tape)
+        layer.grads = {"weight": np.zeros_like(layer.weight), "bias": np.zeros_like(layer.bias)}
+        nn.MomentumSGD(net, learning_rate=0.5, momentum=0.0).step()
         assert np.array_equal(layer.weight, before)
 
     def test_unit_learning_rate_subtracts_gradient(self):
         net, layer = self.single_linear_net()
         before = layer.weight.copy()
-        g = np.full_like(layer.weight, 0.25)
-        tape = nn.GradientTape([{"weight": g, "bias": np.zeros_like(layer.bias)}])
-        nn.MomentumSGD(net, learning_rate=1.0, momentum=0.0).step(tape)
+        layer.grads = {"weight": np.full_like(layer.weight, 0.25), "bias": np.zeros_like(layer.bias)}
+        nn.MomentumSGD(net, learning_rate=1.0, momentum=0.0).step()
         assert np.allclose(layer.weight, before - 0.25)
 
     def test_non_positive_learning_rate_rejected(self):
@@ -273,15 +270,16 @@ class TestOptimizers:
         with pytest.raises(ValueError, match="learning rate"):
             nn.MomentumSGD(net, learning_rate=rate, momentum=0.0)
 
-    def test_shape_mismatch_rejected(self):
+    def test_step_before_backward_rejected(self):
         net, layer = self.single_linear_net()
-        tape = nn.GradientTape([{"weight": np.zeros((3, 3)), "bias": np.zeros_like(layer.bias)}])
-        with pytest.raises(ValueError, match="shape"):
-            nn.MomentumSGD(net, learning_rate=0.1, momentum=0.0).step(tape)
+        before = layer.weight.copy()
+        with pytest.raises(ValueError, match="backward"):
+            nn.MomentumSGD(net, learning_rate=0.1, momentum=0.0).step()
+        assert np.array_equal(layer.weight, before)
 
-    def quadratic_tape(self, net, layer):
+    def set_quadratic_grads(self, layer):
         # gradient of 0.5 * ||params||^2 is the parameters themselves
-        return nn.GradientTape([{"weight": layer.weight.copy(), "bias": layer.bias.copy()}])
+        layer.grads = {"weight": layer.weight.copy(), "bias": layer.bias.copy()}
 
     def quadratic_loss(self, layer):
         return 0.5 * (np.sum(layer.weight**2) + np.sum(layer.bias**2))
@@ -292,7 +290,8 @@ class TestOptimizers:
         opt = nn.MomentumSGD(net, learning_rate=0.1, momentum=0.0)
         losses = [self.quadratic_loss(layer)]
         for _ in range(20):
-            opt.step(self.quadratic_tape(net, layer))
+            self.set_quadratic_grads(layer)
+            opt.step()
             losses.append(self.quadratic_loss(layer))
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -302,7 +301,8 @@ class TestOptimizers:
         opt = nn.MomentumSGD(net, learning_rate=0.05, momentum=0.9)
         start = self.quadratic_loss(layer)
         for _ in range(200):
-            opt.step(self.quadratic_tape(net, layer))
+            self.set_quadratic_grads(layer)
+            opt.step()
         assert self.quadratic_loss(layer) < 1e-4 * start
 
     def test_momentum_validates_hyperparameters(self):
@@ -536,8 +536,8 @@ class TestFrozen:
         x = rng.standard_normal((6, 2, 12))
         frozen = net.frozen()
         before = frozen.forward(x)
-        _loss, _probs, tape = nn.backward(net, x, np.arange(6) % 4)
-        nn.MomentumSGD(net, learning_rate=0.5).step(tape)
+        nn.backward(net, x, np.arange(6) % 4)
+        nn.MomentumSGD(net, learning_rate=0.5).step()
         assert not np.array_equal(net.frozen().forward(x), before)
         assert np.array_equal(frozen.forward(x), before)
 

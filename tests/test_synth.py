@@ -214,6 +214,13 @@ class TestScenarioBounds:
         with pytest.raises(ValueError, match="torque stream"):
             self.script(torques=np.zeros(shape))
 
+    @pytest.mark.parametrize("value", [40.0, -40.0, float("nan")])
+    def test_rejects_a_torque_sample_out_of_range(self, value):
+        torques = np.zeros((7, 40))
+        torques[3, 17] = value
+        with pytest.raises(ValueError, match="out of range" if np.isfinite(value) else "finite"):
+            self.script(torques=torques)
+
     def test_grasp_at_the_onset_is_rejected(self):
         with pytest.raises(ValueError, match="precede"):
             self.script(grasp_at_ms=1800)
