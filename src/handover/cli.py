@@ -5,6 +5,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -20,7 +21,7 @@ from .classifier import (
     training_labels,
     write_dataset_jsonl,
 )
-from .core import ActionClass, json_object
+from .core import ActionClass, json_object, json_value
 from .fusion import Pipeline, SyncConfig, replay_episode_log
 from .harness import ExperimentConfig, default_fault_profiles, render_report, run_experiment
 from .synth import FaultProfile, default_signature_model, generate_dataset
@@ -111,14 +112,16 @@ def _fault_profiles(doc: Any) -> dict[Pipeline, FaultProfile]:
 
 # the --config keys simulate reads, each with its decoder
 CONFIG_KEYS: dict[str, Callable[[Any], Any]] = {
-    "trials_per_action": int,
-    "seed": int,
+    "trials_per_action": partial(json_value, int),
+    "seed": partial(json_value, int),
     "pipelines": lambda doc: tuple(Pipeline(p) for p in doc),
-    "actions": lambda doc: tuple(ActionClass[a.upper()] if isinstance(a, str) else ActionClass(a) for a in doc),
+    "actions": lambda doc: tuple(
+        ActionClass[a.upper()] if isinstance(a, str) else ActionClass(json_value(int, a)) for a in doc
+    ),
     "sync": SyncConfig.from_json_dict,
     "fault_profiles": _fault_profiles,
-    "train_per_class": int,
-    "train_epochs": int,
+    "train_per_class": partial(json_value, int),
+    "train_epochs": partial(json_value, int),
 }
 
 

@@ -53,15 +53,10 @@ class FingerType(Enum):
 # keep the gripper closed.
 RELEASE_ACTIONS = frozenset({ActionClass.HOLD, ActionClass.PULL, ActionClass.PULL_UP})
 
-SUCCESS_CRITERIA: dict[ActionClass, Decision] = {
-    action: (Decision.RELEASE if action in RELEASE_ACTIONS else Decision.DO_NOT_RELEASE)
-    for action in ActionClass
-}
-
 
 def expected_decision(action: ActionClass) -> Decision:
     """Expected outcome for an action: release for hold/pull/pull-up only."""
-    return SUCCESS_CRITERIA[ActionClass(action)]
+    return Decision.RELEASE if ActionClass(action) in RELEASE_ACTIONS else Decision.DO_NOT_RELEASE
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +79,22 @@ def json_object(doc: Any) -> dict[str, Any]:
     return doc
 
 
+def json_value(tp: type, v: Any) -> Any:
+    """``v`` as a ``tp`` (bool, int, float or str) when it is a JSON value of
+    that type; a ``TypeError`` otherwise. A bool is not a number, and a float
+    also takes an integer."""
+    if type(v) is not tp and not (tp is float and type(v) is int):
+        raise TypeError(f"expected a JSON {tp.__name__}, got {v!r}")
+    return tp(v)
+
+
+def _code_key(key: str) -> int:
+    """The code of an IntEnum table key, written as a digit string."""
+    if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+        raise TypeError(f"expected a digit-string key, got {key!r}")
+    return int(key)
+
+
 def _converters(tp: Any) -> tuple[Converter, Converter]:
     """(encode, decode) of a value annotated ``tp``."""
     origin, args = get_origin(tp), get_args(tp)
@@ -96,21 +107,21 @@ def _converters(tp: Any) -> tuple[Converter, Converter]:
     if origin is list:
         enc, dec = _converters(args[0])
         return (lambda v: [enc(x) for x in v]), (lambda v: [dec(x) for x in v])
-    if origin is dict:  # keys are written as strings, in sorted order
-        (enc_k, dec_k), (enc_v, dec_v) = _converters(args[0]), _converters(args[1])
+    if origin is dict:  # IntEnum keys, written as digit strings in sorted order
+        code, (enc_v, dec_v) = args[0], _converters(args[1])
         return (
-            lambda v: {str(enc_k(k)): enc_v(x) for k, x in sorted(v.items())},
-            lambda v: {dec_k(k): dec_v(x) for k, x in json_object(v).items()},
+            lambda v: {str(int(k)): enc_v(x) for k, x in sorted(v.items())},
+            lambda v: {code(_code_key(k)): dec_v(x) for k, x in json_object(v).items()},
         )
     if tp is np.ndarray:
         return (lambda v: v.tolist()), (lambda v: np.asarray(v, dtype=np.float64))
     if issubclass(tp, JsonCodec):
         return (lambda v: v.to_json_dict()), tp.from_json_dict
     if issubclass(tp, IntEnum):
-        return int, (lambda v: tp(int(v)))
+        return int, (lambda v: tp(json_value(int, v)))
     if issubclass(tp, Enum):
         return (lambda v: v.value), tp
-    return tp, tp  # bool, int, float, str
+    return tp, (lambda v: json_value(tp, v))  # bool, int, float, str
 
 
 @cache
@@ -382,18 +393,10 @@ class ObjectSlab(JsonCodec):
 
 @dataclass(frozen=True)
 class ReleaseDecision(JsonCodec):
-    """Final binary release output with per-modality provenance."""
+    """A fused release: the action read on the releasing sample, and when."""
 
-    release: bool
-    torque_vote: bool
-    vision_vote: bool
     action: ActionClass
     decided_at: int
-
-    def __post_init__(self) -> None:
-        if self.release != (self.torque_vote and self.vision_vote):
-            raise ValueError("release must equal torque_vote AND vision_vote")
-        object.__setattr__(self, "action", ActionClass(self.action))
 
 
 _CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)

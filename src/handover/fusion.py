@@ -11,23 +11,22 @@ pipeline's log and diffs the outcome.
 """
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from .classifier import NormalizationStats, classify_windows, torque_vote
 from .core import (
     INLINE,
-    ActionClass,
     ActionScores,
     JsonCodec,
     ReleaseDecision,
     dumps_canonical,
+    json_value,
 )
 from .nn_kernel import Network
 from .synth import SAMPLE_DT_MS, ScenarioScript, WINDOW_SAMPLES
@@ -80,8 +79,12 @@ class FusedSample(JsonCodec):
 
 @dataclass
 class SyncResult:
-    samples: list[FusedSample]
-    unpaired_ms: list[int]  # stamps of torque events with no partner, in order
+    partners: list[FusedSample | None]  # per torque event, in order; None when unpaired
+
+    @property
+    def samples(self) -> list[FusedSample]:
+        """The fused samples of the paired torque events, in order."""
+        return [s for s in self.partners if s is not None]
 
 
 def _check_ordered(stamps: Sequence[int], name: str) -> None:
@@ -101,14 +104,13 @@ def synchronize(
     """Pair each torque event with its nearest vision verdict in time.
 
     Eligible partners lie within ``pairing_window_ms`` of the torque
-    timestamp; the closest wins, ties going to the later verdict. Torque
-    events with no eligible partner are dropped and their stamps reported.
-    Both input streams must be individually time-ordered.
+    timestamp; the closest wins, ties going to the later verdict. A torque
+    event with no eligible partner has partner None. Both input streams
+    must be individually time-ordered.
     """
     _check_ordered([e.timestamp for e in torque_events], "torque")
     _check_ordered([v.evaluated_at for v in vision_verdicts], "vision")
-    samples: list[FusedSample] = []
-    unpaired: list[int] = []
+    partners: list[FusedSample | None] = []
     v_stamps = np.asarray([v.evaluated_at for v in vision_verdicts], dtype=np.int64)
     for event in torque_events:
         idx = int(np.searchsorted(v_stamps, event.timestamp))
@@ -121,16 +123,16 @@ def synchronize(
                     if best is None or key < best:
                         best = key
         if best is None:
-            unpaired.append(event.timestamp)
+            partners.append(None)
             continue
         verdict = vision_verdicts[best[2]]
-        samples.append(FusedSample(
+        partners.append(FusedSample(
             torque=event,
             vision=verdict,
             fused_vote=torque_vote(event.scores) and verdict.vote,
             skew_ms=event.timestamp - verdict.evaluated_at,
         ))
-    return SyncResult(samples=samples, unpaired_ms=unpaired)
+    return SyncResult(partners)
 
 
 class ReleaseFsm:
@@ -175,13 +177,7 @@ class ReleaseFsm:
         ts = sample.torque.timestamp
         if not self.advance(ts, sample.fused_vote):
             return None
-        return ReleaseDecision(
-            release=True,
-            torque_vote=True,
-            vision_vote=True,
-            action=sample.torque.scores.predicted,
-            decided_at=ts,
-        )
+        return ReleaseDecision(action=sample.torque.scores.predicted, decided_at=ts)
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +189,19 @@ Step = tuple[dict[str, Any], FusedSample | None]
 
 
 def _fsm_input(line: dict[str, Any]) -> tuple[int, bool]:
-    """(time, vote) of a logged single-modality or unpaired step.
-
-    An unpaired torque event is a non-vote.
+    """(time, vote) of a logged single-modality or unpaired step, an
+    integer and a boolean in the line. An unpaired torque event is a
+    non-vote.
     """
-    return line["t"], line["type"] != "unpaired_torque" and bool(line["vote"])
+    at_ms = json_value(int, line["t"])
+    return at_ms, line["type"] != "unpaired_torque" and json_value(bool, line["vote"])
 
 
-def _run_fsm(
-    config: SyncConfig, steps: Iterable[Step]
-) -> tuple[list[dict[str, Any]], ReleaseDecision | None, int | None]:
+def _run_fsm(config: SyncConfig, steps: Iterable[Step]) -> tuple[list[dict[str, Any]], int | None]:
     """Feed steps through a fresh FSM until it releases.
 
     Returns the log (each consumed step, then its transitions and any
-    decision), the fused decision and the release time.
+    fused decision) and the release time.
     """
     fsm = ReleaseFsm(config)
     log: list[dict[str, Any]] = []
@@ -225,30 +220,18 @@ def _run_fsm(
         if decision is not None:
             log.append({"type": "decision", **decision.to_json_dict()})
         if released:
-            return log, decision, fsm.transitions[-1][0]
-    return log, None, None
-
-
-def _fused_steps(sync: SyncResult) -> Iterator[Step]:
-    """Paired samples and unpaired torque events, merged in time order."""
-    paired = (({"type": "fused_sample", **s.to_json_dict()}, s) for s in sync.samples)
-    unpaired = (({"type": "unpaired_torque", "t": t}, None) for t in sync.unpaired_ms)
-    return heapq.merge(
-        paired, unpaired,
-        key=lambda step: step[0]["t"] if step[1] is None else step[1].torque.timestamp,
-    )
+            return log, fsm.transitions[-1][0]
+    return log, None
 
 
 @dataclass
 class EpisodeOutcome:
-    action: ActionClass
+    """An episode's result; ``events`` holds its log lines, header to summary."""
+
     pipeline: Pipeline
     released: bool
     release_time_ms: int | None
-    decision: ReleaseDecision | None
     events: list[dict[str, Any]] = field(default_factory=list, repr=False)
-    dropped_torque_events: int = 0
-    n_samples: int = 0
 
 
 def torque_event_stream(script: ScenarioScript, net: Network, stats: NormalizationStats) -> list[TorqueEvent]:
@@ -302,12 +285,16 @@ def run_episode(
         verdicts = grasp_verdicts(script.frames, script.slab)
         if not events or not verdicts:
             raise ValueError("fused episode requires both streams to be non-empty")
-        sync = synchronize(events, verdicts, config)
-        dropped = len(sync.unpaired_ms)
-        n_samples = len(sync.samples)
-        steps = _fused_steps(sync)
+        partners = synchronize(events, verdicts, config).partners
+        dropped = partners.count(None)
+        n_samples = len(events) - dropped
+        steps = (
+            ({"type": "unpaired_torque", "t": e.timestamp}, None) if s is None
+            else ({"type": "fused_sample", **s.to_json_dict()}, s)
+            for e, s in zip(events, partners)
+        )
 
-    log, decision, release_time = _run_fsm(config, steps)
+    log, release_time = _run_fsm(config, steps)
     header = {
         "type": "header",
         "pipeline": pipeline.value,
@@ -324,9 +311,8 @@ def run_episode(
         "n_samples": n_samples,
     }
     return EpisodeOutcome(
-        action=script.action, pipeline=pipeline, released=release_time is not None,
-        release_time_ms=release_time, decision=decision, events=[header, *log, summary],
-        dropped_torque_events=dropped, n_samples=n_samples,
+        pipeline=pipeline, released=release_time is not None,
+        release_time_ms=release_time, events=[header, *log, summary],
     )
 
 
@@ -378,7 +364,7 @@ def replay_episode_log(path: str | Path) -> ReplayResult:
         (l, FusedSample.from_json_dict(l) if l["type"] == "fused_sample" else None)
         for l in lines if l["type"] in ("vote_sample", "fused_sample", "unpaired_torque")
     )
-    log, _decision, release_time = _run_fsm(config, steps)
+    log, release_time = _run_fsm(config, steps)
     released = release_time is not None
     mismatches: list[str] = []
     for kind in ("transition", "decision"):

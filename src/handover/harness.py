@@ -8,6 +8,7 @@ with the same seed are byte-identical.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -141,18 +142,13 @@ def _whole_percent(rate: float) -> int:
     return int(rate * 100.0 + 0.5)
 
 
-def _evaluate_gates(config: ExperimentConfig, table_per_action, overall) -> dict[str, bool]:
+def _evaluate_gates(table: ReportTable) -> dict[str, bool]:
     gates: dict[str, bool] = {}
-    have = set(config.pipelines)
-
-    def rate(p: Pipeline) -> float:
-        trials, successes = overall[p]
-        return successes / trials if trials else 0.0
-
+    have, rate = set(table.pipelines), table.rate
     if Pipeline.FUSED in have:
         gates["fused_overall_at_least_min"] = rate(Pipeline.FUSED) >= FUSED_MIN_OVERALL
-    if Pipeline.VISION_ONLY in have and ActionClass.PUSH in config.actions:
-        successes, _ = table_per_action[Pipeline.VISION_ONLY][ActionClass.PUSH]
+    if Pipeline.VISION_ONLY in have and ActionClass.PUSH in table.actions:
+        successes, _ = table.per_action[Pipeline.VISION_ONLY][ActionClass.PUSH]
         gates["vision_only_push_all_fail"] = successes == 0
     if Pipeline.FUSED in have and Pipeline.TORQUE_ONLY in have:
         gates["fused_not_below_torque_only"] = rate(Pipeline.FUSED) >= rate(Pipeline.TORQUE_ONLY)
@@ -192,14 +188,9 @@ def run_experiment(
     net, stats = model if model is not None else _train_model(config, out_dir)
 
     records: list[TrialRecord] = []
-    per_action: dict[Pipeline, dict[ActionClass, tuple[int, int]]] = {}
-    overall: dict[Pipeline, tuple[int, int]] = {}
     for pipeline in config.pipelines:
         profile = config.fault_profiles[pipeline]
-        cells: dict[ActionClass, tuple[int, int]] = {}
-        pipeline_successes = 0
         for action in config.actions:
-            successes = 0
             for k in range(config.trials_per_action):
                 seed = np.random.SeedSequence(
                     entropy=config.seed,
@@ -207,8 +198,6 @@ def run_experiment(
                 )
                 script = generate_scenario(action, profile, seed)
                 outcome = run_episode(script, net, stats, config.sync, pipeline)
-                success = outcome.released == (expected_decision(action) is Decision.RELEASE)
-                successes += int(success)
                 log_ref = None
                 if out_dir is not None and config.log_episodes:
                     log_ref = f"episodes/{pipeline.value}_{action.name.lower()}_{k:03d}.jsonl"
@@ -218,16 +207,21 @@ def run_experiment(
                     action=action,
                     trial_index=k,
                     released=outcome.released,
-                    success=success,
+                    success=outcome.released == (expected_decision(action) is Decision.RELEASE),
                     release_time_ms=outcome.release_time_ms,
                     faults=tuple(script.faults),
                     episode_log=log_ref,
                 ))
-            cells[action] = (successes, config.trials_per_action - successes)
-            pipeline_successes += successes
-        per_action[pipeline] = cells
-        overall[pipeline] = (config.trials_per_action * len(config.actions), pipeline_successes)
 
+    counts = Counter((r.pipeline, r.action, r.success) for r in records)
+    per_action = {
+        p: {a: (counts[p, a, True], counts[p, a, False]) for a in config.actions}
+        for p in config.pipelines
+    }
+    overall = {
+        p: (sum(s + f for s, f in cells.values()), sum(s for s, _f in cells.values()))
+        for p, cells in per_action.items()
+    }
     table = ReportTable(
         trials_per_action=config.trials_per_action,
         seed=config.seed,
@@ -235,9 +229,10 @@ def run_experiment(
         pipelines=config.pipelines,
         per_action=per_action,
         overall=overall,
-        gates=_evaluate_gates(config, per_action, overall),
+        gates={},
         notes=tuple(CALIBRATION_NOTES),
     )
+    table.gates = _evaluate_gates(table)
 
     if out_dir is not None:
         with (out_dir / "trials.jsonl").open("w", encoding="utf-8") as fh:

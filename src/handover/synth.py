@@ -99,8 +99,8 @@ class TorqueSignatureModel:
         base = np.asarray(self.baseline, dtype=np.float64).reshape(NUM_JOINTS)
         base.flags.writeable = False
         object.__setattr__(self, "baseline", base)
-        if self.noise_sigma < 0.0 or not 0.0 <= self.amplitude_jitter < 1.0:
-            raise ValueError("noise_sigma >= 0 and amplitude_jitter in [0, 1) required")
+        if not (0.0 <= self.noise_sigma < np.inf and 0.0 <= self.amplitude_jitter < 1.0):
+            raise ValueError("noise_sigma finite and >= 0 and amplitude_jitter in [0, 1) required")
         null = self.profiles.get(ActionClass.NO_ACTION)
         if null is not None and null.shape is not ProfileShape.NULL:
             raise ValueError("the no-action profile must be the null shape")

@@ -212,6 +212,17 @@ class TestSimulateRejectsBadConfig:
         {"sync": 5},
         {"fault_profiles": {"fused": {"torque_misread": [0.5]}}},
         {"fault_profiles": {"fused": {"torque_misread": {"9": 0.5}}}},
+        # a value of the wrong JSON type is refused, never cast
+        {"sync": {"pairing_window_ms": 100, "debounce_frames": 2.9}},
+        {"sync": {"pairing_window_ms": "100", "debounce_frames": 3}},
+        {"sync": {"pairing_window_ms": True, "debounce_frames": 3}},
+        {"trials_per_action": 1.7},
+        {"seed": True},
+        {"train_epochs": "3"},
+        {"actions": [True]},
+        {"actions": [3.0]},
+        {"fault_profiles": {"fused": {"torque_misread": {"+3": 0.5}}}},
+        {"fault_profiles": {"fused": {"torque_extra_noise": "0.5"}}},
     ])
     def test_malformed_config_document_is_reported(self, refuse_training, tmp_path, capsys, doc):
         config_path = tmp_path / "config.json"
@@ -304,6 +315,8 @@ class TestSynthTrainEvalRejectBadInput:
     @pytest.mark.parametrize("argv", [
         ["synth", "--per-class", "1", "--out", "{out}"],
         ["synth", "--noise", "-1", "--out", "{out}"],
+        ["synth", "--noise", "nan", "--out", "{out}"],
+        ["synth", "--noise", "inf", "--out", "{out}"],
         ["train", "--dataset", "{absent}", "--out", "{out}"],
         ["train", "--dataset", "{not_json}", "--out", "{out}"],
         ["train", "--dataset", "{data}", "--epochs", "0", "--out", "{out}"],
@@ -321,7 +334,7 @@ class TestSynthTrainEvalRejectBadInput:
         ["eval", "--model", "{model}", "--dataset", "{huge_data}", "--report", "{out}"],
         ["eval", "--model", "{model}", "--dataset", "{empty}", "--report", "{out}"],
     ], ids=[
-        "synth-per-class", "synth-noise", "train-missing-dataset", "train-not-json", "train-epochs",
+        "synth-per-class", "synth-noise", "synth-noise-nan", "synth-noise-inf", "train-missing-dataset", "train-not-json", "train-epochs",
         "train-learning-rate-0", "train-learning-rate-negative", "train-learning-rate-nan",
         "train-huge-sample", "train-empty", "train-deficient",
         "eval-network-list", "eval-missing-model", "eval-missing-dataset",
@@ -359,8 +372,18 @@ class TestReplay:
          "line 2 is not a JSON object with a type"),
         (json.dumps(HEADER) + "\n[5]\n" + json.dumps(SUMMARY) + "\n", "line 2 is not a JSON object with a type"),
         (json.dumps(HEADER).replace('"debounce_frames": 3', '"debounce_frames": 1e400') + "\n"
-         + json.dumps(SUMMARY) + "\n", "infinity"),
-    ], ids=["missing", "not-json", "no-header", "no-type", "not-object", "huge-number"])
+         + json.dumps(SUMMARY) + "\n", "expected a JSON int, got inf"),
+        # a logged step's fields keep their JSON types: nothing is cast
+        (json.dumps(HEADER) + "\n" + json.dumps({"type": "vote_sample", "source": "torque", "t": 125,
+                                                 "vote": "false", "predicted": 0})
+         + "\n" + json.dumps(SUMMARY) + "\n", "expected a JSON bool, got 'false'"),
+        (json.dumps(HEADER) + "\n" + json.dumps({"type": "vote_sample", "source": "torque", "t": "abc",
+                                                 "vote": False, "predicted": 0})
+         + "\n" + json.dumps(SUMMARY) + "\n", "expected a JSON int, got 'abc'"),
+        (json.dumps(HEADER) + "\n" + json.dumps({"type": "unpaired_torque", "t": "abc"})
+         + "\n" + json.dumps(SUMMARY) + "\n", "expected a JSON int, got 'abc'"),
+    ], ids=["missing", "not-json", "no-header", "no-type", "not-object", "huge-number",
+            "string-vote", "string-time", "string-unpaired-time"])
     def test_bad_log_is_reported_apart_from_a_mismatch(self, tmp_path, capsys, text, reason):
         log = tmp_path / "episode.jsonl"
         if text is not None:

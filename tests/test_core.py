@@ -17,6 +17,8 @@ from handover.core import (
     dumps_canonical,
     expected_decision,
 )
+from handover.fusion import FusedSample, ReleaseFsm, SyncConfig, TorqueEvent
+from handover.vision_gate import VisionVerdict
 
 
 class TestExpectedDecision:
@@ -309,24 +311,18 @@ class TestObjectSlab:
 
 
 class TestReleaseDecision:
-    def test_and_invariant_enforced(self):
-        with pytest.raises(ValueError, match="AND"):
-            ReleaseDecision(
-                release=True, torque_vote=True, vision_vote=False,
-                action=ActionClass.PULL, decided_at=0,
-            )
-
     @pytest.mark.parametrize("tq,vi", [(True, True), (True, False), (False, True), (False, False)])
     def test_all_vote_combinations(self, tq, vi):
-        d = ReleaseDecision(
-            release=tq and vi, torque_vote=tq, vision_vote=vi,
-            action=ActionClass.HOLD, decided_at=5,
-        )
-        assert d.release == (tq and vi)
+        # a decision exists only for agreeing votes, so it carries no vote of its own
+        action = ActionClass.HOLD if tq else ActionClass.BUMP
+        scores = ActionScores.from_probabilities(np.eye(6)[int(action)])
+        vision = VisionVerdict(vote=vi, fingers_in_slab=4 if vi else 2, thumb_in_slab=True, evaluated_at=0)
+        sample = FusedSample(torque=TorqueEvent(scores=scores, timestamp=5), vision=vision,
+                             fused_vote=tq and vi, skew_ms=5)
+        d = ReleaseFsm(SyncConfig(debounce_frames=1)).step(sample)
+        assert d == (ReleaseDecision(action=ActionClass.HOLD, decided_at=5) if tq and vi else None)
 
     def test_json_roundtrip(self):
-        d = ReleaseDecision(
-            release=True, torque_vote=True, vision_vote=True,
-            action=ActionClass.PULL_UP, decided_at=2500,
-        )
+        d = ReleaseDecision(action=ActionClass.PULL_UP, decided_at=2500)
+        assert d.to_json_dict() == {"action": 5, "decided_at": 2500}
         assert ReleaseDecision.from_json_dict(d.to_json_dict()) == d

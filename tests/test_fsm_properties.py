@@ -1,5 +1,6 @@
 """Property tests of the release FSM and of episode-log replay."""
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -145,8 +146,37 @@ def test_fused_release_needs_votes_consecutive_in_time(small_model, episode):
     period = DEFAULT_STRIDE_SAMPLES * SAMPLE_DT_MS
     assert stamps == list(range(stamps[0], stamps[0] + period * len(stamps), period))
     if not outcome.released:
-        assert len(steps) == outcome.n_samples + outcome.dropped_torque_events
+        summary = outcome.events[-1]
+        assert len(steps) == summary["n_samples"] + summary["dropped_torque_events"]
         return
     debounce = episode["config"].debounce_frames
     assert len(steps) >= debounce and stamps[-1] == outcome.release_time_ms
     assert all(e["type"] == "fused_sample" and e["fused_vote"] for e in steps[-debounce:])
+
+
+@pytest.mark.parametrize("pipeline", list(Pipeline))
+@settings(max_examples=20)
+@given(episode=episodes)
+def test_log_lines_state_each_fact_once_and_agree(small_model, pipeline, episode):
+    outcome = _run(small_model, pipeline, episode)
+    *body, summary = outcome.events
+    assert summary["type"] == "summary"
+    assert (summary["released"], summary["release_time_ms"]) == (outcome.released, outcome.release_time_ms)
+    # the summary counts the whole stream; the log's steps stop at the release
+    counts = Counter(e["type"] for e in body)
+    stepped = (counts["vote_sample"] + counts["fused_sample"], counts["unpaired_torque"])
+    totals = (summary["n_samples"], summary["dropped_torque_events"])
+    if outcome.released:
+        assert stepped[0] <= totals[0] and stepped[1] <= totals[1]
+    else:
+        assert stepped == totals
+    released_at = [e["t"] for e in body if e["type"] == "transition" and e["to"] == "released"]
+    assert released_at == ([summary["release_time_ms"]] if outcome.released else [])
+    # a decision line if and only if a fused episode released, holding its
+    # last fused sample's action and the release time, nothing more
+    decisions = [e for e in body if e["type"] == "decision"]
+    assert len(decisions) == (pipeline is Pipeline.FUSED and outcome.released)
+    if decisions:
+        last_sample = [e for e in body if e["type"] == "fused_sample"][-1]
+        assert decisions == [{"type": "decision", "action": last_sample["torque"]["predicted"],
+                              "decided_at": summary["release_time_ms"]}]

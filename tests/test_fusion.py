@@ -59,12 +59,12 @@ class TestSynchronize:
         result = synchronize(self.torque_at(1000), [verdict(True, 960)], SyncConfig())
         assert len(result.samples) == 1
         assert result.samples[0].skew_ms == 40
-        assert result.unpaired_ms == []
+        assert result.partners.count(None) == 0
 
     def test_drops_event_outside_window(self):
         result = synchronize(self.torque_at(1000), [verdict(True, 880)], SyncConfig())
         assert result.samples == []
-        assert result.unpaired_ms == [1000]
+        assert result.partners.count(None) == 1
 
     def test_tie_goes_to_later_verdict(self):
         verdicts = [verdict(False, 960), verdict(True, 1040)]
@@ -96,7 +96,9 @@ class TestSynchronize:
         stamps = [s.torque.timestamp for s in result.samples]
         assert stamps == sorted(stamps)
         assert all(abs(s.skew_ms) <= 60 for s in result.samples)
-        assert len(result.samples) + len(result.unpaired_ms) == len(events)
+        assert len(result.samples) + result.partners.count(None) == len(events)
+        # each event's partner, if any, is the fused sample of that event
+        assert all(s is None or s.torque is e for e, s in zip(events, result.partners))
 
     def test_matches_brute_force_pairing_oracle(self, rng):
         config = SyncConfig(pairing_window_ms=70)
@@ -157,7 +159,7 @@ class TestReleaseFsm:
         decisions = [fsm.step(fused(ActionClass.PULL, True, ts)) for ts in (100, 200, 300)]
         assert decisions[0] is None and decisions[1] is None
         decision = decisions[2]
-        assert decision is not None and decision.release
+        assert decision is not None
         assert decision.action is ActionClass.PULL
         assert decision.decided_at == 300
         assert fsm.state is FsmState.RELEASED
@@ -237,8 +239,8 @@ class TestRunEpisode:
         script = generate_scenario(ActionClass.PULL, FaultProfile.clean(), seed=41)
         outcome = run_episode(script, net, stats)
         assert outcome.released
-        assert outcome.decision is not None
-        assert outcome.decision.action in (ActionClass.PULL, ActionClass.HOLD, ActionClass.PULL_UP)
+        (decision,) = [e for e in outcome.events if e["type"] == "decision"]
+        assert decision["action"] in (ActionClass.PULL, ActionClass.HOLD, ActionClass.PULL_UP)
         assert outcome.release_time_ms is not None
         assert outcome.release_time_ms >= script.action_onset_ms
 
@@ -247,7 +249,7 @@ class TestRunEpisode:
         script = generate_scenario(ActionClass.BUMP, FaultProfile.clean(), seed=42)
         outcome = run_episode(script, net, stats)
         assert not outcome.released
-        assert outcome.decision is None
+        assert not [e for e in outcome.events if e["type"] == "decision"]
 
     def test_vision_only_wrongly_releases_on_push(self, small_model):
         net, stats, _ = small_model
@@ -392,7 +394,7 @@ class TestDebounceOverTime:
         monkeypatch.setattr(fusion, "grasp_verdicts", lambda *args: verdicts)
         script = generate_scenario(ActionClass.PULL, FaultProfile.clean(), seed=60)
         outcome = run_episode(script, None, None, SyncConfig(debounce_frames=3))
-        assert outcome.dropped_torque_events == 3
+        assert outcome.events[-1]["dropped_torque_events"] == 3
         assert not outcome.released
         unpaired = [e["t"] for e in outcome.events if e["type"] == "unpaired_torque"]
         assert unpaired == [1125, 1250, 1375]

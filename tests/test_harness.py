@@ -9,6 +9,7 @@ from handover.core import ActionClass, Decision, expected_decision
 from handover.fusion import Pipeline
 from handover.harness import (
     ExperimentConfig,
+    ReportTable,
     _evaluate_gates,
     default_fault_profiles,
     render_report,
@@ -193,7 +194,9 @@ class TestGates:
         pipelines = tuple(successes)
         per_action = {p: {ActionClass.PUSH: (0, 30)} for p in pipelines}
         overall = {p: (180, n) for p, n in successes.items()}
-        assert _evaluate_gates(ExperimentConfig(pipelines=pipelines), per_action, overall) == want
+        table = ReportTable(trials_per_action=30, seed=0, actions=tuple(ActionClass), pipelines=pipelines,
+                            per_action=per_action, overall=overall, gates={}, notes=())
+        assert _evaluate_gates(table) == want
 
 
 class TestRenderReport:

@@ -72,9 +72,8 @@ GOLDEN = {
     ),
     "ObjectSlab": (ObjectSlab(z_front=0.4, z_back=1), '{"z_back":1.0,"z_front":0.4}'),
     "ReleaseDecision": (
-        ReleaseDecision(release=False, torque_vote=True, vision_vote=False,
-                        action=ActionClass.PULL, decided_at=1375),
-        '{"action":4,"decided_at":1375,"release":false,"torque_vote":true,"vision_vote":false}',
+        ReleaseDecision(action=ActionClass.PULL, decided_at=1375),
+        '{"action":4,"decided_at":1375}',
     ),
     "NormalizationStats": (
         NormalizationStats(mean=[0.5, -1.0, 2.25, 0.0, 3.0, -0.125, 1.5],
@@ -281,7 +280,7 @@ EPISODE_LOGS = {
         _move(375, "holding_idle", "release_armed"),
         _fused(500, 0, '{"evaluated_at":500,"fingers_in_slab":4,"thumb_in_slab":true,"vote":true}'),
         _move(500, "release_armed", "released"),
-        '{"action":3,"decided_at":500,"release":true,"torque_vote":true,"type":"decision","vision_vote":true}',
+        '{"action":3,"decided_at":500,"type":"decision"}',
         '{"dropped_torque_events":1,"n_samples":3,"release_time_ms":500,"released":true,"type":"summary"}',
     ],
 }

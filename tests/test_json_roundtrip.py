@@ -1,5 +1,6 @@
 """Every value a JSON-serialized type accepts survives dumps_canonical and
-json.loads unchanged, as strict JSON (no NaN or Infinity tokens)."""
+json.loads unchanged, as strict JSON (no NaN or Infinity tokens); a
+document value of the wrong JSON type is refused, never cast."""
 import dataclasses
 import json
 
@@ -23,6 +24,7 @@ from handover.core import (
     ReleaseDecision,
     TorqueWindow,
     dumps_canonical,
+    json_value,
 )
 from handover.fusion import FusedSample, SyncConfig, TorqueEvent
 from handover.synth import FaultProfile
@@ -81,13 +83,6 @@ def slabs(draw):
     return built(ObjectSlab, z_front=z_front, z_back=z_back)
 
 
-@st.composite
-def release_decisions(draw):
-    torque, vision = draw(st.booleans()), draw(st.booleans())
-    return ReleaseDecision(release=torque and vision, torque_vote=torque, vision_vote=vision,
-                           action=draw(actions), decided_at=draw(stamps))
-
-
 sync_configs = st.builds(SyncConfig, pairing_window_ms=st.integers(1, 2**31),
                          debounce_frames=st.integers(1, 2**31))
 
@@ -141,7 +136,7 @@ CASES = {
     "ActionScores": (ActionScores, action_scores()),
     "FingertipDetection": (FingertipDetection, detections()),
     "ObjectSlab": (ObjectSlab, slabs()),
-    "ReleaseDecision": (ReleaseDecision, release_decisions()),
+    "ReleaseDecision": (ReleaseDecision, st.builds(ReleaseDecision, action=actions, decided_at=stamps)),
     "SyncConfig": (SyncConfig, sync_configs),
     "FusedSample": (FusedSample, fused_samples()),
     "FaultProfile": (FaultProfile, fault_profiles()),
@@ -182,3 +177,52 @@ def test_network_round_trip(seed, filters, kernel):
         assert vars(got).keys() == vars(want).keys()
         for key, value in vars(want).items():
             assert_same(vars(got)[key], value)
+
+
+@pytest.mark.parametrize("tp, value", [
+    (bool, 1), (bool, "true"), (bool, None),
+    (int, True), (int, 2.9), (int, 3.0), (int, "100"), (int, float("inf")),
+    (float, True), (float, "1.5"), (float, None),
+    (str, 5), (str, None),
+])
+def test_value_of_another_json_type_is_refused(tp, value):
+    with pytest.raises(TypeError, match="expected"):
+        json_value(tp, value)
+
+
+@pytest.mark.parametrize("tp, value, want", [
+    (bool, False, False), (int, -3, -3), (float, 2, 2.0), (float, 0.5, 0.5), (str, "x", "x"),
+])
+def test_value_of_its_own_json_type_is_kept(tp, value, want):
+    got = json_value(tp, value)
+    assert got == want and type(got) is tp
+
+
+PROBS = [0.1, 0.2, 0.05, 0.4, 0.15, 0.1]
+
+
+@pytest.mark.parametrize("cls, doc", [
+    (SyncConfig, {"pairing_window_ms": "100", "debounce_frames": 3}),
+    (SyncConfig, {"pairing_window_ms": True, "debounce_frames": 3}),
+    (SyncConfig, {"pairing_window_ms": 100, "debounce_frames": 2.9}),
+    (ObjectSlab, {"z_front": "0.4", "z_back": 0.5}),
+    (ActionScores, {"predicted": "3", "probabilities": PROBS}),
+    (ActionScores, {"predicted": 3.0, "probabilities": PROBS}),
+    (VisionVerdict, {"vote": 1, "fingers_in_slab": 4, "thumb_in_slab": True, "evaluated_at": 0}),
+    (VisionVerdict, {"vote": True, "fingers_in_slab": 4, "thumb_in_slab": True, "evaluated_at": 0.5}),
+    (FaultProfile, {"torque_extra_noise": "0.5"}),
+    # IntEnum table keys are the digit strings they are written as
+    (FaultProfile, {"torque_misread": {"+3": 0.5}}),
+    (FaultProfile, {"torque_misread": {" 3": 0.5}}),
+    (FaultProfile, {"torque_misread": {"3": True}}),
+], ids=["sync-string", "sync-bool", "sync-float", "slab-string", "scores-string-code", "scores-float-code",
+        "verdict-int-vote", "verdict-float-time", "profile-string-noise", "profile-signed-key",
+        "profile-padded-key", "profile-bool-probability"])
+def test_wrongly_typed_document_value_is_refused(cls, doc):
+    with pytest.raises(TypeError, match="expected"):
+        cls.from_json_dict(doc)
+
+
+def test_int_enum_table_keys_read_back_from_digit_strings():
+    profile = FaultProfile.from_json_dict({"torque_misread": {"3": 0.5, "0": 1}})
+    assert profile.torque_misread == {ActionClass.HOLD: 0.5, ActionClass.NO_ACTION: 1.0}

@@ -57,6 +57,12 @@ class TestModelChecks:
         with pytest.raises(ValueError, match="amplitude_jitter"):
             TorqueSignatureModel(baseline=base.baseline, profiles=base.profiles, amplitude_jitter=1.0)
 
+    # nan would draw no noise at all and inf would pin every sample at the torque limit
+    @pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf")])
+    def test_noise_sigma_must_be_finite_and_non_negative(self, noise):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            default_signature_model(noise_sigma=noise)
+
     def test_impulse_is_a_half_open_pulse(self):
         amp = np.zeros(7)
         amp[2] = 3.5
