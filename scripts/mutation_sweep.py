@@ -1,22 +1,26 @@
-"""Mutation sweep of the decision path and its inputs, standard library only.
+"""Mutation sweep of the decision path, its inputs and the numeric kernel,
+standard library only.
 
 Makes one mutant per site in ``fusion.py``, ``vision_gate.py``,
 ``harness.py``, ``core.py`` (the domain types' checks), ``synth.py``
-(the fault draws) and ``classifier.py`` (the training split, the run
-plans, the model-file checks): each compare boundary swapped (``<`` and
-``<=``, ``>`` and ``>=``), each ``and``/``or`` swapped, and each ``not``
-dropped. Every mutant is written into a scratch copy of ``src/``,
-``tests/`` and ``pyproject.toml`` and the tests of those modules run
-against it; a mutant they still pass on survives. One line is printed per mutant, then the
+(the fault draws), ``classifier.py`` (the training split, the run
+plans, the model-file checks) and ``nn_kernel.py`` (the layers, the
+im2col/col2im pair, the model-file checks): each compare boundary
+swapped (``<`` and ``<=``, ``>`` and ``>=``), each ``and``/``or``
+swapped, and each ``not`` dropped. Every mutant is written into a
+scratch copy of ``src/``, ``tests/`` and ``pyproject.toml`` and its
+module's test files (``TARGET_TESTS``) run against it; a mutant they
+still pass on survives. One line is printed per mutant, then the
 survivors. The unmutated copy must pass first.
 
-Run from anywhere (about 10-15 s per mutant on a 2-core machine):
+Run from anywhere (about 10-15 s per decision-path mutant, a few
+seconds per kernel mutant, on a 2-core machine):
 
     python3 scripts/mutation_sweep.py
-    python3 scripts/mutation_sweep.py --targets classifier.py
+    python3 scripts/mutation_sweep.py --targets nn_kernel.py
 
 ``--targets`` names the module files under ``src/handover/`` to mutate,
-in order; the default is the six above.
+in order; the default is all seven above.
 
 The line numbers refer to the checked-in sources. The file name does not
 match ``test_*.py``, so pytest does not collect this script.
@@ -33,8 +37,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TARGETS = ["fusion.py", "vision_gate.py", "harness.py", "core.py", "synth.py", "classifier.py"]
-TESTS = [
+DECISION_TESTS = [
     "tests/test_core.py",
     "tests/test_classifier.py",
     "tests/test_synth.py",
@@ -46,6 +49,12 @@ TESTS = [
     "tests/test_harness.py",
     "tests/test_json_golden.py",
 ]
+# each module the sweep mutates, in sweep order, and the tests run against its mutants
+TARGET_TESTS = {
+    **{name: DECISION_TESTS for name in
+       ("fusion.py", "vision_gate.py", "harness.py", "core.py", "synth.py", "classifier.py")},
+    "nn_kernel.py": ["tests/test_nn_kernel.py", "tests/test_gradients.py"],
+}
 BOUNDARY = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.And: "and", ast.Or: "or"}
 TIMEOUT_S = 900  # a mutant that hangs the suite counts as killed
@@ -98,11 +107,11 @@ def mutate(source: str, target: int) -> tuple[str, Mutator]:
     return ast.unparse(ast.fix_missing_locations(tree)), mutator
 
 
-def tests_pass(copy: Path) -> bool:
+def tests_pass(copy: Path, tests: list[str]) -> bool:
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS],
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
             cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S,
         )
     except subprocess.TimeoutExpired:
@@ -111,14 +120,10 @@ def tests_pass(copy: Path) -> bool:
 
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(description="Mutation sweep of the decision path.")
-    parser.add_argument("--targets", nargs="+", default=TARGETS, metavar="MODULE",
-                        help="module files under src/handover/ to mutate (default: %(default)s)")
-    args = parser.parse_args(argv)
-    missing = [name for name in args.targets if not (ROOT / "src" / "handover" / name).is_file()]
-    if missing:
-        parser.error(f"no such module under src/handover/: {', '.join(missing)}")
-    return args
+    parser = argparse.ArgumentParser(description="Mutation sweep of the decision path and the kernel.")
+    parser.add_argument("--targets", nargs="+", default=list(TARGET_TESTS), choices=list(TARGET_TESTS),
+                        metavar="MODULE", help="module files under src/handover/ to mutate (default: %(default)s)")
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -131,11 +136,12 @@ def main(argv: list[str] | None = None) -> int:
         shutil.copytree(ROOT / "tests", copy / "tests", ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", copy / "pyproject.toml")
         for name in targets:
+            tests = TARGET_TESTS[name]
             path = copy / "src" / "handover" / name
             source = path.read_text(encoding="utf-8")
             unmutated, counter = mutate(source, -1)
             path.write_text(unmutated, encoding="utf-8")
-            if not tests_pass(copy):
+            if not tests_pass(copy, tests):
                 print(f"the tests fail on unmutated {name}; no sweep", file=sys.stderr)
                 return 2
             for target in range(counter.sites):
@@ -143,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
                 path.write_text(mutant, encoding="utf-8")
                 line, change = mutator.applied
                 site = f"{name}:{line} {change}"
-                if tests_pass(copy):
+                if tests_pass(copy, tests):
                     survivors.append(site)
                     print(f"SURVIVED {site}", flush=True)
                 else:

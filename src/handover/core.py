@@ -88,6 +88,23 @@ def json_value(tp: type, v: Any) -> Any:
     return tp(v)
 
 
+def json_array(v: Any) -> list[Any]:
+    """``v`` itself when it is a JSON array; a ``TypeError`` otherwise."""
+    if not isinstance(v, list):
+        raise TypeError(f"expected a JSON array, got {v!r}")
+    return v
+
+
+def json_numbers(v: Any) -> np.ndarray:
+    """``v`` as a float64 array when it is a JSON number or a (nested)
+    array of them; a ``TypeError`` for any other element, a bool included."""
+    cells = np.array(v, dtype=object)
+    for x in cells.flat:
+        if type(x) is not float and type(x) is not int:
+            raise TypeError(f"expected a JSON number, got {x!r}")
+    return cells.astype(np.float64)
+
+
 def _code_key(key: str) -> int:
     """The code of an IntEnum table key, written as a digit string."""
     if not (isinstance(key, str) and key.isascii() and key.isdigit()):
@@ -102,11 +119,13 @@ def _converters(tp: Any) -> tuple[Converter, Converter]:
         (inner,) = [a for a in args if a is not type(None)]
         enc, dec = _converters(inner)
         return (lambda v: None if v is None else enc(v)), (lambda v: None if v is None else dec(v))
-    if origin is tuple:
-        return list, tuple
+    if origin is tuple:  # tuple[T, ...] or tuple[T, T, ...], written as list[T]
+        (item,) = set(args) - {Ellipsis}
+        enc, dec = _converters(list[item])
+        return enc, (lambda v: tuple(dec(v)))
     if origin is list:
         enc, dec = _converters(args[0])
-        return (lambda v: [enc(x) for x in v]), (lambda v: [dec(x) for x in v])
+        return (lambda v: [enc(x) for x in v]), (lambda v: [dec(x) for x in json_array(v)])
     if origin is dict:  # IntEnum keys, written as digit strings in sorted order
         code, (enc_v, dec_v) = args[0], _converters(args[1])
         return (
@@ -114,7 +133,7 @@ def _converters(tp: Any) -> tuple[Converter, Converter]:
             lambda v: {code(_code_key(k)): dec_v(x) for k, x in json_object(v).items()},
         )
     if tp is np.ndarray:
-        return (lambda v: v.tolist()), (lambda v: np.asarray(v, dtype=np.float64))
+        return (lambda v: v.tolist()), json_numbers
     if issubclass(tp, JsonCodec):
         return (lambda v: v.to_json_dict()), tp.from_json_dict
     if issubclass(tp, IntEnum):

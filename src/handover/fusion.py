@@ -335,13 +335,20 @@ class ReplayResult:
     mismatches: list[str]
 
 
+# each summary count and the log steps it counts
+_SUMMARY_COUNTS = {"n_samples": ("vote_sample", "fused_sample"), "dropped_torque_events": ("unpaired_torque",)}
+
+
 def replay_episode_log(path: str | Path) -> ReplayResult:
     """Re-run the decision core over a logged episode and diff the outcome.
 
     The log is authoritative input (the FSM steps of any pipeline) and
     expected output (transitions, decision, summary); replay feeds the
-    steps through a fresh ``ReleaseFsm`` and reports any divergence. A
-    file that is not such a log raises ``ValueError``.
+    steps through a fresh ``ReleaseFsm`` and reports any divergence. The
+    summary's counts must equal the logged steps when the episode did not
+    release, and be at least those when it did. A file that is not such a
+    log raises ``ValueError`` (or ``TypeError`` for a value of the wrong
+    JSON type).
     """
     lines = []
     for number, text in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -359,6 +366,9 @@ def replay_episode_log(path: str | Path) -> ReplayResult:
     logged_summary = next((l for l in lines if l["type"] == "summary"), None)
     if logged_summary is None:
         raise ValueError("episode log has no summary line")
+    counts = {key: json_value(int, logged_summary[key]) for key in _SUMMARY_COUNTS}
+    if min(counts.values()) < 0:
+        raise ValueError(f"summary counts must be non-negative, got {counts}")
 
     steps = (
         (l, FusedSample.from_json_dict(l) if l["type"] == "fused_sample" else None)
@@ -375,6 +385,11 @@ def replay_episode_log(path: str | Path) -> ReplayResult:
     for key, value in (("released", released), ("release_time_ms", release_time)):
         if value != logged_summary[key]:
             mismatches.append(f"{key} differs: replay {value} vs log {logged_summary[key]}")
+    # the summary counts the whole stream; the logged steps stop at a release
+    for key, kinds in _SUMMARY_COUNTS.items():
+        n_logged = sum(l["type"] in kinds for l in lines)
+        if counts[key] < n_logged or (counts[key] > n_logged and not released):
+            mismatches.append(f"{key} differs: the log holds {n_logged} such steps vs summary {counts[key]}")
     return ReplayResult(
         matched=not mismatches,
         released=released,

@@ -9,16 +9,19 @@ Layout: at every layer boundary a tensor has the logical shape
 (batch, channels, length), and (batch, features) after pooling. In memory
 the activations are channel-major: a layer computes into a contiguous
 (channels, batch, length) buffer and returns its ``transpose(1, 0, 2)``
-view, and the next layer recovers that buffer without a copy. So the conv
-im2col and GEMM and the batch-norm reductions run on contiguous
+view, and the next layer recovers that buffer without a copy. So the
+batch-norm reductions and the conv products run on contiguous
 (channels, batch * length) rows, while callers index samples as usual.
+Every conv product goes through one adjoint pair: the forward is
+``W @ _im2col(x)``, the weight gradient ``g @ _im2col(x).T`` and the
+input gradient ``_col2im(W.T @ g)``.
 
 What a training-mode forward keeps for backward:
 
-- ``Conv1D``: its channel-major input, not the k-times-larger im2col
-  matrix. This is a reference, not a copy, whenever the input already has
-  that layout (the ReLU output before a conv, or a one-channel batch), so
-  a caller must not modify a conv's input between forward and backward.
+- ``Conv1D``: its channel-major input, from which backward rebuilds the
+  im2col matrix. It is a reference, not a copy, whenever the input has
+  that layout already (the ReLU output before a conv, or a one-channel
+  batch), so a caller must not modify it between forward and backward.
 - ``BatchNorm1D``: the centred rows and the per-channel ``1/std``; its
   backward builds dx in the centred buffer and drops it.
 - ``ReLU``: the boolean mask of positive inputs.
@@ -27,12 +30,10 @@ What a training-mode forward keeps for backward:
 
 Training reductions are row sums: a training-mode batch norm takes its
 mean, variance and gradient sums as one sum or dot product per channel
-row, and the conv bias gradient is a row sum. The conv weight gradient
-is one GEMM per tap over the flat rows shifted by the tap's offset, less
-the pairs that the shift carries across a sample boundary. That rounds
-differently from summing each sample over length and then the samples
-in order, or from one im2col GEMM, so training results are not
-bit-identical to those orders; they agree within 1e-12 relative.
+row, the conv bias gradient is a row sum and its weight gradient one
+GEMM over all B·L columns. So training results agree with sums taken
+over each sample, then over the samples, within 1e-12 relative, not
+bit for bit.
 
 Each layer's ``backward`` leaves its parameter gradients in its ``grads``;
 ``backward(net, x, targets)`` returns (loss, probabilities) and
@@ -49,7 +50,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .core import json_object
+from .core import json_numbers, json_object
 
 NETWORK_FORMAT_VERSION = "tcnn-v1"
 LOG_CLAMP = 1e-12
@@ -98,6 +99,37 @@ def _tap_span(shift: int, length: int) -> tuple[int, int]:
     the signal; same padding supplies zeros everywhere else."""
     lo = min(length, max(0, -shift))
     return lo, max(lo, min(length, length - shift))
+
+
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """The (c·k, B·L) im2col matrix of a (c, B, L) buffer, rows in (channel,
+    tap) order: tap j of output t reads input t + j - p, zero past the
+    sample's ends. Each tap is one shifted copy of the flat (c, B·L) rows
+    with the positions that crossed a sample boundary zeroed."""
+    channels, batch, length = x.shape
+    n, p = batch * length, (k - 1) // 2
+    rows = x.reshape(channels, n)
+    cols = np.empty((channels, k, n))
+    for j in range(k):
+        s = j - p
+        cols[:, j, max(0, -s):max(0, n - s)] = rows[:, max(0, s):max(0, n + s)]
+        lo, hi = _tap_span(s, length)
+        tap = cols[:, j].reshape(channels, batch, length)
+        tap[:, :, :lo] = tap[:, :, hi:] = 0.0
+    return cols.reshape(channels * k, n)
+
+
+def _col2im(dcols: np.ndarray, shape: tuple[int, int, int], k: int) -> np.ndarray:
+    """The adjoint of ``_im2col``: each tap's rows of a (c·k, B·L) matrix
+    added back onto the positions of a (c, B, L) ``shape`` that it read."""
+    p, length = (k - 1) // 2, shape[2]
+    dcols = dcols.reshape(shape[0], k, *shape[1:])
+    # the centre tap reads every position, so it seeds the sum
+    dx = dcols[:, p].copy()
+    for j in (*range(p), *range(p + 1, k)):
+        lo, hi = _tap_span(j - p, length)
+        dx[:, :, lo + j - p:hi + j - p] += dcols[:, j, :, lo:hi]
+    return dx
 
 
 def _check_kernel(kernel_size: int) -> None:
@@ -194,16 +226,7 @@ class Conv1D(Layer):
         channels, batch, length = xc.shape
         if channels != self.in_channels:
             raise ValueError(f"conv input has {channels} channels, layer expects {self.in_channels}")
-        k, p = self.kernel_size, (self.kernel_size - 1) // 2
-        # im2col rows in (channel, tap) order, matching weight.reshape(out, in*k);
-        # tap j of output position t reads input position t + j - p
-        cols = np.empty((channels, k, batch, length))
-        for j in range(k):
-            lo, hi = _tap_span(j - p, length)
-            cols[:, j, :, :lo] = 0.0
-            cols[:, j, :, hi:] = 0.0
-            cols[:, j, :, lo:hi] = xc[:, :, lo + j - p:hi + j - p]
-        out = self.gemm(cols.reshape(channels * k, batch * length))
+        out = self.gemm(_im2col(xc, self.kernel_size))
         if training:
             self._x = xc
         return out.reshape(self.out_channels, batch, length).transpose(1, 0, 2)
@@ -219,35 +242,11 @@ class Conv1D(Layer):
         if self._x is None:
             raise ValueError("backward called without a training forward")
         o, c, k = self.weight.shape
-        p = (k - 1) // 2
-        batch, length = grad.shape[0], grad.shape[2]
-        n = batch * length
-        x, g = self._x, _channel_major(grad)
-        x2, g2 = x.reshape(c, n), g.reshape(o, n)
-        # tap j pairs output t with input t + s: one GEMM over the flat rows
-        # shifted by s, minus the |s| pairs per sample where the flat shift
-        # runs from one sample's edge into its neighbour
-        dw = np.zeros((o, c, k))
-        for j in range(k):
-            s = j - p
-            lo, hi = _tap_span(s, length)
-            if lo == hi:
-                continue
-            tap = g2[:, lo:n - length + hi] @ x2[:, lo + s:n - length + hi + s].T
-            if s > 0:
-                tap -= g[:, :-1, hi:].reshape(o, -1) @ x[:, 1:, :s].reshape(c, -1).T
-            elif s < 0:
-                tap -= g[:, 1:, :lo].reshape(o, -1) @ x[:, :-1, length + s:].reshape(c, -1).T
-            dw[:, :, j] = tap
-        self.grads = {"weight": dw, "bias": g2.sum(axis=1)}
-        dcols = (self.weight.reshape(o, c * k).T @ g2).reshape(c, k, batch, length)
-        # col2im: scatter each tap's slab back to the input positions it read;
-        # the centre tap reads every position, so it seeds dx
-        dx = dcols[:, p].copy()
-        for j in (*range(p), *range(p + 1, k)):
-            lo, hi = _tap_span(j - p, length)
-            dx[:, :, lo + j - p:hi + j - p] += dcols[:, j, :, lo:hi]
-        return dx.transpose(1, 0, 2)
+        g2 = _channel_major(grad).reshape(o, -1)
+        # the rebuilt im2col matrix dies with its GEMM, before col2im's input exists
+        dw = g2 @ _im2col(self._x, k).T
+        self.grads = {"weight": dw.reshape(o, c, k), "bias": g2.sum(axis=1)}
+        return _col2im(self.weight.reshape(o, c * k).T @ g2, self._x.shape, k).transpose(1, 0, 2)
 
 
 class BatchNorm1D(Layer):
@@ -508,7 +507,7 @@ def _array_doc(arr: np.ndarray) -> dict[str, Any]:
 
 def _array_from_doc(entry: dict[str, Any], name: str) -> np.ndarray:
     doc = entry[name]
-    arr = np.asarray(doc["data"], dtype=np.float64).reshape(doc["shape"])
+    arr = json_numbers(doc["data"]).reshape(doc["shape"])
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{entry['kind']} {name} contains non-finite values")
     return arr

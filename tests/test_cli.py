@@ -382,8 +382,13 @@ class TestReplay:
          + "\n" + json.dumps(SUMMARY) + "\n", "expected a JSON int, got 'abc'"),
         (json.dumps(HEADER) + "\n" + json.dumps({"type": "unpaired_torque", "t": "abc"})
          + "\n" + json.dumps(SUMMARY) + "\n", "expected a JSON int, got 'abc'"),
+        # the summary's counts are non-negative JSON integers
+        (json.dumps(HEADER) + "\n" + json.dumps({**SUMMARY, "n_samples": 999, "dropped_torque_events": -5})
+         + "\n", "summary counts must be non-negative"),
+        (json.dumps(HEADER) + "\n" + json.dumps({**SUMMARY, "n_samples": "0"}) + "\n",
+         "expected a JSON int, got '0'"),
     ], ids=["missing", "not-json", "no-header", "no-type", "not-object", "huge-number",
-            "string-vote", "string-time", "string-unpaired-time"])
+            "string-vote", "string-time", "string-unpaired-time", "negative-count", "string-count"])
     def test_bad_log_is_reported_apart_from_a_mismatch(self, tmp_path, capsys, text, reason):
         log = tmp_path / "episode.jsonl"
         if text is not None:
@@ -394,6 +399,12 @@ class TestReplay:
         assert captured.err.startswith("invalid episode log: ")
         assert reason in captured.err
         assert "MISMATCH" not in captured.err
+
+    def test_replay_flags_counts_an_unreleased_log_does_not_hold(self, tmp_path, capsys):
+        log = tmp_path / "episode.jsonl"
+        log.write_text(json.dumps(HEADER) + "\n" + json.dumps({**SUMMARY, "n_samples": 1}) + "\n")
+        assert main(["replay", "--log", str(log)]) == 1
+        assert "n_samples differs" in capsys.readouterr().err
 
     def test_replay_episode_log(self, saved_model, tmp_path, capsys):
         out_dir = tmp_path / "sim"

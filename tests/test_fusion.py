@@ -361,6 +361,58 @@ class TestEpisodeLogReplay:
         assert not result.matched
         assert any("released differs" in m for m in result.mismatches)
 
+    @staticmethod
+    def edit_summary(path, **changes):
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[-1])
+        assert doc["type"] == "summary"
+        doc.update(changes)
+        lines[-1] = json.dumps(doc, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("changes, error, match", [
+        ({"n_samples": 999, "dropped_torque_events": -5}, ValueError, "non-negative"),
+        ({"n_samples": -1}, ValueError, "non-negative"),
+        ({"n_samples": "12"}, TypeError, "expected a JSON int"),
+        ({"dropped_torque_events": 0.0}, TypeError, "expected a JSON int"),
+        ({"n_samples": True}, TypeError, "expected a JSON int"),
+    ], ids=["negative-dropped", "negative-samples", "string-samples", "float-dropped", "bool-samples"])
+    def test_replay_rejects_summary_counts_that_are_not_counts(self, small_model, tmp_path, changes, error, match):
+        path, _ = self.run_and_log(small_model, tmp_path, ActionClass.PULL, Pipeline.FUSED, 51)
+        self.edit_summary(path, **changes)
+        with pytest.raises(error, match=match):
+            replay_episode_log(path)
+
+    @pytest.mark.parametrize("pipeline", list(Pipeline))
+    @pytest.mark.parametrize("key", ["n_samples", "dropped_torque_events"])
+    def test_replay_checks_the_counts_of_an_unreleased_log(self, small_model, tmp_path, monkeypatch, pipeline, key):
+        # a PUSH never releases on torque; vision alone sees no grasp here
+        monkeypatch.setattr(fusion, "grasp_verdicts", lambda *args: [verdict(False, t) for t in range(0, 3000, 100)])
+        path, outcome = self.run_and_log(small_model, tmp_path, ActionClass.PUSH, pipeline, 53)
+        assert not outcome.released
+        logged = outcome.events[-1][key]
+        for count in (logged + 1, logged - 1):
+            if count >= 0:
+                self.edit_summary(path, **{key: count})
+                result = replay_episode_log(path)
+                assert not result.matched
+                assert any(f"{key} differs" in m for m in result.mismatches)
+
+    @pytest.mark.parametrize("key", ["n_samples", "dropped_torque_events"])
+    def test_replay_checks_the_counts_of_a_released_log(self, small_model, tmp_path, key):
+        path, outcome = self.run_and_log(small_model, tmp_path, ActionClass.PULL, Pipeline.FUSED, 51)
+        assert outcome.released
+        kinds = {"n_samples": ("fused_sample",), "dropped_torque_events": ("unpaired_torque",)}[key]
+        steps = sum(line["type"] in kinds for line in outcome.events)
+        # the stream may go on past the release, never stop before its logged steps
+        self.edit_summary(path, **{key: steps + 1000})
+        assert replay_episode_log(path).matched
+        if steps:
+            self.edit_summary(path, **{key: steps - 1})
+            result = replay_episode_log(path)
+            assert not result.matched
+            assert any(f"{key} differs" in m for m in result.mismatches)
+
     def test_replay_rejects_non_finite_probabilities(self, small_model, tmp_path):
         path, _ = self.run_and_log(small_model, tmp_path, ActionClass.PULL, Pipeline.FUSED, 52)
         lines = path.read_text().splitlines()

@@ -27,6 +27,7 @@ from handover.core import (
     json_value,
 )
 from handover.fusion import FusedSample, SyncConfig, TorqueEvent
+from handover.harness import TrialRecord
 from handover.synth import FaultProfile
 from handover.vision_gate import MIN_FINGERS_FOR_GRASP, VisionVerdict
 
@@ -215,9 +216,23 @@ PROBS = [0.1, 0.2, 0.05, 0.4, 0.15, 0.1]
     (FaultProfile, {"torque_misread": {"+3": 0.5}}),
     (FaultProfile, {"torque_misread": {" 3": 0.5}}),
     (FaultProfile, {"torque_misread": {"3": True}}),
+    # array and tuple elements are JSON values of their element type too
+    (NormalizationStats, {"mean": ["1.5"] * NUM_JOINTS, "std": [1.0] * NUM_JOINTS}),
+    (NormalizationStats, {"mean": [0.0] * NUM_JOINTS, "std": [True] + [1.0] * (NUM_JOINTS - 1)}),
+    (ActionScores, {"predicted": 3, "probabilities": [None, *PROBS[1:]]}),
+    (TorqueWindow, {"samples": [[0.0] * WINDOW_SAMPLES] * (NUM_JOINTS - 1) + [[False] * WINDOW_SAMPLES]}),
+    (TrialRecord, {"pipeline": "fused", "action": 3, "trial_index": 0, "released": True, "success": True,
+                   "release_time_ms": 500, "faults": [1], "episode_log": None}),
+    (FingertipDetection, {"box": [0.0, "0.1", 0.5, 0.9], "finger_type": "thumb",
+                          "position_3d": [0.0, 0.0, 0.5], "confidence": 0.9, "timestamp": 0}),
+    # a string is not an array of its characters
+    (TrialRecord, {"pipeline": "fused", "action": 3, "trial_index": 0, "released": True, "success": True,
+                   "release_time_ms": 500, "faults": "ab", "episode_log": None}),
 ], ids=["sync-string", "sync-bool", "sync-float", "slab-string", "scores-string-code", "scores-float-code",
         "verdict-int-vote", "verdict-float-time", "profile-string-noise", "profile-signed-key",
-        "profile-padded-key", "profile-bool-probability"])
+        "profile-padded-key", "profile-bool-probability", "stats-string-mean", "stats-bool-std",
+        "scores-null-probability", "window-bool-sample", "trial-int-fault", "detection-string-box",
+        "trial-string-faults"])
 def test_wrongly_typed_document_value_is_refused(cls, doc):
     with pytest.raises(TypeError, match="expected"):
         cls.from_json_dict(doc)

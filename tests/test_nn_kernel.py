@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,28 @@ class TestBatchNorm:
         with pytest.raises(ValueError, match="epsilon"):
             nn.BatchNorm1D(2, epsilon=0.0)
 
+    def test_infinite_epsilon_rejected(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            nn.BatchNorm1D(2, epsilon=math.inf)
+
+    def test_zero_running_var_accepted(self):
+        # a constant channel's variance; epsilon keeps its inference finite
+        layer = nn.BatchNorm1D.from_params(np.ones(2), np.zeros(2), np.zeros(2), np.zeros(2))
+        assert np.all(np.isfinite(layer.forward(np.ones((1, 2, 3)))))
+
+    @pytest.mark.parametrize("shape", [(2, 5), (2, 3, 5)])
+    def test_wrong_input_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="batchnorm expects"):
+            nn.BatchNorm1D(2).forward(np.zeros(shape))
+
+    def test_second_backward_needs_a_new_forward(self, rng):
+        # backward builds dx in the centred rows, so they serve one backward
+        layer = nn.BatchNorm1D(2)
+        layer.forward(rng.standard_normal((3, 2, 4)), training=True)
+        layer.backward(np.ones((3, 2, 4)))
+        with pytest.raises(ValueError, match="training forward"):
+            layer.backward(np.ones((3, 2, 4)))
+
     @pytest.mark.parametrize("momentum", [5.0, 1.0 + 1e-9, -1.0, -1e-9, math.nan, math.inf])
     def test_bad_momentum_rejected(self, momentum):
         with pytest.raises(ValueError, match="momentum"):
@@ -166,6 +189,22 @@ class TestRelu:
         relu = nn.ReLU().forward
         x = rng.standard_normal((5, 17))
         assert np.array_equal(relu(relu(x)), relu(x))
+
+    def test_gradient_at_zero_is_zero(self):
+        relu = nn.ReLU()
+        relu.forward(np.array([-1.0, 0.0, 2.0]), training=True)
+        assert np.array_equal(relu.backward(np.ones(3)), [0.0, 0.0, 1.0])
+
+
+class TestLinear:
+    def test_mismatched_bias_rejected(self):
+        with pytest.raises(ValueError, match="disagree"):
+            nn.Linear.from_params(np.zeros((4, 3)), np.zeros(3))
+
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 3, 1)])
+    def test_wrong_input_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="linear expects"):
+            nn.Linear(3, 4).forward(np.zeros(shape))
 
 
 class TestGlobalAvgPool:
@@ -438,6 +477,59 @@ class TestTrainingKernelsMatchOracles:
         assert_close(layer.grads["bias"], want_db, g_abs.sum(axis=(0, 2)).max())
 
 
+def im2col_oracle(xc, k):
+    """Tap slices of a zero-padded copy of a (channels, batch, length) buffer,
+    stacked in (channel, tap) row order."""
+    channels, batch, length = xc.shape
+    p = (k - 1) // 2
+    padded = np.pad(xc, ((0, 0), (0, 0), (p, p)))
+    return np.stack([padded[:, :, j:j + length] for j in range(k)], axis=1).reshape(channels * k, -1)
+
+
+im2col_cases = st.tuples(
+    st.integers(1, 8), st.integers(1, 5), st.integers(1, 40), st.sampled_from([1, 3, 5, 15]),
+    st.integers(0, 2**16),
+)
+
+
+class TestIm2colCol2im:
+    """The one adjoint pair behind every conv product."""
+
+    @given(case=im2col_cases)
+    def test_im2col_copies_zero_padded_taps(self, case):
+        channels, batch, length, k, seed = case
+        xc = np.random.default_rng(seed).standard_normal((channels, batch, length))
+        assert np.array_equal(nn._im2col(xc, k), im2col_oracle(xc, k))
+
+    @given(case=im2col_cases)
+    def test_col2im_is_the_adjoint_of_im2col(self, case):
+        # <im2col(x), Y> = <x, col2im(Y)>, within 1e-12 of the sum of |terms|
+        channels, batch, length, k, seed = case
+        gen = np.random.default_rng(seed)
+        xc = gen.standard_normal((channels, batch, length))
+        y = gen.standard_normal((channels * k, batch * length))
+        cols = nn._im2col(xc, k)
+        dx = nn._col2im(y, xc.shape, k)
+        assert dx.shape == xc.shape
+        assert abs(np.vdot(cols, y) - np.vdot(xc, dx)) <= 1e-12 * np.vdot(np.abs(cols), np.abs(y))
+
+    def test_backward_holds_one_im2col_matrix_at_a_time(self, rng):
+        # the weight gradient's im2col is freed before the input gradient's
+        # columns are allocated
+        layer = nn.Conv1D(64, 64, 3, rng=rng)
+        x = rng.standard_normal((32, 64, 280))
+        layer.forward(x, training=True)
+        grad = channel_major_view(rng.standard_normal((32, 64, 280)))
+        cols_bytes = 3 * x.nbytes
+        tracemalloc.start()
+        try:
+            layer.backward(grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cols_bytes < peak <= cols_bytes + x.nbytes + 2**20
+
+
 class TestChannelMajorLayout:
     """Layers store activations channel-major but must not care how their
     (batch, channels, length) input is laid out."""
@@ -609,6 +701,13 @@ class TestSerialization:
         doc = nn.network_to_json(self.build_net())
         doc["layers"][index][name]["data"][0] = bad
         with pytest.raises(ValueError, match="finite"):
+            nn.network_from_json(doc)
+
+    @pytest.mark.parametrize("bad", ["0.5", True, None, [0.5]])
+    def test_non_number_values_rejected(self, bad):
+        doc = nn.network_to_json(self.build_net())
+        doc["layers"][0]["bias"]["data"][0] = bad
+        with pytest.raises(TypeError, match="expected"):
             nn.network_from_json(doc)
 
     def test_negative_running_var_rejected(self):
