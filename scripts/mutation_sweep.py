@@ -4,8 +4,8 @@ standard library only.
 Makes one mutant per site in ``fusion.py``, ``vision_gate.py``,
 ``harness.py``, ``core.py`` (the domain types' checks), ``synth.py``
 (the fault draws), ``classifier.py`` (the training split, the run
-plans, the model-file checks) and ``nn_kernel.py`` (the layers, the
-im2col/col2im pair, the model-file checks): each compare boundary
+plans, the model-file checks) and ``nn_kernel.py`` (the layers and
+their argument checks, the im2col/col2im pair): each compare boundary
 swapped (``<`` and ``<=``, ``>`` and ``>=``), each ``and``/``or``
 swapped, and each ``not`` dropped. Every mutant is written into a
 scratch copy of ``src/``, ``tests/`` and ``pyproject.toml`` and its

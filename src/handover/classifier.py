@@ -11,6 +11,11 @@ once, and each window recomputes only the positions near its
 joint-segment ends. A cached plan per geometry (window count, step) holds
 the index arrays that gather each conv's im2col matrix and the 0/1 matrix
 that pools each window.
+
+A model file holds its ``format``, the ``normalization`` statistics and
+the preset's 17 stored ``arrays`` as nested lists; ``load_model`` fills
+them into a fresh ``build_network()``, so no file sets the stack, a batch
+norm's epsilon or momentum, or a conv's bias.
 """
 from __future__ import annotations
 
@@ -35,13 +40,14 @@ from .core import (
     TorqueWindow,
     check_torques,
     dumps_canonical,
+    json_numbers,
     json_object,
 )
 from . import nn_kernel as nn
 
 STD_FLOOR = 1e-6
 HOLDOUT_FRACTION = 0.2  # the stratified 80/20 split
-MODEL_FORMAT_VERSION = "handover-model-v1"
+MODEL_FORMAT_VERSION = "handover-model-v2"
 MOMENTUM = 0.9  # heavy-ball SGD
 # the one network, the FCN baseline of Wang, Yan & Oates (arXiv 1611.06455);
 # load_model rejects any other stack, so classify_windows may assume it
@@ -129,10 +135,6 @@ def build_network(config: TorqueNetConfig = TorqueNetConfig()) -> nn.Network:
     layers.append(nn.GlobalAvgPool1D())
     layers.append(nn.Linear(FILTERS, NUM_CLASSES, rng=rng))
     return nn.Network(layers)
-
-
-def _architecture(net: nn.Network) -> list[tuple]:
-    return [(layer.kind, *(getattr(layer, name) for name in layer.shapes)) for layer in net.layers]
 
 
 def normalize_input(samples: np.ndarray, stats: NormalizationStats) -> np.ndarray:
@@ -374,23 +376,42 @@ def evaluate(
 # model and dataset files
 # ---------------------------------------------------------------------------
 
-def save_model(path: str | Path, net: nn.Network, stats: NormalizationStats) -> None:
-    doc = {
-        "format": MODEL_FORMAT_VERSION,
-        "network": nn.network_to_json(net),
-        "normalization": stats.to_json_dict(),
+def _stored_arrays(net: nn.Network) -> dict[str, np.ndarray]:
+    """The arrays a model file holds, keyed "<layer index>.<array>": each
+    layer's trained arrays and each batch norm's running statistics."""
+    return {
+        f"{i}.{name}": getattr(layer, name)
+        for i, layer in enumerate(net.layers)
+        for name in (layer.arrays if isinstance(layer, nn.BatchNorm1D) else layer.trained)
     }
+
+
+def save_model(path: str | Path, net: nn.Network, stats: NormalizationStats) -> None:
+    arrays = {key: arr.tolist() for key, arr in _stored_arrays(net).items()}
+    doc = {"format": MODEL_FORMAT_VERSION, "arrays": arrays, "normalization": stats.to_json_dict()}
     Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
 
 
 def load_model(path: str | Path) -> tuple[nn.Network, NormalizationStats]:
-    """The saved network and statistics; any network but the preset is a ``ValueError``."""
+    """The preset network holding the saved arrays, and the saved statistics."""
     doc = json_object(json.loads(Path(path).read_text(encoding="utf-8")))
     if doc.get("format") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format {doc.get('format')!r}")
-    net = nn.network_from_json(doc["network"])
-    if _architecture(net) != _architecture(build_network()):
-        raise ValueError(f"model network is not the preset ({BLOCKS} blocks, {FILTERS} filters, kernel {KERNEL_SIZE})")
+        raise ValueError(f"unsupported model format {doc.get('format')!r}; retrain to write {MODEL_FORMAT_VERSION}")
+    if doc.keys() != {"format", "arrays", "normalization"}:
+        raise ValueError(f"model file keys {sorted(doc)} are not arrays, format and normalization")
+    net = build_network()
+    targets, arrays = _stored_arrays(net), json_object(doc["arrays"])
+    if arrays.keys() != targets.keys():
+        raise ValueError(f"model arrays differ from the preset's in {sorted(arrays.keys() ^ targets.keys())}")
+    for key, target in targets.items():
+        value = json_numbers(arrays[key])
+        if value.shape != target.shape:
+            raise ValueError(f"model array {key} has shape {value.shape}, the preset's is {target.shape}")
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"model array {key} contains non-finite values")
+        if key.endswith(".running_var") and np.any(value < 0.0):
+            raise ValueError(f"model array {key} must be non-negative")
+        target[...] = value
     return net, NormalizationStats.from_json_dict(doc["normalization"])
 
 

@@ -139,6 +139,9 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         "train_per_class": args.train_per_class, "train_epochs": args.train_epochs,
     }
     overrides.update((key, value) for key, value in flags.items() if value is not None)
+    unused = sorted({"train_per_class", "train_epochs"} & overrides.keys())
+    if args.model and unused:
+        raise ValueError(f"simulate --model trains no model, so {' and '.join(unused)} would be ignored")
     if args.no_episode_logs:
         overrides["log_episodes"] = False
     return ExperimentConfig(out_dir=args.out_dir, **overrides)

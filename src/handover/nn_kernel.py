@@ -30,17 +30,19 @@ What a training-mode forward keeps for backward:
 
 Training reductions are row sums: a training-mode batch norm takes its
 mean, variance and gradient sums as one sum or dot product per channel
-row, the conv bias gradient is a row sum and its weight gradient one
-GEMM over all B·L columns. So training results agree with sums taken
-over each sample, then over the samples, within 1e-12 relative, not
-bit for bit.
+row, and a conv's weight gradient is one GEMM over all B·L columns. So
+training results agree with sums taken over each sample, then over the
+samples, within 1e-12 relative, not bit for bit.
 
 Each layer's ``backward`` leaves its parameter gradients in its ``grads``;
 ``backward(net, x, targets)`` returns (loss, probabilities) and
 ``MomentumSGD.step()`` reads the gradients there.
 
-``Network.frozen()`` returns an inference copy with each batch norm
-folded into the conv before it; ``predict_proba`` runs that copy, so
+A conv's bias is not trained: the batch norm after each conv subtracts
+the channel mean, which cancels any bias (Ioffe & Szegedy, arXiv
+1502.03167, §3.2). It stays zero until ``Network.frozen()`` returns an
+inference copy with each batch norm folded into the conv before it, its
+shift in that conv's bias; ``predict_proba`` runs that copy, so
 inference never runs the training kernels.
 """
 from __future__ import annotations
@@ -50,9 +52,6 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .core import json_numbers, json_object
-
-NETWORK_FORMAT_VERSION = "tcnn-v1"
 LOG_CLAMP = 1e-12
 
 
@@ -149,25 +148,20 @@ def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -
 class Layer:
     """Base of the layers. Each declares once what it holds:
 
-    - ``kind``: its name in model files;
     - ``arrays``: its arrays, in ``from_params`` order; ``trained`` are
       the ones SGD updates, which ``params()`` returns;
-    - ``scalars``: its constructor scalars, keywords of ``from_params``;
-    - ``shapes``: the attributes its arrays fix, written to model files
-      and checked against the arrays on load.
+    - ``scalars``: its constructor scalars, keywords of ``from_params``.
 
     ``from_params`` builds a layer on given arrays through ``_assign``,
-    which checks them; the layer copy, ``params()`` and the model file
-    form are derived from the declaration. ``grads`` maps each trained
-    array to its gradient from the layer's last ``backward``, a new dict
-    per call; it is empty before the first.
+    which checks them; the layer copy and ``params()`` are derived from
+    the declaration. ``grads`` maps each trained array to its gradient
+    from the layer's last ``backward``, a new dict per call; it is empty
+    before the first.
     """
 
-    kind: str
     arrays: tuple[str, ...] = ()
     trained: tuple[str, ...] = ()
     scalars: tuple[str, ...] = ()
-    shapes: tuple[str, ...] = ()
     grads: Mapping[str, np.ndarray] = MappingProxyType({})
 
     def _assign(self) -> None:
@@ -192,11 +186,12 @@ class Layer:
 
 
 class Conv1D(Layer):
-    """1D convolution, kernel weights (out_channels, in_channels, k)."""
+    """1D convolution, kernel weights (out_channels, in_channels, k). Only
+    the weight is trained; the bias is zero unless ``Network.frozen()``
+    has folded a batch norm's shift into it."""
 
-    kind = "conv1d"
-    arrays = trained = ("weight", "bias")
-    shapes = ("in_channels", "out_channels", "kernel_size")
+    arrays = ("weight", "bias")
+    trained = ("weight",)
     _x: np.ndarray | None = None  # a training forward's channel-major input
 
     def __init__(
@@ -245,18 +240,16 @@ class Conv1D(Layer):
         g2 = _channel_major(grad).reshape(o, -1)
         # the rebuilt im2col matrix dies with its GEMM, before col2im's input exists
         dw = g2 @ _im2col(self._x, k).T
-        self.grads = {"weight": dw.reshape(o, c, k), "bias": g2.sum(axis=1)}
+        self.grads = {"weight": dw.reshape(o, c, k)}
         return _col2im(self.weight.reshape(o, c * k).T @ g2, self._x.shape, k).transpose(1, 0, 2)
 
 
 class BatchNorm1D(Layer):
     """Per-channel batch norm with running statistics for inference."""
 
-    kind = "batchnorm1d"
     arrays = ("gamma", "beta", "running_mean", "running_var")
     trained = ("gamma", "beta")
     scalars = ("epsilon", "momentum")
-    shapes = ("channels",)
     # a training forward's centred rows and per-channel 1/std
     _centred: np.ndarray | None = None
     _inv_std: np.ndarray | None = None
@@ -337,7 +330,6 @@ class BatchNorm1D(Layer):
 class ReLU(Layer):
     """Elementwise, so the output keeps the input's (channel-major) strides."""
 
-    kind = "relu"
     _mask: np.ndarray | None = None  # a training forward's positive inputs
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -357,7 +349,6 @@ class GlobalAvgPool1D(Layer):
     The means come back C-contiguous whatever the input strides, so the
     Linear GEMMs that follow see one operand layout and round alike."""
 
-    kind = "global_avg_pool"
     _length: int | None = None  # a training forward's length
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -377,9 +368,7 @@ class GlobalAvgPool1D(Layer):
 class Linear(Layer):
     """Dense map (batch, in_features) -> (batch, out_features)."""
 
-    kind = "linear"
     arrays = trained = ("weight", "bias")
-    shapes = ("in_features", "out_features")
     _x: np.ndarray | None = None  # a training forward's input
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator | None = None) -> None:
@@ -405,11 +394,6 @@ class Linear(Layer):
             raise ValueError("backward called without a training forward")
         self.grads = {"weight": grad.T @ self._x, "bias": grad.sum(axis=0)}
         return grad @ self.weight
-
-
-LAYER_KINDS: dict[str, type[Layer]] = {
-    cls.kind: cls for cls in (Conv1D, BatchNorm1D, ReLU, GlobalAvgPool1D, Linear)
-}
 
 
 # ---------------------------------------------------------------------------
@@ -495,53 +479,3 @@ class MomentumSGD:
             for name, g in layer.grads.items():
                 vel[name] = self.momentum * vel[name] + g
                 layer.params()[name] -= self.learning_rate * vel[name]
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def _array_doc(arr: np.ndarray) -> dict[str, Any]:
-    return {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-
-
-def _array_from_doc(entry: dict[str, Any], name: str) -> np.ndarray:
-    doc = entry[name]
-    arr = json_numbers(doc["data"]).reshape(doc["shape"])
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{entry['kind']} {name} contains non-finite values")
-    return arr
-
-
-def network_to_json(net: Network) -> dict[str, Any]:
-    """Each layer as its kind, shape attributes, scalars and arrays."""
-    layers: list[dict[str, Any]] = []
-    for layer in net.layers:
-        entry: dict[str, Any] = {"kind": layer.kind}
-        entry.update((name, getattr(layer, name)) for name in (*layer.shapes, *layer.scalars))
-        entry.update((name, _array_doc(getattr(layer, name))) for name in layer.arrays)
-        layers.append(entry)
-    return {"version": NETWORK_FORMAT_VERSION, "layers": layers}
-
-
-def network_from_json(doc: dict[str, Any]) -> Network:
-    if json_object(doc).get("version") != NETWORK_FORMAT_VERSION:
-        raise ValueError(f"unsupported network format {doc.get('version')!r}")
-    layers: list[Layer] = []
-    for entry in doc["layers"]:
-        kind = entry["kind"]
-        cls = LAYER_KINDS.get(kind) if isinstance(kind, str) else None
-        if cls is None:
-            raise ValueError(f"unknown layer kind {kind!r}")
-        layer = cls.from_params(
-            *(_array_from_doc(entry, name) for name in cls.arrays),
-            **{name: entry[name] for name in cls.scalars},
-        )
-        for name in cls.shapes:
-            if entry[name] != getattr(layer, name):
-                raise ValueError(
-                    f"{entry['kind']} declares {name}={entry[name]!r} but its parameter shapes "
-                    f"give {getattr(layer, name)}"
-                )
-        layers.append(layer)
-    return Network(layers)

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from handover.classifier import (
     _run_plan,
+    _stored_arrays,
     LabeledWindow,
     NormalizationStats,
     TorqueNetConfig,
@@ -37,7 +39,7 @@ from handover.synth import (
     generate_dataset,
     generate_window,
 )
-from test_json_golden import GOLDEN
+from test_json_golden import GOLDEN, MODEL_ARRAYS
 
 JSON_VALUES = st.recursive(
     # integers from 2**1024 up overflow a float64
@@ -96,11 +98,13 @@ def stored_values(net, include_running_stats=True):
 class TestBuildNetwork:
     def test_parameter_count_matches_architecture(self):
         net = build_network(TorqueNetConfig())
-        # conv blocks: (1*64*3+64) + 2*(64*64*3+64); batch norm: 3*4*64;
-        # head: 64*6+6
-        expected = (1 * 64 * 3 + 64) + 2 * (64 * 64 * 3 + 64) + 3 * 4 * 64 + (64 * 6 + 6)
-        assert expected == 26118
+        # conv weights: 1*64*3 + 2*64*64*3; batch norm: 3*4*64; head: 64*6+6.
+        # The three conv biases, which the batch norms cancel, are not
+        # trained or stored: 26,118 - 3*64 = 25,926
+        expected = (1 * 64 * 3) + 2 * (64 * 64 * 3) + 3 * 4 * 64 + (64 * 6 + 6)
+        assert expected == 26118 - 3 * 64 == 25926
         assert stored_values(net) == expected
+        assert sum(arr.size for arr in _stored_arrays(net).values()) == expected
         assert stored_values(net, include_running_stats=False) == expected - 2 * 3 * 64
 
     def test_same_seed_is_bit_identical(self):
@@ -427,6 +431,29 @@ NON_PRESET_STACKS = {
 }
 
 
+def set_first(value):
+    """An edit that writes ``value`` over an array's first element."""
+    def edit(arrays, key):
+        cell = arrays[key]
+        while isinstance(cell[0], list):
+            cell = cell[0]
+        cell[0] = value
+    return edit
+
+
+# each way to damage one stored array: (edit, error, message)
+ARRAY_DAMAGE = {
+    "first-row": (lambda arrays, key: arrays.update({key: arrays[key][:1]}), ValueError, "shape"),
+    "nan": (set_first(float("nan")), ValueError, "non-finite"),
+    "inf": (set_first(float("inf")), ValueError, "non-finite"),
+    "-inf": (set_first(-float("inf")), ValueError, "non-finite"),
+    "bool": (set_first(True), TypeError, "JSON number"),
+    "string": (set_first("0.5"), TypeError, "JSON number"),
+    "missing": (lambda arrays, key: arrays.pop(key), ValueError, "preset"),
+    "extra": (lambda arrays, key: arrays.update({f"{key}2": arrays[key]}), ValueError, "preset"),
+}
+
+
 class TestModelAndDatasetFiles:
     def test_model_roundtrip_preserves_outputs(self, small_model, tmp_path, rng):
         net, stats, _ = small_model
@@ -455,27 +482,64 @@ class TestModelAndDatasetFiles:
         path.write_text(json.dumps(doc), encoding="utf-8")
         return path
 
-    def test_load_rejects_broadcasting_linear_bias(self, small_model, tmp_path):
-        def edit(doc):
-            doc["network"]["layers"][-1]["bias"] = {"shape": [1], "data": [0.0]}
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_drawn_arrays_survive_the_file_bit_for_bit(self, damaged_file, data):
+        net = build_network()
+        for key, arr in _stored_arrays(net).items():
+            values = st.floats(0.0 if key.endswith(".running_var") else None, allow_nan=False, allow_infinity=False)
+            arr[...] = data.draw(hnp.arrays(np.float64, arr.shape, elements=values), label=key)
+        save_model(damaged_file, net, GOLDEN["NormalizationStats"][0])
+        back, _stats = load_model(damaged_file)
+        loaded = _stored_arrays(back)
+        for key, arr in _stored_arrays(net).items():
+            assert loaded[key].tobytes() == arr.tobytes(), key
+        assert not any(np.any(layer.bias) for layer in back.layers if isinstance(layer, nn.Conv1D))
 
-        with pytest.raises(ValueError, match="shape"):
-            load_model(self.corrupt_model(small_model, tmp_path, edit))
+    @pytest.mark.parametrize("damage", sorted(ARRAY_DAMAGE))
+    @pytest.mark.parametrize("key", MODEL_ARRAYS)
+    def test_load_rejects_a_damaged_array(self, damaged_file, preset_model_text, key, damage):
+        edit, error, match = ARRAY_DAMAGE[damage]
+        doc = json.loads(preset_model_text)
+        edit(doc["arrays"], key)
+        damaged_file.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(error, match=match):
+            load_model(damaged_file)
 
-    def test_load_rejects_negative_running_var(self, small_model, tmp_path):
-        def edit(doc):
-            doc["network"]["layers"][1]["running_var"]["data"][0] = -1.0
+    @pytest.mark.parametrize("key", [key for key in MODEL_ARRAYS if key.endswith(".running_var")])
+    def test_load_rejects_a_negative_running_var(self, damaged_file, preset_model_text, key):
+        doc = json.loads(preset_model_text)
+        doc["arrays"][key][5] = -1e-300
+        damaged_file.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{key} must be non-negative"):
+            load_model(damaged_file)
 
-        with pytest.raises(ValueError, match="running_var"):
-            load_model(self.corrupt_model(small_model, tmp_path, edit))
+    # no key sets a conv bias, a batch norm's epsilon or momentum, or the stack
+    @pytest.mark.parametrize("key", ["0.bias", "6.bias", "1.epsilon", "7.momentum", "2.kind"])
+    def test_load_rejects_an_array_the_preset_does_not_store(self, damaged_file, preset_model_text, key):
+        doc = json.loads(preset_model_text)
+        doc["arrays"][key] = [0.0] * 64
+        damaged_file.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"preset's in \\['{key}'\\]"):
+            load_model(damaged_file)
 
-    @pytest.mark.parametrize("momentum", [5.0, -1.0, float("nan")])
-    def test_load_rejects_bad_momentum(self, small_model, tmp_path, momentum):
-        def edit(doc):
-            doc["network"]["layers"][1]["momentum"] = momentum
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(network={}),
+        lambda doc: doc.pop("normalization"),
+    ], ids=["extra", "missing"])
+    def test_load_rejects_other_file_keys(self, damaged_file, preset_model_text, edit):
+        doc = json.loads(preset_model_text)
+        edit(doc)
+        damaged_file.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError, match="keys"):
+            load_model(damaged_file)
 
-        with pytest.raises(ValueError, match="momentum"):
-            load_model(self.corrupt_model(small_model, tmp_path, edit))
+    def test_load_rejects_a_v1_file_and_says_to_retrain(self, damaged_file):
+        doc = {"format": "handover-model-v1", "network": {"layers": [], "version": "tcnn-v1"},
+               "normalization": {"mean": [0.0] * 7, "std": [1.0] * 7}}
+        damaged_file.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError, match="'handover-model-v1'; retrain"):
+            load_model(damaged_file)
 
     @pytest.mark.parametrize("field", ["mean", "std"])
     def test_load_rejects_non_finite_normalization(self, small_model, tmp_path, field):

@@ -13,8 +13,8 @@ from handover.classifier import (
 from handover.cli import main
 from handover.synth import default_signature_model, generate_dataset
 
-# a model file whose network is a JSON list, not an object
-NETWORK_LIST_MODEL = json.dumps({"format": MODEL_FORMAT_VERSION, "network": [1], "normalization": {}})
+# a model file whose arrays are a JSON list, not an object
+ARRAYS_LIST_MODEL = json.dumps({"format": MODEL_FORMAT_VERSION, "arrays": [1], "normalization": {}})
 
 
 @pytest.fixture(scope="module")
@@ -30,12 +30,12 @@ def inputs(saved_model, tmp_path_factory):
     """Named input files, each good or bad in one way."""
     root = tmp_path_factory.mktemp("inputs")
     names = ("absent", "not_json", "data", "network_list", "empty", "deficient", "huge_data",
-             "huge_model", "non_preset")
+             "huge_model", "non_preset", "v1_model")
     files = {name: root / f"{name}.json" for name in names}
     files["model"] = saved_model
     files["not_json"].write_text("not json\n")
     write_dataset_jsonl(files["data"], generate_dataset(default_signature_model(), per_class_count=2))
-    files["network_list"].write_text(NETWORK_LIST_MODEL)
+    files["network_list"].write_text(ARRAYS_LIST_MODEL)
     files["empty"].write_text("")
     lines = files["data"].read_text().splitlines(keepends=True)
     files["deficient"].write_text("".join(lines[:4]))  # two classes, two windows each
@@ -50,6 +50,12 @@ def inputs(saved_model, tmp_path_factory):
     net = build_network()
     net.layers = net.layers[3:]
     save_model(files["non_preset"], net, NormalizationStats(mean=np.zeros(7), std=np.ones(7)))
+    # a file of the retired v1 format, batch norm settings and all
+    layers = [{"kind": "batchnorm1d", "epsilon": 1, "momentum": 0.1}]
+    files["v1_model"].write_text(json.dumps({
+        "format": "handover-model-v1", "network": {"layers": layers, "version": "tcnn-v1"},
+        "normalization": json.loads(saved_model.read_text())["normalization"],
+    }))
     return files
 
 
@@ -207,6 +213,31 @@ class TestSimulateRejectsBadConfig:
         assert "train_epochs" in captured.err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flags, doc, named", [
+        (["--train-epochs", "5"], None, "train_epochs"),
+        (["--train-per-class", "3"], None, "train_per_class"),
+        (["--train-epochs", "5", "--train-per-class", "3"], None, "train_epochs"),
+        ([], {"train_epochs": 5}, "train_epochs"),
+        ([], {"train_per_class": 3, "seed": 1}, "train_per_class"),
+    ], ids=["epochs-flag", "per-class-flag", "both-flags", "epochs-key", "per-class-key"])
+    def test_training_settings_beside_a_model_are_rejected(
+        self, refuse_training, saved_model, tmp_path, capsys, flags, doc, named
+    ):
+        # --model trains nothing, so a training setting would be silently ignored
+        out_dir = tmp_path / "sim"
+        argv = ["simulate", "--model", str(saved_model), "--trials", "1", "--out-dir", str(out_dir), *flags]
+        if doc is not None:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps(doc))
+            argv += ["--config", str(config_path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "invalid experiment config" in captured.err
+        assert named in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("doc", [
         {"sync": {"pairing_window_ms": 100}},
         {"sync": 5},
@@ -254,7 +285,7 @@ class TestSimulateRejectsBadConfig:
 
     @pytest.mark.parametrize(
         "text",
-        [None, "[1]", "{}", "not json", NETWORK_LIST_MODEL],
+        [None, "[1]", "{}", "not json", ARRAYS_LIST_MODEL],
         ids=["missing", "list", "no-format", "not-json", "network-list"],
     )
     def test_unloadable_model_file_is_reported(self, refuse_training, tmp_path, capsys, text):
@@ -272,6 +303,7 @@ class TestSimulateRejectsBadConfig:
     @pytest.mark.parametrize("name, reason", [
         ("non_preset", "preset"),
         ("huge_model", "too large"),
+        ("v1_model", "'handover-model-v1'; retrain"),
     ])
     def test_rejected_model_file_is_reported(
         self, refuse_training, inputs, tmp_path, capsys, name, reason
@@ -333,12 +365,13 @@ class TestSynthTrainEvalRejectBadInput:
         ["eval", "--model", "{non_preset}", "--dataset", "{data}", "--report", "{out}"],
         ["eval", "--model", "{model}", "--dataset", "{huge_data}", "--report", "{out}"],
         ["eval", "--model", "{model}", "--dataset", "{empty}", "--report", "{out}"],
+        ["eval", "--model", "{v1_model}", "--dataset", "{data}", "--report", "{out}"],
     ], ids=[
         "synth-per-class", "synth-noise", "synth-noise-nan", "synth-noise-inf", "train-missing-dataset", "train-not-json", "train-epochs",
         "train-learning-rate-0", "train-learning-rate-negative", "train-learning-rate-nan",
         "train-huge-sample", "train-empty", "train-deficient",
         "eval-network-list", "eval-missing-model", "eval-missing-dataset",
-        "eval-huge-mean", "eval-non-preset", "eval-huge-sample", "eval-empty",
+        "eval-huge-mean", "eval-non-preset", "eval-huge-sample", "eval-empty", "eval-v1-model",
     ])
     def test_bad_input_is_reported(self, inputs, tmp_path, capsys, argv):
         out = tmp_path / "out.json"

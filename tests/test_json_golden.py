@@ -5,17 +5,19 @@ reads back to the same value; these pins show that the bytes written to
 trials.jsonl, report.json, episode logs, model files and datasets do not
 drift (key names, int vs float, enum codes, optional nulls, table keys).
 """
+import hashlib
 import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from handover import fusion, nn_kernel as nn
+from handover import fusion
 from handover.classifier import (
     LabeledWindow,
     NormalizationStats,
     TrainingReport,
+    _stored_arrays,
     build_network,
     load_model,
     save_model,
@@ -153,60 +155,33 @@ def test_pinned_text_reads_back_to_itself(name):
     assert dumps_canonical(back.to_json_dict()) == text
 
 
-# a tiny network of every layer kind, batch norm with non-default epsilon
-# and momentum, its arrays small and exact in binary
-NETWORK = nn.Network([
-    nn.Conv1D.from_params(np.array([[[0.5, -1.0, 0.25]], [[1.5, 0.0, -0.75]]]), np.array([0.125, -0.5])),
-    nn.BatchNorm1D.from_params(np.array([1.0, 2.0]), np.array([0.0, -0.5]), np.array([0.25, 1.5]),
-                               np.array([1.0, 4.0]), epsilon=0.001, momentum=0.25),
-    nn.ReLU(),
-    nn.GlobalAvgPool1D(),
-    nn.Linear.from_params(np.array([[1.0, -1.0], [0.5, 0.25], [-2.0, 3.0]]), np.array([0.0, 0.5, -0.25])),
-])
-NETWORK_TEXT = (
-    '{"layers":['
-    '{"bias":{"data":[0.125,-0.5],"shape":[2]},"in_channels":1,"kernel_size":3,"kind":"conv1d",'
-    '"out_channels":2,"weight":{"data":[0.5,-1.0,0.25,1.5,0.0,-0.75],"shape":[2,1,3]}},'
-    '{"beta":{"data":[0.0,-0.5],"shape":[2]},"channels":2,"epsilon":0.001,'
-    '"gamma":{"data":[1.0,2.0],"shape":[2]},"kind":"batchnorm1d","momentum":0.25,'
-    '"running_mean":{"data":[0.25,1.5],"shape":[2]},"running_var":{"data":[1.0,4.0],"shape":[2]}},'
-    '{"kind":"relu"},{"kind":"global_avg_pool"},'
-    '{"bias":{"data":[0.0,0.5,-0.25],"shape":[3]},"in_features":2,"kind":"linear","out_features":3,'
-    '"weight":{"data":[1.0,-1.0,0.5,0.25,-2.0,3.0],"shape":[3,2]}}'
-    '],"version":"tcnn-v1"}'
+# the preset's 17 stored arrays, in the model file's sorted key order
+MODEL_ARRAYS = (
+    "0.weight", "1.beta", "1.gamma", "1.running_mean", "1.running_var", "10.bias", "10.weight",
+    "3.weight", "4.beta", "4.gamma", "4.running_mean", "4.running_var",
+    "6.weight", "7.beta", "7.gamma", "7.running_mean", "7.running_var",
 )
-# save_model writes json.dumps(sort_keys=True) with its default separators
-MODEL_TEXT = (
-    '{"format": "handover-model-v1", "network": {"layers": ['
-    '{"bias": {"data": [0.125, -0.5], "shape": [2]}, "in_channels": 1, "kernel_size": 3, "kind": "conv1d", '
-    '"out_channels": 2, "weight": {"data": [0.5, -1.0, 0.25, 1.5, 0.0, -0.75], "shape": [2, 1, 3]}}, '
-    '{"beta": {"data": [0.0, -0.5], "shape": [2]}, "channels": 2, "epsilon": 0.001, '
-    '"gamma": {"data": [1.0, 2.0], "shape": [2]}, "kind": "batchnorm1d", "momentum": 0.25, '
-    '"running_mean": {"data": [0.25, 1.5], "shape": [2]}, "running_var": {"data": [1.0, 4.0], "shape": [2]}}, '
-    '{"kind": "relu"}, {"kind": "global_avg_pool"}, '
-    '{"bias": {"data": [0.0, 0.5, -0.25], "shape": [3]}, "in_features": 2, "kind": "linear", "out_features": 3, '
-    '"weight": {"data": [1.0, -1.0, 0.5, 0.25, -2.0, 3.0], "shape": [3, 2]}}'
-    '], "version": "tcnn-v1"}, '
-    '"normalization": {"mean": [0.5, -1.0, 2.25, 0.0, 3.0, -0.125, 1.5], '
-    '"std": [1.0, 0.5, 2.0, 1e-06, 4.0, 0.25, 3.5]}}'
-)
-
-
-def test_network_text_is_pinned():
-    assert dumps_canonical(nn.network_to_json(NETWORK)) == NETWORK_TEXT
-    back = nn.network_from_json(json.loads(NETWORK_TEXT))
-    assert dumps_canonical(nn.network_to_json(back)) == NETWORK_TEXT
+# save_model's text for the preset whose stored arrays count on, in layer
+# order, in steps of 1/8 from 0 (exact in binary; no random draw), with
+# the golden input statistics
+MODEL_SHA256 = "769a1b8ff8f50a138ac63eccbd477e72e9cf9a4f698296f44edd8b1eb6b72d26"
 
 
 def test_model_file_text_is_pinned(tmp_path):
     stats, _text = GOLDEN["NormalizationStats"]
+    net = build_network()
+    start = 0
+    for arr in _stored_arrays(net).values():
+        arr[...] = np.arange(start, start + arr.size).reshape(arr.shape) / 8
+        start += arr.size
+    assert start == 25926
     path = tmp_path / "model.json"
-    save_model(path, NETWORK, stats)
-    assert path.read_text(encoding="utf-8") == MODEL_TEXT
-    with pytest.raises(ValueError, match="preset"):
-        load_model(path)  # a model file holds the classifier's preset network only
-    save_model(path, build_network(), stats)
+    save_model(path, net, stats)
     text = path.read_text(encoding="utf-8")
+    assert text.startswith('{"arrays": {"0.weight": [[[0.0, 0.125, 0.25]], [[0.375, 0.5, 0.625]], ')
+    assert list(json.loads(text)) == ["arrays", "format", "normalization"]
+    assert tuple(json.loads(text)["arrays"]) == MODEL_ARRAYS
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MODEL_SHA256
     save_model(tmp_path / "again.json", *load_model(path))
     assert (tmp_path / "again.json").read_text(encoding="utf-8") == text
 

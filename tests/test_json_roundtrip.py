@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, reject, strategies as st
 from hypothesis.extra import numpy as hnp
 
-import handover.nn_kernel as nn
 from handover.classifier import LabeledWindow, NormalizationStats, torque_vote
 from handover.core import (
     NUM_CLASSES,
@@ -157,27 +156,6 @@ def test_canonical_json_round_trip(name):
         assert dumps_canonical(back.to_json_dict()) == text
 
     check()
-
-
-@given(seed=st.integers(0, 2**32 - 1), filters=st.integers(1, 8), kernel=st.sampled_from([1, 3, 5]))
-def test_network_round_trip(seed, filters, kernel):
-    # the tcnn-v1 format holds any stack, not only the classifier's preset
-    gen = np.random.default_rng(seed)
-    layers, in_ch = [], 1
-    for _ in range(2):
-        batch_norm = nn.BatchNorm1D.from_params(
-            gen.standard_normal(filters), gen.standard_normal(filters),
-            gen.standard_normal(filters), gen.exponential(size=filters),
-        )
-        layers += [nn.Conv1D(in_ch, filters, kernel, rng=gen), batch_norm, nn.ReLU()]
-        in_ch = filters
-    net = nn.Network(layers + [nn.GlobalAvgPool1D(), nn.Linear(filters, NUM_CLASSES, rng=gen)])
-    back = nn.network_from_json(strict_loads(dumps_canonical(nn.network_to_json(net))))
-    assert [type(layer) for layer in back.layers] == [type(layer) for layer in net.layers]
-    for got, want in zip(back.layers, net.layers):
-        assert vars(got).keys() == vars(want).keys()
-        for key, value in vars(want).items():
-            assert_same(vars(got)[key], value)
 
 
 @pytest.mark.parametrize("tp, value", [
