@@ -2,10 +2,11 @@
 standard library only.
 
 Makes one mutant per site in ``fusion.py``, ``vision_gate.py``,
-``harness.py``, ``core.py`` (the domain types' checks), ``synth.py``
-(the fault draws), ``classifier.py`` (the training split, the run
-plans, the model-file checks) and ``nn_kernel.py`` (the layers and
-their argument checks, the im2col/col2im pair): each compare boundary
+``harness.py`` (the grid settings' checks), ``core.py`` (the domain
+types' checks), ``synth.py`` (the fault draws), ``classifier.py`` (the
+training split, the run plans, the model-file checks), ``nn_kernel.py``
+(the layers and their argument checks, the im2col/col2im pair) and
+``cli.py`` (the commands' input checks and exit codes): each compare boundary
 swapped (``<`` and ``<=``, ``>`` and ``>=``), each ``and``/``or``
 swapped, and each ``not`` dropped. Every mutant is written into a
 scratch copy of ``src/``, ``tests/`` and ``pyproject.toml`` and its
@@ -18,9 +19,10 @@ seconds per kernel mutant, on a 2-core machine):
 
     python3 scripts/mutation_sweep.py
     python3 scripts/mutation_sweep.py --targets nn_kernel.py
+    python3 scripts/mutation_sweep.py --targets cli.py harness.py
 
 ``--targets`` names the module files under ``src/handover/`` to mutate,
-in order; the default is all seven above.
+in order; the default is all eight above.
 
 The line numbers refer to the checked-in sources. The file name does not
 match ``test_*.py``, so pytest does not collect this script.
@@ -54,6 +56,7 @@ TARGET_TESTS = {
     **{name: DECISION_TESTS for name in
        ("fusion.py", "vision_gate.py", "harness.py", "core.py", "synth.py", "classifier.py")},
     "nn_kernel.py": ["tests/test_nn_kernel.py", "tests/test_gradients.py"],
+    "cli.py": ["tests/test_cli.py"],
 }
 BOUNDARY = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.And: "and", ast.Or: "or"}

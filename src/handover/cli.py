@@ -1,4 +1,5 @@
-"""Command-line entry points: synth, train, eval, simulate, replay."""
+"""Command-line entry points: synth, train, eval, simulate, replay.
+``simulate`` scores a model file that ``train`` wrote; it trains none."""
 from __future__ import annotations
 
 import argparse
@@ -21,7 +22,7 @@ from .classifier import (
     training_labels,
     write_dataset_jsonl,
 )
-from .core import ActionClass, json_object, json_value
+from .core import ActionClass, json_array, json_object, json_value
 from .fusion import Pipeline, SyncConfig, replay_episode_log
 from .harness import ExperimentConfig, default_fault_profiles, render_report, run_experiment
 from .synth import FaultProfile, default_signature_model, generate_dataset
@@ -114,14 +115,13 @@ def _fault_profiles(doc: Any) -> dict[Pipeline, FaultProfile]:
 CONFIG_KEYS: dict[str, Callable[[Any], Any]] = {
     "trials_per_action": partial(json_value, int),
     "seed": partial(json_value, int),
-    "pipelines": lambda doc: tuple(Pipeline(p) for p in doc),
+    "pipelines": lambda doc: tuple(Pipeline(p) for p in json_array(doc)),
     "actions": lambda doc: tuple(
-        ActionClass[a.upper()] if isinstance(a, str) else ActionClass(json_value(int, a)) for a in doc
+        ActionClass[a.upper()] if isinstance(a, str) else ActionClass(json_value(int, a))
+        for a in json_array(doc)
     ),
     "sync": SyncConfig.from_json_dict,
     "fault_profiles": _fault_profiles,
-    "train_per_class": partial(json_value, int),
-    "train_epochs": partial(json_value, int),
 }
 
 
@@ -132,16 +132,12 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         unread = sorted(set(doc) - set(CONFIG_KEYS))
         if unread:
             raise ValueError(f"simulate reads no key {', '.join(map(repr, unread))}")
-        overrides = {key: CONFIG_KEYS[key](value) for key, value in doc.items()}
+        for key, value in doc.items():
+            with _reading(f"invalid experiment config key {key!r}"):
+                overrides[key] = CONFIG_KEYS[key](value)
     # explicit flags win over the config file
-    flags = {
-        "seed": args.seed, "trials_per_action": args.trials,
-        "train_per_class": args.train_per_class, "train_epochs": args.train_epochs,
-    }
+    flags = {"seed": args.seed, "trials_per_action": args.trials}
     overrides.update((key, value) for key, value in flags.items() if value is not None)
-    unused = sorted({"train_per_class", "train_epochs"} & overrides.keys())
-    if args.model and unused:
-        raise ValueError(f"simulate --model trains no model, so {' and '.join(unused)} would be ignored")
     if args.no_episode_logs:
         overrides["log_episodes"] = False
     return ExperimentConfig(out_dir=args.out_dir, **overrides)
@@ -151,7 +147,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     with _reading("invalid experiment config"):
         config = _experiment_config(args)
     with _reading(f"cannot load model {args.model}"):
-        model = load_model(args.model) if args.model else None
+        model = load_model(args.model)
     table, _records = run_experiment(config, model)
     print(render_report(table))
     if not table.all_gates_pass():
@@ -207,10 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--trials", type=int, default=None, help="trials per action")
     p_sim.add_argument("--out-dir", default="simulation_out")
-    p_sim.add_argument("--model", default=None, help="existing model.json to reuse")
+    p_sim.add_argument("--model", required=True, help="model.json written by train")
     p_sim.add_argument("--config", default=None, help="JSON file with experiment overrides")
-    p_sim.add_argument("--train-per-class", type=int, default=None)
-    p_sim.add_argument("--train-epochs", type=int, default=None)
     p_sim.add_argument("--no-episode-logs", action="store_true")
     p_sim.set_defaults(func=_cmd_simulate)
 

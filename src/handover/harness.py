@@ -1,10 +1,11 @@
 """Experiment runner: per-action trials under three pipeline variants.
 
 Each trial scripts a fresh scenario from a per-trial seed, runs the
-pipeline, and scores the outcome against the expected decision for the
-action. Results aggregate into a per-action success/failure table plus
-overall rates, written as aligned text and machine-readable JSON. Reruns
-with the same seed are byte-identical.
+pipeline with the given trained model, and scores the outcome against
+the expected decision for the action. Results aggregate into a
+per-action success/failure table plus overall rates, written as aligned
+text and machine-readable JSON. Reruns with the same seed are
+byte-identical.
 """
 from __future__ import annotations
 
@@ -15,17 +16,11 @@ from typing import Any
 
 import numpy as np
 
-from .classifier import (
-    NormalizationStats,
-    TorqueNetConfig,
-    save_model,
-    train,
-    write_dataset_jsonl,
-)
+from .classifier import NormalizationStats
 from .core import ActionClass, Decision, JsonCodec, dumps_canonical, expected_decision
 from .fusion import Pipeline, SyncConfig, run_episode, write_episode_log
 from .nn_kernel import Network
-from .synth import FaultProfile, default_signature_model, generate_dataset, generate_scenario
+from .synth import FaultProfile, generate_scenario
 
 CALIBRATION_NOTES = [
     "single-modality pipelines run with deliberately degraded fault profiles, "
@@ -46,6 +41,17 @@ def default_fault_profiles() -> dict[Pipeline, FaultProfile]:
     }
 
 
+def _distinct(field_name: str, entries: tuple[Any, ...]) -> tuple[Any, ...]:
+    """``entries``, or a ``ValueError`` naming the field if there are none or
+    one repeats (its trials would run twice under the same log names)."""
+    if not entries:
+        raise ValueError(f"{field_name} must name at least one entry")
+    repeated = [e.name.lower() for e, n in Counter(entries).items() if n > 1]
+    if repeated:
+        raise ValueError(f"{field_name} repeat {repeated[0]}")
+    return entries
+
+
 @dataclass
 class ExperimentConfig:
     trials_per_action: int = 30
@@ -54,24 +60,14 @@ class ExperimentConfig:
     seed: int = 0
     fault_profiles: dict[Pipeline, FaultProfile] = field(default_factory=default_fault_profiles)
     sync: SyncConfig = field(default_factory=SyncConfig)
-    train_per_class: int = 300
-    train_epochs: int = 30
     out_dir: str | None = None
     log_episodes: bool = True
 
     def __post_init__(self) -> None:
         if self.trials_per_action < 1:
             raise ValueError("trials_per_action must be >= 1")
-        self.actions = tuple(ActionClass(a) for a in self.actions)
-        if not self.actions:
-            raise ValueError("at least one action is required")
-        self.pipelines = tuple(Pipeline(p) for p in self.pipelines)
-        if not self.pipelines:
-            raise ValueError("at least one pipeline is required")
-        if self.train_epochs < 1:
-            raise ValueError("train_epochs must be >= 1")
-        if self.train_per_class < 2:
-            raise ValueError("train_per_class must be >= 2")
+        self.actions = _distinct("actions", tuple(ActionClass(a) for a in self.actions))
+        self.pipelines = _distinct("pipelines", tuple(Pipeline(p) for p in self.pipelines))
         clean = {pipeline: FaultProfile.clean() for pipeline in self.pipelines}
         self.fault_profiles = {**clean, **self.fault_profiles}
 
@@ -157,35 +153,19 @@ def _evaluate_gates(table: ReportTable) -> dict[str, bool]:
     return gates
 
 
-def _train_model(config: ExperimentConfig, out_dir: Path | None) -> tuple[Network, NormalizationStats]:
-    dataset = generate_dataset(default_signature_model(), config.train_per_class, seed=config.seed)
-    net, stats, _report = train(
-        dataset,
-        TorqueNetConfig(seed=config.seed, epochs=config.train_epochs),
-    )
-    if out_dir is not None:
-        write_dataset_jsonl(out_dir / "dataset.jsonl", dataset)
-        save_model(out_dir / "model.json", net, stats)
-    return net, stats
-
-
 def run_experiment(
     config: ExperimentConfig,
-    model: tuple[Network, NormalizationStats] | None = None,
+    model: tuple[Network, NormalizationStats],
 ) -> tuple[ReportTable, list[TrialRecord]]:
-    """Run the full trial grid; writes artifacts when out_dir is set.
-
-    Artifacts: model.json and dataset.jsonl (when trained here),
-    trials.jsonl, report.txt, report.json, and per-trial episode logs
-    under episodes/. A model is trained only when ``model`` is not given.
-    """
+    """Run the full trial grid on a trained ``model``. When out_dir is set,
+    write trials.jsonl, report.txt, report.json and episodes/ logs."""
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         if config.log_episodes:
             (out_dir / "episodes").mkdir(exist_ok=True)
 
-    net, stats = model if model is not None else _train_model(config, out_dir)
+    net, stats = model
 
     records: list[TrialRecord] = []
     for pipeline in config.pipelines:

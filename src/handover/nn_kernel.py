@@ -41,9 +41,9 @@ Each layer's ``backward`` leaves its parameter gradients in its ``grads``;
 A conv's bias is not trained: the batch norm after each conv subtracts
 the channel mean, which cancels any bias (Ioffe & Szegedy, arXiv
 1502.03167, §3.2). It stays zero until ``Network.frozen()`` returns an
-inference copy with each batch norm folded into the conv before it, its
-shift in that conv's bias; ``predict_proba`` runs that copy, so
-inference never runs the training kernels.
+inference network with each batch norm folded into a new conv in place
+of the conv before it, its shift in that conv's bias; ``predict_proba``
+runs that network, so inference never runs the training kernels.
 """
 from __future__ import annotations
 
@@ -146,43 +146,32 @@ def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -
 
 
 class Layer:
-    """Base of the layers. Each declares once what it holds:
-
-    - ``arrays``: its arrays, in ``from_params`` order; ``trained`` are
-      the ones SGD updates, which ``params()`` returns;
-    - ``scalars``: its constructor scalars, keywords of ``from_params``.
+    """Base of the layers. Each declares once its ``arrays``, in
+    ``from_params`` order; ``trained`` are the ones SGD updates, which
+    ``params()`` returns.
 
     ``from_params`` builds a layer on given arrays through ``_assign``,
-    which checks them; the layer copy and ``params()`` are derived from
-    the declaration. ``grads`` maps each trained array to its gradient
+    which checks them. ``grads`` maps each trained array to its gradient
     from the layer's last ``backward``, a new dict per call; it is empty
     before the first.
     """
 
     arrays: tuple[str, ...] = ()
     trained: tuple[str, ...] = ()
-    scalars: tuple[str, ...] = ()
     grads: Mapping[str, np.ndarray] = MappingProxyType({})
 
     def _assign(self) -> None:
         """A layer without arrays has none to check."""
 
     @classmethod
-    def from_params(cls, *arrays: np.ndarray, **scalars: Any) -> "Layer":
+    def from_params(cls, *arrays: np.ndarray, **settings: Any) -> "Layer":
         """A layer holding these arrays (not copied); draws no random init."""
         layer = cls.__new__(cls)
-        layer._assign(*arrays, **scalars)
+        layer._assign(*arrays, **settings)
         return layer
 
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.trained}
-
-    def copy(self) -> "Layer":
-        """A fresh layer with copies of this one's arrays and its scalars."""
-        return self.from_params(
-            *(getattr(self, name).copy() for name in self.arrays),
-            **{name: getattr(self, name) for name in self.scalars},
-        )
 
 
 class Conv1D(Layer):
@@ -249,7 +238,6 @@ class BatchNorm1D(Layer):
 
     arrays = ("gamma", "beta", "running_mean", "running_var")
     trained = ("gamma", "beta")
-    scalars = ("epsilon", "momentum")
     # a training forward's centred rows and per-channel 1/std
     _centred: np.ndarray | None = None
     _inv_std: np.ndarray | None = None
@@ -416,10 +404,11 @@ class Network:
         return softmax(self.frozen().forward(x))
 
     def frozen(self) -> "Network":
-        """An inference copy: every BatchNorm1D that follows a Conv1D is
-        folded into that conv's weight and bias and dropped. Its forward
-        equals ``forward(x, training=False)`` up to rounding. The copy
-        shares no array with this network, which it leaves untouched."""
+        """An inference network: each BatchNorm1D after a Conv1D is dropped,
+        folded into a new conv in that conv's place. Its forward equals
+        ``forward(x, training=False)`` up to rounding. The other layers are
+        this network's own, which an inference forward does not write, so
+        training this network later moves them in both."""
         layers: list[Layer] = []
         for layer in self.layers:
             prev = layers[-1] if layers else None
@@ -430,7 +419,7 @@ class Network:
                     (prev.bias - layer.running_mean) * scale + layer.beta,
                 )
             else:
-                layers.append(layer.copy())
+                layers.append(layer)
         return Network(layers)
 
 

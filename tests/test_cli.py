@@ -170,73 +170,65 @@ class TestSimulate:
         assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
 
 
-@pytest.fixture
-def refuse_training(monkeypatch):
-    """Fail the test if simulate starts training: a bad config must be
-    rejected before the expensive step."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("simulate trained a model before checking its config")
-    monkeypatch.setattr("handover.harness.train", refuse)
+def simulate_rejects(tmp_path, capsys, doc=None, flags=(), model=None, named=()):
+    """Run simulate and check that it exits 2 with one stderr line that
+    names each of ``named``, and writes no output directory. ``model``
+    defaults to a path that does not exist, so a config error must be
+    found before the model file is read."""
+    out_dir = tmp_path / "sim"
+    argv = ["simulate", "--model", str(model or tmp_path / "absent_model.json"), "--out-dir", str(out_dir), *flags]
+    if doc is not None:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        argv += ["--config", str(config_path)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1, err
+    assert "invalid experiment config" in err
+    for name in named:
+        assert name in err
+    assert not out_dir.exists()
 
 
 class TestSimulateRejectsBadConfig:
+    def test_simulate_requires_a_model(self, tmp_path, capsys):
+        # the grid scores a trained model; synth and train make one
+        out_dir = tmp_path / "sim"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--trials", "1", "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        assert "--model" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("doc, message", [
         ({"pipelines": []}, "pipeline"),
         ({"actions": []}, "action"),
         ({"trials_per_action": 0}, "trials_per_action"),
+        # a setting of the retired inline training is an unread key
         ({"train_per_class": 1}, "train_per_class"),
+        # a repeat would run each of its trials twice under one log name
+        ({"pipelines": ["fused", "fused"]}, "pipelines"),
+        ({"actions": ["hold", 3]}, "actions"),  # one action by name and by code
+        # an object is not the array of names, whatever its keys
+        ({"pipelines": {"fused": 1}}, "pipelines"),
+        ({"actions": {"hold": 0}}, "actions"),
     ])
-    def test_config_file_overrides_are_checked(self, refuse_training, tmp_path, capsys, doc, message):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(doc))
-        out_dir = tmp_path / "sim"
-        code = main(["simulate", "--config", str(config_path), "--out-dir", str(out_dir)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert message in captured.err
-        assert not out_dir.exists()
+    def test_config_file_overrides_are_checked(self, tmp_path, capsys, doc, message):
+        simulate_rejects(tmp_path, capsys, doc, named=[message])
 
     @pytest.mark.parametrize("trials", ["0", "-2"])
-    def test_trials_flag_is_checked(self, refuse_training, tmp_path, capsys, trials):
-        out_dir = tmp_path / "sim"
-        code = main(["simulate", "--trials", trials, "--out-dir", str(out_dir)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "trials_per_action" in captured.err
-        assert not out_dir.exists()
+    def test_trials_flag_is_checked(self, tmp_path, capsys, trials):
+        simulate_rejects(tmp_path, capsys, flags=["--trials", trials], named=["trials_per_action"])
 
-    def test_train_epochs_flag_is_checked(self, refuse_training, tmp_path, capsys):
-        out_dir = tmp_path / "sim"
-        code = main(["simulate", "--train-epochs", "0", "--out-dir", str(out_dir)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "train_epochs" in captured.err
-        assert not out_dir.exists()
-
-    @pytest.mark.parametrize("flags, doc, named", [
-        (["--train-epochs", "5"], None, "train_epochs"),
-        (["--train-per-class", "3"], None, "train_per_class"),
-        (["--train-epochs", "5", "--train-per-class", "3"], None, "train_epochs"),
-        ([], {"train_epochs": 5}, "train_epochs"),
-        ([], {"train_per_class": 3, "seed": 1}, "train_per_class"),
-    ], ids=["epochs-flag", "per-class-flag", "both-flags", "epochs-key", "per-class-key"])
-    def test_training_settings_beside_a_model_are_rejected(
-        self, refuse_training, saved_model, tmp_path, capsys, flags, doc, named
-    ):
-        # --model trains nothing, so a training setting would be silently ignored
-        out_dir = tmp_path / "sim"
-        argv = ["simulate", "--model", str(saved_model), "--trials", "1", "--out-dir", str(out_dir), *flags]
-        if doc is not None:
-            config_path = tmp_path / "config.json"
-            config_path.write_text(json.dumps(doc))
-            argv += ["--config", str(config_path)]
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "invalid experiment config" in captured.err
-        assert named in captured.err
-        assert len(captured.err.splitlines()) == 1
-        assert not out_dir.exists()
+    @pytest.mark.parametrize("doc, named", [
+        ({"train_epochs": 5}, "train_epochs"),
+        ({"train_per_class": 3, "seed": 1}, "train_per_class"),
+    ], ids=["epochs-key", "per-class-key"])
+    def test_training_settings_beside_a_model_are_rejected(self, saved_model, tmp_path, capsys, doc, named):
+        # simulate trains nothing, so an old config's training setting is an unread key
+        simulate_rejects(tmp_path, capsys, doc, flags=["--trials", "1"], model=saved_model,
+                         named=[f"simulate reads no key {named!r}"])
 
     @pytest.mark.parametrize("doc", [
         {"sync": {"pairing_window_ms": 100}},
@@ -255,16 +247,8 @@ class TestSimulateRejectsBadConfig:
         {"fault_profiles": {"fused": {"torque_misread": {"+3": 0.5}}}},
         {"fault_profiles": {"fused": {"torque_extra_noise": "0.5"}}},
     ])
-    def test_malformed_config_document_is_reported(self, refuse_training, tmp_path, capsys, doc):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(doc))
-        out_dir = tmp_path / "sim"
-        code = main(["simulate", "--config", str(config_path), "--out-dir", str(out_dir)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "invalid experiment config" in captured.err
-        assert "Traceback" not in captured.err
-        assert not out_dir.exists()
+    def test_malformed_config_document_is_reported(self, tmp_path, capsys, doc):
+        simulate_rejects(tmp_path, capsys, doc, named=list(doc))
 
     @pytest.mark.parametrize("doc", [
         {"fault_profiles": [1]},
@@ -273,22 +257,15 @@ class TestSimulateRejectsBadConfig:
         {"fused_min_overall": 0.5},  # the fused gate is the paper's 0.95, not a setting
         {"model_path": "model.json"},
     ])
-    def test_wrong_shape_or_unread_key_is_reported(self, refuse_training, tmp_path, capsys, doc):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(doc))
-        out_dir = tmp_path / "sim"
-        code = main(["simulate", "--config", str(config_path), "--out-dir", str(out_dir)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "invalid experiment config" in captured.err
-        assert not out_dir.exists()
+    def test_wrong_shape_or_unread_key_is_reported(self, tmp_path, capsys, doc):
+        simulate_rejects(tmp_path, capsys, doc, named=list(doc) if isinstance(doc, dict) else ())
 
     @pytest.mark.parametrize(
         "text",
         [None, "[1]", "{}", "not json", ARRAYS_LIST_MODEL],
         ids=["missing", "list", "no-format", "not-json", "network-list"],
     )
-    def test_unloadable_model_file_is_reported(self, refuse_training, tmp_path, capsys, text):
+    def test_unloadable_model_file_is_reported(self, tmp_path, capsys, text):
         out_dir = tmp_path / "sim"
         model = tmp_path / "model_file.json"
         if text is not None:
@@ -306,7 +283,7 @@ class TestSimulateRejectsBadConfig:
         ("v1_model", "'handover-model-v1'; retrain"),
     ])
     def test_rejected_model_file_is_reported(
-        self, refuse_training, inputs, tmp_path, capsys, name, reason
+        self, inputs, tmp_path, capsys, name, reason
     ):
         out_dir = tmp_path / "sim"
         code = main(["simulate", "--model", str(inputs[name]), "--trials", "1", "--out-dir", str(out_dir)])
@@ -320,24 +297,14 @@ class TestSimulateRejectsBadConfig:
         '{"seed": 1e400}',
         '{"sync": {"pairing_window_ms": 1e400, "debounce_frames": 3}}',
     ], ids=["seed", "pairing-window"])
-    def test_number_beyond_range_is_reported(self, refuse_training, tmp_path, capsys, text):
+    def test_number_beyond_range_is_reported(self, tmp_path, capsys, text):
+        # json reads 1e400 as inf, which no integer or millisecond setting accepts
         config_path = tmp_path / "config.json"
         config_path.write_text(text)
-        out_dir = tmp_path / "sim"
-        code = main(["simulate", "--config", str(config_path), "--out-dir", str(out_dir)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "invalid experiment config" in captured.err
-        assert "Traceback" not in captured.err
-        assert not out_dir.exists()
+        simulate_rejects(tmp_path, capsys, flags=["--config", str(config_path)], named=list(json.loads(text)))
 
-    def test_missing_config_file_is_reported(self, refuse_training, tmp_path, capsys):
-        out_dir = tmp_path / "sim"
-        code = main(["simulate", "--config", str(tmp_path / "absent.json"), "--out-dir", str(out_dir)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "invalid experiment config" in captured.err
-        assert not out_dir.exists()
+    def test_missing_config_file_is_reported(self, tmp_path, capsys):
+        simulate_rejects(tmp_path, capsys, flags=["--config", str(tmp_path / "absent.json")])
 
 
 class TestSynthTrainEvalRejectBadInput:

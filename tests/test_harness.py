@@ -4,7 +4,6 @@ from pathlib import Path
 
 import pytest
 
-from handover.classifier import load_model
 from handover.core import ActionClass, Decision, expected_decision
 from handover.fusion import Pipeline
 from handover.harness import (
@@ -142,14 +141,6 @@ class TestRunExperiment:
         assert not records[0].released and not records[0].success
         assert table.per_action[Pipeline.TORQUE_ONLY][ActionClass.HOLD] == (0, 1)
 
-    def test_trains_and_saves_a_model_when_none_is_given(self, tmp_path):
-        config = ExperimentConfig(trials_per_action=1, actions=(ActionClass.HOLD,), pipelines=(Pipeline.FUSED,),
-                                  train_per_class=2, train_epochs=1, out_dir=str(tmp_path))
-        _table, records = run_experiment(config)
-        assert len(records) == 1
-        assert len((tmp_path / "dataset.jsonl").read_text().splitlines()) == 12
-        load_model(tmp_path / "model.json")
-
     def test_config_validation(self):
         with pytest.raises(ValueError, match="trials_per_action"):
             ExperimentConfig(trials_per_action=0)
@@ -157,13 +148,15 @@ class TestRunExperiment:
             ExperimentConfig(pipelines=())
         with pytest.raises(ValueError, match="action"):
             ExperimentConfig(actions=())
-        with pytest.raises(ValueError, match="train_epochs"):
-            ExperimentConfig(train_epochs=0)
-        with pytest.raises(ValueError, match="train_per_class"):
-            ExperimentConfig(train_per_class=1)
-        # the smallest training settings are accepted
-        config = ExperimentConfig(train_epochs=1, train_per_class=2)
-        assert (config.train_epochs, config.train_per_class) == (1, 2)
+
+    @pytest.mark.parametrize("settings, repeated", [
+        ({"pipelines": (Pipeline.FUSED, Pipeline.FUSED)}, "fused"),
+        ({"actions": (ActionClass.HOLD, ActionClass.PULL, ActionClass.HOLD)}, "hold"),
+    ], ids=["pipeline", "action"])
+    def test_repeated_entries_are_rejected(self, settings, repeated):
+        # a repeat would run its trials twice under one trial index and one log name
+        with pytest.raises(ValueError, match=f"repeat.*{repeated}"):
+            ExperimentConfig(**settings)
 
     def test_missing_fault_profiles_leave_the_callers_dict_alone(self):
         profiles = {}

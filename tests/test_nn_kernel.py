@@ -587,8 +587,8 @@ def random_network(seed, in_ch, width, blocks, k):
     return nn.Network(layers)
 
 
-def trained_arrays(net):
-    return [arr for layer in net.layers for arr in layer.params().values()]
+def folded_convs(net):
+    return [layer for layer in net.layers if isinstance(layer, nn.Conv1D)]
 
 
 network_shapes = st.tuples(
@@ -616,22 +616,27 @@ class TestFrozen:
         frozen = net.frozen()
         assert not any(isinstance(layer, nn.BatchNorm1D) for layer in frozen.layers)
         assert len(frozen.layers) == len(net.layers) - shape[3]
+        assert frozen.layers[-1] is net.layers[-1]  # unfolded layers are reused, not copied
         for layer, arrays in zip(net.layers, before):
             for name, arr in arrays.items():
                 assert np.array_equal(getattr(layer, name), arr), name
-        for mine in trained_arrays(frozen):
-            for theirs in trained_arrays(net):
-                assert not np.shares_memory(mine, theirs)
+        theirs = [getattr(layer, name) for layer in net.layers for name in layer.arrays]
+        for conv in folded_convs(frozen):
+            for arr in theirs:
+                assert not np.shares_memory(conv.weight, arr)
+                assert not np.shares_memory(conv.bias, arr)
 
-    def test_training_the_source_leaves_the_copy_unchanged(self, rng):
+    def test_training_the_source_leaves_the_folded_convs_unchanged(self, rng):
         net = random_network(5, 2, 4, 2, 3)
         x = rng.standard_normal((6, 2, 12))
         frozen = net.frozen()
-        before = frozen.forward(x)
+        before = [(conv.weight.copy(), conv.bias.copy()) for conv in folded_convs(frozen)]
         nn.backward(net, x, np.arange(6) % 4)
         nn.MomentumSGD(net, learning_rate=0.5).step()
-        assert not np.array_equal(net.frozen().forward(x), before)
-        assert np.array_equal(frozen.forward(x), before)
+        assert not np.array_equal(net.frozen().forward(x), frozen.forward(x))
+        assert len(before) == 2
+        for conv, (weight, bias) in zip(folded_convs(frozen), before):
+            assert np.array_equal(conv.weight, weight) and np.array_equal(conv.bias, bias)
 
     def test_predict_proba_runs_the_folded_copy(self, rng):
         net = random_network(9, 1, 5, 3, 3)
