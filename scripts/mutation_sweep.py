@@ -5,7 +5,8 @@ Makes one mutant per site in ``fusion.py``, ``vision_gate.py``,
 ``harness.py`` (the grid settings' checks), ``core.py`` (the domain
 types' checks), ``synth.py`` (the fault draws), ``classifier.py`` (the
 training split, the run plans, the model-file checks), ``nn_kernel.py``
-(the layers and their argument checks, the im2col/col2im pair) and
+(the layers' array checks, the training and inference arithmetic, the
+im2col/col2im pair) and
 ``cli.py`` (the commands' input checks and exit codes): each compare boundary
 swapped (``<`` and ``<=``, ``>`` and ``>=``), each ``and``/``or``
 swapped, and each ``not`` dropped. Every mutant is written into a

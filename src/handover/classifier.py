@@ -14,8 +14,8 @@ that pools each window.
 
 A model file holds its ``format``, the ``normalization`` statistics and
 the preset's 17 stored ``arrays`` as nested lists; ``load_model`` fills
-them into a fresh ``build_network()``, so no file sets the stack, a batch
-norm's epsilon or momentum, or a conv's bias.
+them into a fresh ``build_network()``, the only code that draws initial
+weights, so no file sets the stack or a conv's bias.
 """
 from __future__ import annotations
 
@@ -48,7 +48,6 @@ from . import nn_kernel as nn
 STD_FLOOR = 1e-6
 HOLDOUT_FRACTION = 0.2  # the stratified 80/20 split
 MODEL_FORMAT_VERSION = "handover-model-v2"
-MOMENTUM = 0.9  # heavy-ball SGD
 # the one network, the FCN baseline of Wang, Yan & Oates (arXiv 1611.06455);
 # load_model rejects any other stack, so classify_windows may assume it
 BLOCKS = 3
@@ -123,17 +122,23 @@ class TrainingReport(JsonCodec):
 
 
 def build_network(config: TorqueNetConfig = TorqueNetConfig()) -> nn.Network:
-    """Assemble the conv/batch-norm/ReLU stack; seeded, so reproducible."""
+    """The preset stack at its initial values, the only code that draws
+    them: He-uniform conv and head weights from one generator seeded by
+    ``config.seed``, in layer order; zero biases; identity batch norms."""
     rng = np.random.default_rng(config.seed)
+
+    def he_uniform(*shape: int) -> np.ndarray:
+        bound = np.sqrt(6.0 / np.prod(shape[1:]))  # fan-in: every input of one output
+        return rng.uniform(-bound, bound, size=shape)
+
     layers: list[nn.Layer] = []
     in_ch = 1  # normalize_input's one flat channel
     for _ in range(BLOCKS):
-        layers.append(nn.Conv1D(in_ch, FILTERS, KERNEL_SIZE, rng=rng))
-        layers.append(nn.BatchNorm1D(FILTERS))
-        layers.append(nn.ReLU())
+        conv = nn.Conv1D(he_uniform(FILTERS, in_ch, KERNEL_SIZE), np.zeros(FILTERS))
+        bn = nn.BatchNorm1D(np.ones(FILTERS), np.zeros(FILTERS), np.zeros(FILTERS), np.ones(FILTERS))
+        layers += [conv, bn, nn.ReLU()]
         in_ch = FILTERS
-    layers.append(nn.GlobalAvgPool1D())
-    layers.append(nn.Linear(FILTERS, NUM_CLASSES, rng=rng))
+    layers += [nn.GlobalAvgPool1D(), nn.Linear(he_uniform(NUM_CLASSES, FILTERS), np.zeros(NUM_CLASSES))]
     return nn.Network(layers)
 
 
@@ -199,7 +204,7 @@ def train(
     x_hold, y_hold = inputs[holdout_idx], labels[holdout_idx]
 
     net = build_network(config)
-    optimizer = nn.MomentumSGD(net, config.learning_rate, MOMENTUM)
+    optimizer = nn.MomentumSGD(net, config.learning_rate)
 
     started = time.perf_counter()
     epoch_losses: list[float] = []

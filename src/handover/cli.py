@@ -111,15 +111,21 @@ def _fault_profiles(doc: Any) -> dict[Pipeline, FaultProfile]:
     return {**default_fault_profiles(), **named}
 
 
+def _action(doc: Any) -> ActionClass:
+    """An action given by its name (any case) or by its class code."""
+    if not isinstance(doc, str):
+        return ActionClass(json_value(int, doc))
+    if doc.upper() not in ActionClass.__members__:
+        raise ValueError(f"{doc!r} is not a valid action; the names are {', '.join(CLASS_NAMES)}")
+    return ActionClass[doc.upper()]
+
+
 # the --config keys simulate reads, each with its decoder
 CONFIG_KEYS: dict[str, Callable[[Any], Any]] = {
     "trials_per_action": partial(json_value, int),
     "seed": partial(json_value, int),
     "pipelines": lambda doc: tuple(Pipeline(p) for p in json_array(doc)),
-    "actions": lambda doc: tuple(
-        ActionClass[a.upper()] if isinstance(a, str) else ActionClass(json_value(int, a))
-        for a in json_array(doc)
-    ),
+    "actions": lambda doc: tuple(_action(a) for a in json_array(doc)),
     "sync": SyncConfig.from_json_dict,
     "fault_profiles": _fault_profiles,
 }

@@ -38,6 +38,10 @@ Each layer's ``backward`` leaves its parameter gradients in its ``grads``;
 ``backward(net, x, targets)`` returns (loss, probabilities) and
 ``MomentumSGD.step()`` reads the gradients there.
 
+A layer's one constructor takes and checks its arrays and draws nothing
+(``classifier.build_network`` draws the preset's); the batch norm and SGD
+settings the preset fixes are the module constants below.
+
 A conv's bias is not trained: the batch norm after each conv subtracts
 the channel mean, which cancels any bias (Ioffe & Szegedy, arXiv
 1502.03167, §3.2). It stays zero until ``Network.frozen()`` returns an
@@ -48,11 +52,14 @@ runs that network, so inference never runs the training kernels.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Any, Mapping
+from typing import Mapping
 
 import numpy as np
 
 LOG_CLAMP = 1e-12
+BATCHNORM_EPSILON = 1e-5  # added to each variance before its square root
+RUNNING_MOMENTUM = 0.1  # a training forward's weight in the running statistics
+SGD_MOMENTUM = 0.9  # heavy-ball SGD's velocity decay
 
 
 # ---------------------------------------------------------------------------
@@ -131,44 +138,23 @@ def _col2im(dcols: np.ndarray, shape: tuple[int, int, int], k: int) -> np.ndarra
     return dx
 
 
-def _check_kernel(kernel_size: int) -> None:
-    if kernel_size < 1 or kernel_size % 2 == 0:
-        raise ValueError("same padding requires an odd kernel size >= 1")
-
-
 # ---------------------------------------------------------------------------
 # layers
 # ---------------------------------------------------------------------------
 
-def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 class Layer:
-    """Base of the layers. Each declares once its ``arrays``, in
-    ``from_params`` order; ``trained`` are the ones SGD updates, which
-    ``params()`` returns.
+    """Base of the layers. Each declares once its ``arrays``, in the order
+    its constructor takes, checks and keeps them (not copied); ``trained``
+    are the ones SGD updates, which ``params()`` returns. No layer draws
+    its own initial values.
 
-    ``from_params`` builds a layer on given arrays through ``_assign``,
-    which checks them. ``grads`` maps each trained array to its gradient
-    from the layer's last ``backward``, a new dict per call; it is empty
-    before the first.
+    ``grads`` maps each trained array to its gradient from the layer's
+    last ``backward``, a new dict per call; it is empty before the first.
     """
 
     arrays: tuple[str, ...] = ()
     trained: tuple[str, ...] = ()
     grads: Mapping[str, np.ndarray] = MappingProxyType({})
-
-    def _assign(self) -> None:
-        """A layer without arrays has none to check."""
-
-    @classmethod
-    def from_params(cls, *arrays: np.ndarray, **settings: Any) -> "Layer":
-        """A layer holding these arrays (not copied); draws no random init."""
-        layer = cls.__new__(cls)
-        layer._assign(*arrays, **settings)
-        return layer
 
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.trained}
@@ -183,27 +169,13 @@ class Conv1D(Layer):
     trained = ("weight",)
     _x: np.ndarray | None = None  # a training forward's channel-major input
 
-    def __init__(
-        self,
-        in_channels: int,
-        out_channels: int,
-        kernel_size: int = 3,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        _check_kernel(kernel_size)
-        rng = rng if rng is not None else np.random.default_rng()
-        self._assign(
-            _he_uniform(rng, (out_channels, in_channels, kernel_size), in_channels * kernel_size),
-            np.zeros(out_channels),
-        )
-
-    def _assign(self, weight: np.ndarray, bias: np.ndarray) -> None:
+    def __init__(self, weight: np.ndarray, bias: np.ndarray) -> None:
         if weight.ndim != 3 or bias.shape != weight.shape[:1]:
             raise ValueError(f"conv weight shape {weight.shape} and bias shape {bias.shape} disagree")
-        _check_kernel(weight.shape[2])
+        if weight.shape[2] % 2 == 0:
+            raise ValueError("same padding requires an odd kernel size >= 1")
         self.out_channels, self.in_channels, self.kernel_size = weight.shape
-        self.weight = weight
-        self.bias = bias
+        self.weight, self.bias = weight, bias
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         xc = _channel_major(x)
@@ -242,23 +214,9 @@ class BatchNorm1D(Layer):
     _centred: np.ndarray | None = None
     _inv_std: np.ndarray | None = None
 
-    def __init__(self, channels: int, epsilon: float = 1e-5, momentum: float = 0.1) -> None:
-        self._assign(np.ones(channels), np.zeros(channels), np.zeros(channels), np.ones(channels),
-                     epsilon, momentum)
-
-    def _assign(
-        self,
-        gamma: np.ndarray,
-        beta: np.ndarray,
-        running_mean: np.ndarray,
-        running_var: np.ndarray,
-        epsilon: float = 1e-5,
-        momentum: float = 0.1,
+    def __init__(
+        self, gamma: np.ndarray, beta: np.ndarray, running_mean: np.ndarray, running_var: np.ndarray
     ) -> None:
-        if not 0.0 < epsilon < np.inf:
-            raise ValueError("epsilon must be positive and finite")
-        if not 0.0 <= momentum <= 1.0:
-            raise ValueError("momentum must be finite and lie in [0, 1]")
         channels = gamma.size
         for name, arr in zip(self.arrays, (gamma, beta, running_mean, running_var)):
             if arr.shape != (channels,):
@@ -266,8 +224,6 @@ class BatchNorm1D(Layer):
         if np.any(running_var < 0.0):
             raise ValueError("batchnorm running_var must be non-negative")
         self.channels = channels
-        self.epsilon = epsilon
-        self.momentum = momentum
         self.gamma, self.beta = gamma, beta
         self.running_mean, self.running_var = running_mean, running_var
 
@@ -283,12 +239,12 @@ class BatchNorm1D(Layer):
             mean = rows.sum(axis=1) / m
             centred = rows - mean[:, None]
             var = np.einsum("ij,ij->i", centred, centred) / m  # biased, as normalized
-            self.running_mean = (1.0 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1.0 - self.momentum) * self.running_var + self.momentum * var
+            self.running_mean = (1.0 - RUNNING_MOMENTUM) * self.running_mean + RUNNING_MOMENTUM * mean
+            self.running_var = (1.0 - RUNNING_MOMENTUM) * self.running_var + RUNNING_MOMENTUM * var
         else:
             centred = rows - self.running_mean[:, None]
             var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.epsilon)
+        inv_std = 1.0 / np.sqrt(var + BATCHNORM_EPSILON)
         if training:
             self._centred, self._inv_std = centred, inv_std
         out = centred * (self.gamma * inv_std)[:, None]
@@ -359,16 +315,11 @@ class Linear(Layer):
     arrays = trained = ("weight", "bias")
     _x: np.ndarray | None = None  # a training forward's input
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator | None = None) -> None:
-        rng = rng if rng is not None else np.random.default_rng()
-        self._assign(_he_uniform(rng, (out_features, in_features), in_features), np.zeros(out_features))
-
-    def _assign(self, weight: np.ndarray, bias: np.ndarray) -> None:
+    def __init__(self, weight: np.ndarray, bias: np.ndarray) -> None:
         if weight.ndim != 2 or bias.shape != weight.shape[:1]:
             raise ValueError(f"linear weight shape {weight.shape} and bias shape {bias.shape} disagree")
         self.out_features, self.in_features = weight.shape
-        self.weight = weight
-        self.bias = bias
+        self.weight, self.bias = weight, bias
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
@@ -413,11 +364,9 @@ class Network:
         for layer in self.layers:
             prev = layers[-1] if layers else None
             if isinstance(layer, BatchNorm1D) and isinstance(prev, Conv1D):
-                scale = layer.gamma / np.sqrt(layer.running_var + layer.epsilon)
-                layers[-1] = Conv1D.from_params(
-                    prev.weight * scale[:, None, None],
-                    (prev.bias - layer.running_mean) * scale + layer.beta,
-                )
+                scale = layer.gamma / np.sqrt(layer.running_var + BATCHNORM_EPSILON)
+                shift = (prev.bias - layer.running_mean) * scale + layer.beta
+                layers[-1] = Conv1D(prev.weight * scale[:, None, None], shift)
             else:
                 layers.append(layer)
         return Network(layers)
@@ -444,16 +393,14 @@ def backward(net: Network, x: np.ndarray, targets: np.ndarray) -> tuple[float, n
 
 
 class MomentumSGD:
-    """Heavy-ball SGD; momentum 0 reduces to the plain step."""
+    """Heavy-ball SGD: each step sets ``v = SGD_MOMENTUM * v + grad`` and
+    moves the array by ``-learning_rate * v``, from ``v = 0``."""
 
-    def __init__(self, net: Network, learning_rate: float, momentum: float = 0.9) -> None:
+    def __init__(self, net: Network, learning_rate: float) -> None:
         if not 0.0 < learning_rate < np.inf:
             raise ValueError("learning rate must be positive and finite")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
         self.net = net
         self.learning_rate = learning_rate
-        self.momentum = momentum
         self._velocity = [
             {name: np.zeros_like(arr) for name, arr in layer.params().items()}
             for layer in net.layers
@@ -466,5 +413,5 @@ class MomentumSGD:
             raise ValueError("step needs the gradients of a backward pass first")
         for layer, vel in zip(self.net.layers, self._velocity):
             for name, g in layer.grads.items():
-                vel[name] = self.momentum * vel[name] + g
+                vel[name] = SGD_MOMENTUM * vel[name] + g
                 layer.params()[name] -= self.learning_rate * vel[name]

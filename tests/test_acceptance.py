@@ -84,9 +84,7 @@ def test_criterion_1_numeric_kernel_oracles():
         out_ch = int(gen.integers(1, 9))
         k = int(gen.choice([1, 3, 5]))
         length = int(gen.integers(max(k, 2), 65))
-        layer = nn.Conv1D(in_ch, out_ch, k, rng=gen)
-        layer.weight = gen.standard_normal(layer.weight.shape)
-        layer.bias = gen.standard_normal(out_ch)
+        layer = nn.Conv1D(gen.standard_normal((out_ch, in_ch, k)), gen.standard_normal(out_ch))
         x = gen.standard_normal((in_ch, length))
         got = layer.forward(x[None])[0]
         want = conv1d_brute_force(x, layer.weight, layer.bias)
@@ -98,9 +96,8 @@ def test_criterion_1_numeric_kernel_oracles():
         channels = int(gen.integers(1, 5))
         batch = int(gen.integers(1, 5))
         length = int(gen.integers(2, 12))
-        layer = nn.BatchNorm1D(channels)
-        layer.gamma = gen.uniform(0.5, 2.0, channels)
-        layer.beta = gen.uniform(-1.0, 1.0, channels)
+        layer = nn.BatchNorm1D(gen.uniform(0.5, 2.0, channels), gen.uniform(-1.0, 1.0, channels),
+                               np.zeros(channels), np.ones(channels))
         x = gen.standard_normal((batch, channels, length)) * 2.0 + gen.uniform(-1, 1)
         out = layer.forward(x, training=True)
         # brute-force statistics per channel
@@ -109,7 +106,7 @@ def test_criterion_1_numeric_kernel_oracles():
             mean = sum(values) / len(values)
             var = sum((v - mean) ** 2 for v in values) / len(values)
             want = [
-                layer.gamma[c] * (v - mean) / math.sqrt(var + layer.epsilon) + layer.beta[c]
+                layer.gamma[c] * (v - mean) / math.sqrt(var + nn.BATCHNORM_EPSILON) + layer.beta[c]
                 for v in values
             ]
             got = [out[b, c, t] for b in range(batch) for t in range(length)]
@@ -156,12 +153,16 @@ def test_criterion_1_numeric_kernel_oracles():
 def test_criterion_2_gradient_check():
     started = time.perf_counter()
     gen = np.random.default_rng(202)
-    net = nn.Network([
-        nn.Conv1D(1, 4, 3, rng=gen), nn.BatchNorm1D(4), nn.ReLU(),
-        nn.Conv1D(4, 4, 3, rng=gen), nn.BatchNorm1D(4), nn.ReLU(),
-        nn.Conv1D(4, 4, 3, rng=gen), nn.BatchNorm1D(4), nn.ReLU(),
-        nn.GlobalAvgPool1D(), nn.Linear(4, 6, rng=gen),
-    ])
+
+    def he_uniform(*shape):
+        bound = np.sqrt(6.0 / np.prod(shape[1:]))
+        return gen.uniform(-bound, bound, size=shape)
+
+    layers = []
+    for in_ch in (1, 4, 4):
+        bn = nn.BatchNorm1D(np.ones(4), np.zeros(4), np.zeros(4), np.ones(4))
+        layers += [nn.Conv1D(he_uniform(4, in_ch, 3), np.zeros(4)), bn, nn.ReLU()]
+    net = nn.Network(layers + [nn.GlobalAvgPool1D(), nn.Linear(he_uniform(6, 4), np.zeros(6))])
     x = gen.standard_normal((6, 1, 20))
     targets = gen.integers(0, 6, 6)
     nn.backward(net, x, targets)

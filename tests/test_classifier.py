@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -112,6 +113,16 @@ class TestBuildNetwork:
         b = build_network(TorqueNetConfig(seed=99))
         for pa, pb in zip(trained_arrays(a), trained_arrays(b)):
             assert np.array_equal(pa, pb)
+
+    def test_seeded_initial_draw_is_pinned(self):
+        # He-uniform from one generator, convs 0, 3 and 6 then the head; a
+        # reordered or rescaled draw changes every model file trained after it
+        arrays = _stored_arrays(build_network(TorqueNetConfig(seed=7)))
+        digest = hashlib.sha256()
+        for key in sorted(arrays):
+            digest.update(key.encode())
+            digest.update(np.ascontiguousarray(arrays[key]).tobytes())
+        assert digest.hexdigest() == "9f674f5a4d07e51ccd1e4fbee79e975e35f9072edf5005bbbe2d587ba8425acb"
 
     def test_different_seeds_differ(self):
         a = build_network(TorqueNetConfig(seed=1))
@@ -417,14 +428,15 @@ def narrow_stack(filters):
     rng = np.random.default_rng(0)
     layers = []
     for in_ch in (1, filters, filters):
-        layers += [nn.Conv1D(in_ch, filters, 3, rng=rng), nn.BatchNorm1D(filters), nn.ReLU()]
-    return layers + [nn.GlobalAvgPool1D(), nn.Linear(filters, 6, rng=rng)]
+        bn = nn.BatchNorm1D(np.ones(filters), np.zeros(filters), np.zeros(filters), np.ones(filters))
+        layers += [nn.Conv1D(rng.standard_normal((filters, in_ch, 3)), np.zeros(filters)), bn, nn.ReLU()]
+    return layers + [nn.GlobalAvgPool1D(), nn.Linear(rng.standard_normal((6, filters)), np.zeros(6))]
 
 
 # the preset's layers with one edit each
 NON_PRESET_STACKS = {
     "block-dropped": lambda layers: layers[:3] + layers[6:],
-    "kernel-5": lambda layers: layers[:3] + [nn.Conv1D(64, 64, 5)] + layers[4:],
+    "kernel-5": lambda layers: layers[:3] + [nn.Conv1D(np.zeros((64, 64, 5)), np.zeros(64))] + layers[4:],
     "32-filters": lambda layers: narrow_stack(32),
     "pooling-removed": lambda layers: layers[:9] + layers[10:],
     "kind-swapped": lambda layers: layers[:4] + [layers[5], layers[4]] + layers[6:],

@@ -10,7 +10,7 @@ from handover.classifier import (
     save_model,
     write_dataset_jsonl,
 )
-from handover.cli import main
+from handover.cli import CLASS_NAMES, main
 from handover.synth import default_signature_model, generate_dataset
 
 # a model file whose arrays are a JSON list, not an object
@@ -189,6 +189,7 @@ def simulate_rejects(tmp_path, capsys, doc=None, flags=(), model=None, named=())
     for name in named:
         assert name in err
     assert not out_dir.exists()
+    return err
 
 
 class TestSimulateRejectsBadConfig:
@@ -216,6 +217,13 @@ class TestSimulateRejectsBadConfig:
     ])
     def test_config_file_overrides_are_checked(self, tmp_path, capsys, doc, message):
         simulate_rejects(tmp_path, capsys, doc, named=[message])
+
+    def test_unknown_action_name_is_named(self, tmp_path, capsys):
+        # an unknown name is a bad value, not a missing key: the error
+        # names it and every valid name, as an unknown pipeline's does
+        err = simulate_rejects(tmp_path, capsys, {"actions": ["foo"]},
+                               named=["'foo' is not a valid action", *CLASS_NAMES])
+        assert "missing key" not in err
 
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_trials_flag_is_checked(self, tmp_path, capsys, trials):

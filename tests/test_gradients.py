@@ -6,13 +6,18 @@ import handover.nn_kernel as nn
 
 
 def tiny_network(seed=42):
+    """The preset's layers at 4 filters, initialized as build_network does."""
     gen = np.random.default_rng(seed)
-    return nn.Network([
-        nn.Conv1D(1, 4, 3, rng=gen), nn.BatchNorm1D(4), nn.ReLU(),
-        nn.Conv1D(4, 4, 3, rng=gen), nn.BatchNorm1D(4), nn.ReLU(),
-        nn.Conv1D(4, 4, 3, rng=gen), nn.BatchNorm1D(4), nn.ReLU(),
-        nn.GlobalAvgPool1D(), nn.Linear(4, 6, rng=gen),
-    ])
+
+    def he_uniform(*shape):
+        bound = np.sqrt(6.0 / np.prod(shape[1:]))
+        return gen.uniform(-bound, bound, size=shape)
+
+    layers = []
+    for in_ch in (1, 4, 4):
+        bn = nn.BatchNorm1D(np.ones(4), np.zeros(4), np.zeros(4), np.ones(4))
+        layers += [nn.Conv1D(he_uniform(4, in_ch, 3), np.zeros(4)), bn, nn.ReLU()]
+    return nn.Network(layers + [nn.GlobalAvgPool1D(), nn.Linear(he_uniform(6, 4), np.zeros(6))])
 
 
 def training_loss(net, x, targets):
@@ -93,6 +98,6 @@ class TestFiniteDifferences:
             nn.backward(net, np.zeros((3, 1, 16)), np.zeros(4, dtype=int))
 
     def test_backward_without_forward_rejected(self):
-        layer = nn.Conv1D(1, 2, 3)
+        layer = nn.Conv1D(np.zeros((2, 1, 3)), np.zeros(2))
         with pytest.raises(ValueError, match="training forward"):
             layer.backward(np.zeros((1, 2, 8)))
