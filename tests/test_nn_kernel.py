@@ -182,6 +182,16 @@ class TestBatchNorm:
         assert np.allclose(layer.running_mean, want_mean, rtol=1e-12, atol=0.0)
         assert np.allclose(layer.running_var, want_var, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("momentum", [0.0, 1.0])
+    def test_momentum_bounds_accepted(self, rng, monkeypatch, momentum):
+        # the update's ends: 0 keeps the running statistics, 1 takes the batch's
+        monkeypatch.setattr(nn, "RUNNING_MOMENTUM", momentum)
+        layer = make_batchnorm(2)
+        x = rng.standard_normal((4, 2, 6))
+        layer.forward(x, training=True)
+        want = x.var(axis=(0, 2)) if momentum == 1.0 else np.ones(2)
+        assert np.allclose(layer.running_var, want, rtol=1e-12, atol=0.0)
+
 
 class TestRelu:
     def test_definition(self):
