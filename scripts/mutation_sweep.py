@@ -6,14 +6,16 @@ Makes one mutant per site in ``fusion.py``, ``vision_gate.py``,
 types' checks), ``synth.py`` (the fault draws), ``classifier.py`` (the
 training split, the run plans, the model-file checks), ``nn_kernel.py``
 (the layers' array checks, the training and inference arithmetic, the
-im2col/col2im pair) and
+shifted-GEMM conv and its seams) and
 ``cli.py`` (the commands' input checks and exit codes): each compare boundary
 swapped (``<`` and ``<=``, ``>`` and ``>=``), each ``and``/``or``
 swapped, and each ``not`` dropped. Every mutant is written into a
 scratch copy of ``src/``, ``tests/`` and ``pyproject.toml`` and its
 module's test files (``TARGET_TESTS``) run against it; a mutant they
 still pass on survives. One line is printed per mutant, then the
-survivors. The unmutated copy must pass first.
+survivors. The unmutated copy must pass first. The exit code is 0 when
+every mutant is killed, 1 when any survives and 2 when the unmutated
+tests fail.
 
 Run from anywhere (about 10-15 s per decision-path mutant, a few
 seconds per kernel mutant, on a 2-core machine):
@@ -162,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{len(survivors)} survivor(s)")
     for site in survivors:
         print(f"  {site}")
-    return 0
+    return 1 if survivors else 0
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ Inputs are standardized per joint with statistics from the training split.
 a range of samples: each joint's series goes through the convolutions
 once, and each window recomputes only the positions near its
 joint-segment ends. A cached plan per geometry (window count, step) holds
-the index arrays that gather each conv's im2col matrix and the 0/1 matrix
-that pools each window.
+the index arrays that gather each conv's tap columns for one GEMM
+(``Conv1D.gemm``) and the 0/1 matrix that pools each window.
 
 A model file holds its ``format``, the ``normalization`` statistics and
 the preset's 17 stored ``arrays`` as nested lists; ``load_model`` fills
@@ -202,6 +202,7 @@ def train(
     inputs = normalize_input(inputs, stats)  # training keeps no raw copy
     x_train, y_train = inputs[train_idx], labels[train_idx]
     x_hold, y_hold = inputs[holdout_idx], labels[holdout_idx]
+    del inputs  # nor the full normalized stack, once the splits are cut
 
     net = build_network(config)
     optimizer = nn.MomentumSGD(net, config.learning_rate)

@@ -12,27 +12,29 @@ the activations are channel-major: a layer computes into a contiguous
 view, and the next layer recovers that buffer without a copy. So the
 batch-norm reductions and the conv products run on contiguous
 (channels, batch * length) rows, while callers index samples as usual.
-Every conv product goes through one adjoint pair: the forward is
-``W @ _im2col(x)``, the weight gradient ``g @ _im2col(x).T`` and the
-input gradient ``_col2im(W.T @ g)``.
+Every conv product is one GEMM per tap on the flat (c, B·L) rows, with
+no (c·k, B·L) tap matrix (Anderson et al., arXiv 1709.03395): ``_conv``
+adds each tap's GEMM, through one output-sized scratch buffer, into the
+output shifted by j - p; the input gradient is ``_conv`` of the flipped,
+transposed kernel; the weight gradient's tap j is one GEMM of the
+shifted rows, less the few pairs that cross a sample boundary.
 
 What a training-mode forward keeps for backward:
 
-- ``Conv1D``: its channel-major input, from which backward rebuilds the
-  im2col matrix. It is a reference, not a copy, whenever the input has
-  that layout already (the ReLU output before a conv, or a one-channel
-  batch), so a caller must not modify it between forward and backward.
+- ``Conv1D``: its channel-major input, a reference, not a copy, whenever
+  the input has that layout already (the ReLU output before a conv, or a
+  one-channel batch), so a caller must not modify it before backward.
 - ``BatchNorm1D``: the centred rows and the per-channel ``1/std``; its
   backward builds dx in the centred buffer and drops it.
-- ``ReLU``: the boolean mask of positive inputs.
+- ``ReLU``: the mask of positive inputs; its output overwrites its input.
 - ``GlobalAvgPool1D``: the length.
 - ``Linear``: its input.
 
-Training reductions are row sums: a training-mode batch norm takes its
-mean, variance and gradient sums as one sum or dot product per channel
-row, and a conv's weight gradient is one GEMM over all B·L columns. So
-training results agree with sums taken over each sample, then over the
-samples, within 1e-12 relative, not bit for bit.
+Reductions are row sums: a training-mode batch norm takes its mean,
+variance and gradient sums as one sum or dot product per channel row,
+and each conv tap is a GEMM over all B·L columns. So results agree with
+sums taken over each sample, or over all taps in one GEMM
+(``Conv1D.gemm``), within 1e-12 relative, not bit for bit.
 
 Each layer's ``backward`` leaves its parameter gradients in its ``grads``;
 ``backward(net, x, targets)`` returns (loss, probabilities) and
@@ -100,42 +102,41 @@ def _channel_major(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(1, 0, 2))
 
 
-def _tap_span(shift: int, length: int) -> tuple[int, int]:
-    """Output positions [lo, hi) whose tap source t + shift lies inside
-    the signal; same padding supplies zeros everywhere else."""
-    lo = min(length, max(0, -shift))
-    return lo, max(lo, min(length, length - shift))
+def _tap_views(out_rows: np.ndarray, in_rows: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """The column slices of two flat (·, B·L) row blocks where output t meets input t + shift."""
+    n = out_rows.shape[1]
+    return out_rows[:, max(0, -shift):n - max(0, shift)], in_rows[:, max(0, shift):n - max(0, -shift)]
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """The (c·k, B·L) im2col matrix of a (c, B, L) buffer, rows in (channel,
-    tap) order: tap j of output t reads input t + j - p, zero past the
-    sample's ends. Each tap is one shifted copy of the flat (c, B·L) rows
-    with the positions that crossed a sample boundary zeroed."""
-    channels, batch, length = x.shape
-    n, p = batch * length, (k - 1) // 2
-    rows = x.reshape(channels, n)
-    cols = np.empty((channels, k, n))
-    for j in range(k):
-        s = j - p
-        cols[:, j, max(0, -s):max(0, n - s)] = rows[:, max(0, s):max(0, n + s)]
-        lo, hi = _tap_span(s, length)
-        tap = cols[:, j].reshape(channels, batch, length)
-        tap[:, :, :lo] = tap[:, :, hi:] = 0.0
-    return cols.reshape(channels * k, n)
+def _seams(view: np.ndarray, length: int, shift: int) -> np.ndarray:
+    """The columns of a ``_tap_views`` slice whose partner lies in another
+    sample: the last |shift| of each of its whole samples."""
+    whole = (view.shape[1] + abs(shift)) // length - 1
+    return view[:, :whole * length].reshape(view.shape[0], whole, length)[:, :, length - abs(shift):]
 
 
-def _col2im(dcols: np.ndarray, shape: tuple[int, int, int], k: int) -> np.ndarray:
-    """The adjoint of ``_im2col``: each tap's rows of a (c·k, B·L) matrix
-    added back onto the positions of a (c, B, L) ``shape`` that it read."""
-    p, length = (k - 1) // 2, shape[2]
-    dcols = dcols.reshape(shape[0], k, *shape[1:])
-    # the centre tap reads every position, so it seeds the sum
-    dx = dcols[:, p].copy()
-    for j in (*range(p), *range(p + 1, k)):
-        lo, hi = _tap_span(j - p, length)
-        dx[:, :, lo + j - p:hi + j - p] += dcols[:, j, :, lo:hi]
-    return dx
+def _live_taps(k: int, length: int) -> range:
+    """The taps j of a k-tap kernel whose shift j - k // 2 is shorter than
+    a sample; a tap shifted by a whole sample or more reads only padding."""
+    return range(max(0, k // 2 - length + 1), min(k, k // 2 + length))
+
+
+def _conv(rows: np.ndarray, weight: np.ndarray, length: int) -> np.ndarray:
+    """The same-padded conv of flat channel-major (c, B·L) rows, samples
+    ``length`` long, by an (o, c, k) kernel: the (o, B·L) sum over taps j
+    of ``weight[:, :, j] @ rows`` shifted by j - p. The centre tap's GEMM
+    is the output; each side tap's goes into one reused scratch buffer,
+    whose columns that would cross a sample boundary are zeroed before it
+    is added."""
+    taps = np.ascontiguousarray(weight.transpose(2, 0, 1))
+    p = taps.shape[0] // 2
+    out, scratch = taps[p] @ rows, np.empty((taps.shape[1], rows.shape[1]))
+    for j in _live_taps(taps.shape[0], length):
+        if j != p:
+            dst, src = _tap_views(out, np.matmul(taps[j], rows, out=scratch), j - p)
+            _seams(src, length, j - p)[...] = 0.0
+            dst += src
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +183,16 @@ class Conv1D(Layer):
         channels, batch, length = xc.shape
         if channels != self.in_channels:
             raise ValueError(f"conv input has {channels} channels, layer expects {self.in_channels}")
-        out = self.gemm(_im2col(xc, self.kernel_size))
+        out = _conv(xc.reshape(channels, -1), self.weight, length)
+        out += self.bias[:, None]
         if training:
             self._x = xc
         return out.reshape(self.out_channels, batch, length).transpose(1, 0, 2)
 
     def gemm(self, cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``weight @ cols + bias`` for an im2col matrix whose rows are in
-        (channel, tap) order, written into ``out`` when one is given."""
+        """``weight @ cols + bias`` for gathered tap columns, rows in
+        (channel, tap) order as ``classify_windows``' plan builds them,
+        written into ``out`` when one is given."""
         out = np.matmul(self.weight.reshape(self.out_channels, -1), cols, out=out)
         out += self.bias[:, None]
         return out
@@ -198,11 +201,16 @@ class Conv1D(Layer):
         if self._x is None:
             raise ValueError("backward called without a training forward")
         o, c, k = self.weight.shape
-        g2 = _channel_major(grad).reshape(o, -1)
-        # the rebuilt im2col matrix dies with its GEMM, before col2im's input exists
-        dw = g2 @ _im2col(self._x, k).T
-        self.grads = {"weight": dw.reshape(o, c, k)}
-        return _col2im(self.weight.reshape(o, c * k).T @ g2, self._x.shape, k).transpose(1, 0, 2)
+        length, p = self._x.shape[2], k // 2
+        g2, x2 = _channel_major(grad).reshape(o, -1), self._x.reshape(c, -1)
+        dw = np.zeros((o, c, k))
+        for j in _live_taps(k, length):
+            g, x = _tap_views(g2, x2, j - p)
+            # one GEMM of the shifted rows, less the pairs that cross a seam
+            dw[:, :, j] = g @ x.T - np.einsum("obs,cbs->oc", _seams(g, length, j - p), _seams(x, length, j - p))
+        self.grads = {"weight": dw}
+        dx = _conv(g2, self.weight[:, :, ::-1].transpose(1, 0, 2), length)
+        return dx.reshape(self._x.shape).transpose(1, 0, 2)
 
 
 class BatchNorm1D(Layer):
@@ -272,14 +280,15 @@ class BatchNorm1D(Layer):
 
 
 class ReLU(Layer):
-    """Elementwise, so the output keeps the input's (channel-major) strides."""
+    """Elementwise; the forward writes its output over its input (in a network,
+    a buffer the layer before made in that pass) and so keeps its strides."""
 
     _mask: np.ndarray | None = None  # a training forward's positive inputs
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if training:
             self._mask = x > 0.0
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -346,7 +355,7 @@ class Network:
         self.layers = list(layers)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = np.asarray(x, dtype=np.float64)
+        out = np.array(x, dtype=np.float64)  # a copy: layers may write over their input
         for layer in self.layers:
             out = layer.forward(out, training)
         return out

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,18 @@ class TestTrain:
         kwargs = dict(seed=5, epochs=2)
         kwargs.update(overrides)
         return TorqueNetConfig(**kwargs)
+
+    def test_one_epoch_on_the_paper_set_peaks_below_41_mb(self):
+        # 1,800 windows: the epoch holds the two normalized splits but no third,
+        # full stack, and no conv builds a (c·k, B·L) tap matrix
+        dataset = generate_dataset(default_signature_model(), per_class_count=300, seed=1)
+        tracemalloc.start()
+        try:
+            train(dataset, TorqueNetConfig(epochs=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 41e6
 
     def test_single_class_rejected(self):
         items = [w for w in self.tiny_dataset() if w.label is ActionClass.PULL]

@@ -202,8 +202,21 @@ class TestRelu:
 
     def test_idempotent(self, rng):
         relu = nn.ReLU().forward
-        x = rng.standard_normal((5, 17))
-        assert np.array_equal(relu(relu(x)), relu(x))
+        once = relu(rng.standard_normal((5, 17)))
+        assert np.array_equal(relu(once.copy()), once)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_forward_writes_over_its_input(self, rng, training):
+        x = rng.standard_normal((2, 3, 4))
+        want = np.maximum(x, 0.0)
+        out = nn.ReLU().forward(x, training=training)
+        assert np.shares_memory(out, x) and np.array_equal(x, want)
+
+    def test_network_forward_leaves_its_input_unchanged(self, rng):
+        x = rng.standard_normal((2, 3, 4))
+        kept = x.copy()
+        assert np.array_equal(nn.Network([nn.ReLU()]).forward(x), np.maximum(kept, 0.0))
+        assert np.array_equal(x, kept)
 
     def test_gradient_at_zero_is_zero(self):
         relu = nn.ReLU()
@@ -495,57 +508,87 @@ class TestTrainingKernelsMatchOracles:
         assert layer.grads.keys() == {"weight"}  # the batch norm after a conv cancels its bias
 
 
-def im2col_oracle(xc, k):
-    """Tap slices of a zero-padded copy of a (channels, batch, length) buffer,
-    stacked in (channel, tap) row order."""
-    channels, batch, length = xc.shape
+def conv_oracle(rows, weight, length):
+    """Each tap's GEMM on a zero-padded copy of flat (channels, batch * length)
+    rows, added in tap order into (out_channels, batch * length)."""
+    out_ch, in_ch, k = weight.shape
     p = (k - 1) // 2
-    padded = np.pad(xc, ((0, 0), (0, 0), (p, p)))
-    return np.stack([padded[:, :, j:j + length] for j in range(k)], axis=1).reshape(channels * k, -1)
+    padded = np.pad(rows.reshape(in_ch, -1, length), ((0, 0), (0, 0), (p, p)))
+    out = np.zeros((out_ch, rows.shape[1]))
+    for j in range(k):
+        out += weight[:, :, j] @ padded[:, :, j:j + length].reshape(in_ch, -1)
+    return out
 
 
-im2col_cases = st.tuples(
-    st.integers(1, 8), st.integers(1, 5), st.integers(1, 40), st.sampled_from([1, 3, 5, 15]),
+# k up to 5 on lengths 1-9, so a side tap's shift |j - p| reaches and passes the length
+shifted_gemm_cases = st.tuples(
+    st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 9), st.sampled_from([1, 3, 5]),
     st.integers(0, 2**16),
 )
 
 
-class TestIm2colCol2im:
-    """The one adjoint pair behind every conv product."""
+class TestShiftedGemmConv:
+    """``_conv``, the one routine behind the forward and the input
+    gradient, and the conv backward's per-tap weight gradient."""
 
-    @given(case=im2col_cases)
-    def test_im2col_copies_zero_padded_taps(self, case):
-        channels, batch, length, k, seed = case
-        xc = np.random.default_rng(seed).standard_normal((channels, batch, length))
-        assert np.array_equal(nn._im2col(xc, k), im2col_oracle(xc, k))
-
-    @given(case=im2col_cases)
-    def test_col2im_is_the_adjoint_of_im2col(self, case):
-        # <im2col(x), Y> = <x, col2im(Y)>, within 1e-12 of the sum of |terms|
-        channels, batch, length, k, seed = case
+    @given(case=shifted_gemm_cases)
+    def test_matches_the_zero_padded_oracle_exactly(self, case):
+        # small integers make every sum exact, so any tap or column order agrees bit for bit
+        in_ch, out_ch, batch, length, k, seed = case
         gen = np.random.default_rng(seed)
-        xc = gen.standard_normal((channels, batch, length))
-        y = gen.standard_normal((channels * k, batch * length))
-        cols = nn._im2col(xc, k)
-        dx = nn._col2im(y, xc.shape, k)
-        assert dx.shape == xc.shape
-        assert abs(np.vdot(cols, y) - np.vdot(xc, dx)) <= 1e-12 * np.vdot(np.abs(cols), np.abs(y))
+        rows = gen.integers(-8, 9, (in_ch, batch * length)).astype(np.float64)
+        weight = gen.integers(-8, 9, (out_ch, in_ch, k)).astype(np.float64)
+        assert np.array_equal(nn._conv(rows, weight, length), conv_oracle(rows, weight, length))
 
-    def test_backward_holds_one_im2col_matrix_at_a_time(self, rng):
-        # the weight gradient's im2col is freed before the input gradient's
-        # columns are allocated
+    @given(case=shifted_gemm_cases)
+    def test_backward_matches_the_zero_padded_oracle_exactly(self, case):
+        in_ch, out_ch, batch, length, k, seed = case
+        gen = np.random.default_rng(seed)
+        layer = nn.Conv1D(gen.integers(-8, 9, (out_ch, in_ch, k)).astype(np.float64), np.zeros(out_ch))
+        x = gen.integers(-8, 9, (batch, in_ch, length)).astype(np.float64)
+        grad = gen.integers(-8, 9, (batch, out_ch, length)).astype(np.float64)
+        want_dx, want_dw = conv_backward_oracle(x, layer.weight, grad)
+        layer.forward(x, training=True)
+        assert np.array_equal(layer.backward(grad), want_dx)
+        assert np.array_equal(layer.grads["weight"], want_dw)
+
+    @given(case=shifted_gemm_cases)
+    def test_flipped_transposed_kernel_is_the_adjoint(self, case):
+        # <conv(x, W), Y> = <x, conv(Y, W')>, within 1e-12 of the sum of |terms|
+        in_ch, out_ch, batch, length, k, seed = case
+        gen = np.random.default_rng(seed)
+        x = gen.standard_normal((in_ch, batch * length))
+        weight = gen.standard_normal((out_ch, in_ch, k))
+        y = gen.standard_normal((out_ch, batch * length))
+        flipped = weight[:, :, ::-1].transpose(1, 0, 2)
+        terms = np.vdot(nn._conv(np.abs(x), np.abs(weight), length), np.abs(y))
+        assert abs(np.vdot(nn._conv(x, weight, length), y) - np.vdot(x, nn._conv(y, flipped, length))) <= 1e-12 * terms
+
+    def test_forward_needs_one_output_of_scratch(self, rng):
+        # the output and one reused side-tap buffer; an im2col matrix alone is 3 * x.nbytes
+        layer = nn.Conv1D(he_uniform(rng, 64, 64, 3), np.zeros(64))
+        x = channel_major_view(rng.standard_normal((32, 64, 280)))
+        tracemalloc.start()
+        try:
+            layer.forward(x, training=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * x.nbytes + 2**20
+
+    def test_backward_needs_one_input_of_scratch(self, rng):
+        # the input gradient and one reused side-tap buffer, nothing k times larger
         layer = nn.Conv1D(he_uniform(rng, 64, 64, 3), np.zeros(64))
         x = rng.standard_normal((32, 64, 280))
         layer.forward(x, training=True)
         grad = channel_major_view(rng.standard_normal((32, 64, 280)))
-        cols_bytes = 3 * x.nbytes
         tracemalloc.start()
         try:
             layer.backward(grad)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert cols_bytes < peak <= cols_bytes + x.nbytes + 2**20
+        assert peak <= 2 * x.nbytes + 2**20
 
 
 class TestChannelMajorLayout:
@@ -564,8 +607,8 @@ class TestChannelMajorLayout:
         x = rng.standard_normal((4, 3, 9))
         grad = rng.standard_normal((4, 3, 9))
         plain, strided = self.layers(3)[index], self.layers(3)[index]
-        out_plain = plain.forward(x, training=training)
         out_strided = strided.forward(channel_major_view(x), training=training)
+        out_plain = plain.forward(x, training=training)  # the ReLU writes over x
         assert np.array_equal(out_plain, out_strided)
         assert is_channel_major(out_strided)
         if training:
