@@ -12,23 +12,33 @@ the activations are channel-major: a layer computes into a contiguous
 view, and the next layer recovers that buffer without a copy. So the
 batch-norm reductions and the conv products run on contiguous
 (channels, batch * length) rows, while callers index samples as usual.
-Every conv product is one GEMM per tap on the flat (c, B·L) rows, with
-no (c·k, B·L) tap matrix (Anderson et al., arXiv 1709.03395): ``_conv``
+A conv product is one GEMM per tap on the flat (c, B·L) rows, with no
+(c·k, B·L) tap matrix (Anderson et al., arXiv 1709.03395): ``_conv``
 adds each tap's GEMM, through one output-sized scratch buffer, into the
-output shifted by j - p; the input gradient is ``_conv`` of the flipped,
-transposed kernel; the weight gradient's tap j is one GEMM of the
-shifted rows, less the few pairs that cross a sample boundary.
+output shifted by j - p, unless that matrix is no larger than the output
+(c·k <= o: the preset's 1-channel first conv), when it is one GEMM. The
+input gradient is ``_conv`` of the flipped, transposed kernel; the
+weight gradient's tap j is one GEMM of the shifted rows, less the few
+pairs that cross a sample boundary.
 
-What a training-mode forward keeps for backward:
+One rule: a layer writes its result over a same-shape buffer that its
+own network pass made and no longer needs: ReLU's forward and backward
+over their input, batch norm's over its input rows (centred in place)
+and then those rows, the conv's and the pool's backward over the input
+their forward kept. ``Network.forward`` copies the caller's input, so
+no network pass (but a lone layer may) writes over a caller's array.
+
+What a training-mode forward keeps for backward, which consumes it, so a
+second backward raises ``ValueError`` (but see ReLU):
 
 - ``Conv1D``: its channel-major input, a reference, not a copy, whenever
   the input has that layout already (the ReLU output before a conv, or a
-  one-channel batch), so a caller must not modify it before backward.
-- ``BatchNorm1D``: the centred rows and the per-channel ``1/std``; its
-  backward builds dx in the centred buffer and drops it.
-- ``ReLU``: the mask of positive inputs; its output overwrites its input.
-- ``GlobalAvgPool1D``: the length.
-- ``Linear``: its input.
+  one-channel batch).
+- ``BatchNorm1D``: the centred rows and the per-channel ``1/std``.
+- ``ReLU``: the mask of positive inputs, until the next forward: its
+  backward writes only over the gradient, so a repeat is exact (freeing
+  the mask there doubled a training epoch's page faults).
+- ``GlobalAvgPool1D`` and ``Linear``: the input.
 
 Reductions are row sums: a training-mode batch norm takes its mean,
 variance and gradient sums as one sum or dot product per channel row,
@@ -121,17 +131,21 @@ def _live_taps(k: int, length: int) -> range:
     return range(max(0, k // 2 - length + 1), min(k, k // 2 + length))
 
 
-def _conv(rows: np.ndarray, weight: np.ndarray, length: int) -> np.ndarray:
+def _conv(rows: np.ndarray, weight: np.ndarray, length: int, out: np.ndarray | None = None) -> np.ndarray:
     """The same-padded conv of flat channel-major (c, B·L) rows, samples
-    ``length`` long, by an (o, c, k) kernel: the (o, B·L) sum over taps j
-    of ``weight[:, :, j] @ rows`` shifted by j - p. The centre tap's GEMM
-    is the output; each side tap's goes into one reused scratch buffer,
-    whose columns that would cross a sample boundary are zeroed before it
-    is added."""
+    ``length`` long, by an (o, c, k) kernel, into ``out`` if given: the
+    (o, B·L) sum over taps j of ``weight[:, :, j] @ rows`` shifted by j - p.
+    A tap stack no larger than the output is one GEMM; else each side
+    tap's GEMM has its columns across a sample boundary zeroed."""
+    o, c, k = weight.shape
+    p = k // 2
+    if c * k <= o and length > 0:
+        padded = np.pad(rows.reshape(c, -1, length), ((0, 0), (0, 0), (p, p)))
+        stack = np.stack([padded[:, :, j:j + length] for j in range(k)], axis=1)
+        return np.matmul(weight.reshape(o, -1), stack.reshape(c * k, -1), out=out)
     taps = np.ascontiguousarray(weight.transpose(2, 0, 1))
-    p = taps.shape[0] // 2
-    out, scratch = taps[p] @ rows, np.empty((taps.shape[1], rows.shape[1]))
-    for j in _live_taps(taps.shape[0], length):
+    out, scratch = np.matmul(taps[p], rows, out=out), np.empty((o, rows.shape[1]))
+    for j in _live_taps(k, length):
         if j != p:
             dst, src = _tap_views(out, np.matmul(taps[j], rows, out=scratch), j - p)
             _seams(src, length, j - p)[...] = 0.0
@@ -200,17 +214,18 @@ class Conv1D(Layer):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise ValueError("backward called without a training forward")
+        xc, self._x = self._x, None
         o, c, k = self.weight.shape
-        length, p = self._x.shape[2], k // 2
-        g2, x2 = _channel_major(grad).reshape(o, -1), self._x.reshape(c, -1)
+        length, p = xc.shape[2], k // 2
+        g2, x2 = _channel_major(grad).reshape(o, -1), xc.reshape(c, -1)
         dw = np.zeros((o, c, k))
         for j in _live_taps(k, length):
             g, x = _tap_views(g2, x2, j - p)
             # one GEMM of the shifted rows, less the pairs that cross a seam
             dw[:, :, j] = g @ x.T - np.einsum("obs,cbs->oc", _seams(g, length, j - p), _seams(x, length, j - p))
         self.grads = {"weight": dw}
-        dx = _conv(g2, self.weight[:, :, ::-1].transpose(1, 0, 2), length)
-        return dx.reshape(self._x.shape).transpose(1, 0, 2)
+        _conv(g2, self.weight[:, :, ::-1].transpose(1, 0, 2), length, out=x2)  # dx over the dead input
+        return xc.transpose(1, 0, 2)
 
 
 class BatchNorm1D(Layer):
@@ -245,7 +260,7 @@ class BatchNorm1D(Layer):
             if batch == 0:
                 raise ValueError("batchnorm training forward requires a non-empty batch")
             mean = rows.sum(axis=1) / m
-            centred = rows - mean[:, None]
+            centred = np.subtract(rows, mean[:, None], out=rows)
             var = np.einsum("ij,ij->i", centred, centred) / m  # biased, as normalized
             self.running_mean = (1.0 - RUNNING_MOMENTUM) * self.running_mean + RUNNING_MOMENTUM * mean
             self.running_var = (1.0 - RUNNING_MOMENTUM) * self.running_var + RUNNING_MOMENTUM * var
@@ -262,9 +277,7 @@ class BatchNorm1D(Layer):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._centred is None or self._inv_std is None:
             raise ValueError("backward called without a training forward")
-        # the centred rows are not needed again, so dx is built in their buffer
-        dx, inv_std = self._centred, self._inv_std
-        self._centred = None
+        dx, inv_std, self._centred = self._centred, self._inv_std, None
         channels, m = dx.shape
         batch, length = grad.shape[0], grad.shape[2]
         g = _channel_major(grad).reshape(channels, m)
@@ -280,8 +293,8 @@ class BatchNorm1D(Layer):
 
 
 class ReLU(Layer):
-    """Elementwise; the forward writes its output over its input (in a network,
-    a buffer the layer before made in that pass) and so keeps its strides."""
+    """Elementwise; forward and backward write over the array they are
+    given (in a network, a buffer that pass made) and so keep its strides."""
 
     _mask: np.ndarray | None = None  # a training forward's positive inputs
 
@@ -293,7 +306,7 @@ class ReLU(Layer):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise ValueError("backward called without a training forward")
-        return grad * self._mask
+        return np.multiply(grad, self._mask, out=grad)
 
 
 class GlobalAvgPool1D(Layer):
@@ -302,20 +315,21 @@ class GlobalAvgPool1D(Layer):
     The means come back C-contiguous whatever the input strides, so the
     Linear GEMMs that follow see one operand layout and round alike."""
 
-    _length: int | None = None  # a training forward's length
+    _x: np.ndarray | None = None  # a training forward's input
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.shape[-1] == 0:
             raise ValueError("global_avg_pool requires length >= 1")
         if training:
-            self._length = x.shape[-1]
+            self._x = x
         return np.ascontiguousarray(x.mean(axis=-1))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._length is None:
+        if self._x is None:
             raise ValueError("backward called without a training forward")
-        spread = (grad / self._length)[:, :, None]
-        return np.broadcast_to(spread, (*grad.shape, self._length))
+        dx, self._x = self._x, None
+        dx[...] = (grad / dx.shape[-1])[:, :, None]
+        return dx
 
 
 class Linear(Layer):
@@ -340,7 +354,8 @@ class Linear(Layer):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise ValueError("backward called without a training forward")
-        self.grads = {"weight": grad.T @ self._x, "bias": grad.sum(axis=0)}
+        x, self._x = self._x, None
+        self.grads = {"weight": grad.T @ x, "bias": grad.sum(axis=0)}
         return grad @ self.weight
 
 

@@ -215,6 +215,15 @@ class TestTrain:
             tracemalloc.stop()
         assert peak < 41e6
 
+    @settings(max_examples=5)
+    @given(seed=st.integers(0, 2**16))
+    def test_leaves_the_dataset_untouched(self, seed):
+        data = self.tiny_dataset(per_class=2, seed=seed)
+        kept = [(item.window.samples.copy(), item.label) for item in data]
+        train(data, self.tiny_config(epochs=1))
+        for item, (samples, label) in zip(data, kept):
+            assert np.array_equal(item.window.samples, samples) and item.label is label
+
     def test_single_class_rejected(self):
         items = [w for w in self.tiny_dataset() if w.label is ActionClass.PULL]
         with pytest.raises(ValueError, match="deficient"):

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -133,7 +134,7 @@ class TestBatchNorm:
         layer = make_batchnorm(1)
         x = rng.standard_normal((10, 1, 50)) + 5.0
         for _ in range(200):
-            layer.forward(x, training=True)
+            layer.forward(x.copy(), training=True)  # a channel-major input is centred in place
         assert abs(layer.running_mean[0] - x.mean()) < 1e-3
 
     def test_empty_batch_rejected(self):
@@ -170,6 +171,18 @@ class TestBatchNorm:
         layer.backward(np.ones((3, 2, 4)))
         with pytest.raises(ValueError, match="training forward"):
             layer.backward(np.ones((3, 2, 4)))
+
+    def test_training_forward_needs_one_output(self, rng):
+        # the centred rows are written over the channel-major input, so only the output is new
+        layer = make_batchnorm(64)
+        x = channel_major_view(rng.standard_normal((32, 64, 280)))
+        tracemalloc.start()
+        try:
+            layer.forward(x, training=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= x.nbytes + 2**20
 
     def test_training_forward_moves_running_statistics_by_the_momentum_constant(self, rng):
         # the preset's 0.1 of the batch's statistics, 0.9 of the old ones
@@ -250,6 +263,39 @@ class TestGlobalAvgPool:
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError, match="length"):
             nn.GlobalAvgPool1D().forward(np.zeros((3, 0)))
+
+
+# per layer kind: the layer, its forward input shape, its backward gradient shape
+ONE_BACKWARD_LAYERS = {
+    "conv": (lambda: make_conv(2, 3, 3, seed=0), (4, 2, 9), (4, 3, 9)),
+    "pool": (nn.GlobalAvgPool1D, (4, 2, 9), (4, 2)),
+    "linear": (lambda: nn.Linear(np.ones((3, 2)), np.zeros(3)), (4, 2), (4, 3)),
+}
+
+
+class TestOneBackwardPerForward:
+    """A backward consumes what its training forward kept, and may write
+    over it, so a second backward needs a new forward."""
+
+    @pytest.mark.parametrize("kind", sorted(ONE_BACKWARD_LAYERS))
+    def test_second_backward_needs_a_new_forward(self, rng, kind):
+        make, x_shape, grad_shape = ONE_BACKWARD_LAYERS[kind]
+        layer = make()
+        layer.forward(rng.standard_normal(x_shape), training=True)
+        layer.backward(rng.standard_normal(grad_shape))
+        with pytest.raises(ValueError, match="training forward"):
+            layer.backward(rng.standard_normal(grad_shape))
+        layer.forward(rng.standard_normal(x_shape), training=True)
+        layer.backward(rng.standard_normal(grad_shape))
+
+    def test_relu_keeps_its_mask_and_repeats_exactly(self, rng):
+        # its backward writes over the incoming gradient, never over the mask
+        relu = nn.ReLU()
+        x = rng.standard_normal((4, 2, 9))
+        want = (x > 0.0) * 1.0
+        relu.forward(x, training=True)
+        assert np.array_equal(relu.backward(np.ones(x.shape)), want)
+        assert np.array_equal(relu.backward(np.ones(x.shape)), want)
 
 
 class TestSoftmax:
@@ -576,8 +622,45 @@ class TestShiftedGemmConv:
             tracemalloc.stop()
         assert peak <= 2 * x.nbytes + 2**20
 
+    def test_narrow_conv_forward_needs_its_output_and_tap_stack(self, rng):
+        # the preset's 1 -> 64 conv: one GEMM over its 3-row tap stack, no side-tap scratch
+        layer = nn.Conv1D(he_uniform(rng, 64, 1, 3), np.zeros(64))
+        x = rng.standard_normal((32, 1, 280))
+        tracemalloc.start()
+        try:
+            layer.forward(x, training=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * x.nbytes + 3 * x.nbytes + 2**20
+
+    @pytest.mark.parametrize("in_ch, out_ch, k", [(1, 3, 3), (2, 6, 3), (1, 5, 5), (1, 64, 3)])
+    def test_a_stack_no_larger_than_the_output_is_one_gemm(self, rng, in_ch, out_ch, k):
+        # c·k <= o, the boundary included: bit-equal to one GEMM over the zero-padded tap stack
+        rows, weight = rng.standard_normal((in_ch, 6 * 40)), rng.standard_normal((out_ch, in_ch, k))
+        p = k // 2
+        padded = np.pad(rows.reshape(in_ch, 6, 40), ((0, 0), (0, 0), (p, p)))
+        stack = np.stack([padded[:, :, j:j + 40] for j in range(k)], axis=1).reshape(in_ch * k, -1)
+        assert np.array_equal(nn._conv(rows, weight, 40), weight.reshape(out_ch, -1) @ stack)
+
+    def test_narrow_conv_of_zero_length_samples_is_empty(self):
+        # no sample count can be read off zero columns, so the tap path takes it
+        assert nn._conv(np.zeros((1, 0)), np.ones((4, 1, 3)), 0).shape == (4, 0)
+
+    def test_preset_first_conv_matches_the_zero_padded_oracle_exactly(self, rng):
+        # 1 -> 64, k = 3 takes the tap-stack GEMM forward and the shifted-GEMM input gradient
+        layer = nn.Conv1D(rng.integers(-8, 9, (64, 1, 3)).astype(np.float64), np.zeros(64))
+        x = rng.integers(-8, 9, (8, 1, 280)).astype(np.float64)
+        grad = rng.integers(-8, 9, (8, 64, 280)).astype(np.float64)
+        want_out = conv_oracle(x.transpose(1, 0, 2).reshape(1, -1), layer.weight, 280)
+        want_dx, want_dw = conv_backward_oracle(x, layer.weight, grad)
+        out = layer.forward(x, training=True)
+        assert np.array_equal(out, want_out.reshape(64, 8, 280).transpose(1, 0, 2))
+        assert np.array_equal(layer.backward(grad), want_dx)
+        assert np.array_equal(layer.grads["weight"], want_dw)
+
     def test_backward_needs_one_input_of_scratch(self, rng):
-        # the input gradient and one reused side-tap buffer, nothing k times larger
+        # one reused side-tap buffer; the input gradient is written over the kept input
         layer = nn.Conv1D(he_uniform(rng, 64, 64, 3), np.zeros(64))
         x = rng.standard_normal((32, 64, 280))
         layer.forward(x, training=True)
@@ -588,7 +671,7 @@ class TestShiftedGemmConv:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * x.nbytes + 2**20
+        assert peak <= x.nbytes + 2**20
 
 
 class TestChannelMajorLayout:
@@ -700,3 +783,33 @@ class TestFrozen:
         x = rng.standard_normal((3, 1, 30))
         assert np.array_equal(net.predict_proba(x), nn.softmax(net.frozen().forward(x)))
         assert np.abs(net.predict_proba(x) - nn.softmax(net.forward(x))).max() <= 1e-12
+
+
+# preset-shaped: one input channel, kernel 3, up to the preset's three blocks
+preset_shapes = st.tuples(st.integers(0, 2**16), st.integers(1, 6), st.integers(1, 3))
+
+
+class TestCallerArrays:
+    """Layers write over the buffers their network pass made, never over
+    the caller's, and every buffer they read is fully written first."""
+
+    @given(shape=preset_shapes, batch=st.integers(1, 5), length=st.integers(1, 20))
+    def test_untouched_and_grads_repeat_bit_for_bit(self, shape, batch, length):
+        seed, width, blocks = shape
+        net = random_network(seed, 1, width, blocks, 3)
+        first, second = copy.deepcopy(net), copy.deepcopy(net)
+        gen = np.random.default_rng(seed)
+        x = gen.standard_normal((batch, 1, length))
+        targets = gen.integers(0, 4, batch)
+        kept_x, kept_targets = x.copy(), targets.copy()
+        loss_a, probs_a = nn.backward(first, x, targets)
+        loss_b, probs_b = nn.backward(second, x, targets)
+        assert loss_a == loss_b and np.array_equal(probs_a, probs_b)
+        for a, b in zip(first.layers, second.layers):
+            assert a.grads.keys() == b.grads.keys()
+            for name, g in a.grads.items():
+                assert np.array_equal(g, b.grads[name]), name
+        net.forward(x, training=True)
+        net.forward(x)
+        net.frozen().forward(x)
+        assert np.array_equal(x, kept_x) and np.array_equal(targets, kept_targets)
