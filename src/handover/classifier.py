@@ -10,7 +10,8 @@ a range of samples: each joint's series goes through the convolutions
 once, and each window recomputes only the positions near its
 joint-segment ends. A cached plan per geometry (window count, step) holds
 the index arrays that gather each conv's tap columns for one GEMM
-(``Conv1D.gemm``) and the 0/1 matrix that pools each window.
+(``Conv1D.gemm``) and the 0/1 matrix that pools each window. This is the
+one scoring path: ``classify_window`` runs one window through it.
 
 A model file holds its ``format``, the ``normalization`` statistics and
 the preset's 17 stored ``arrays`` as nested lists; ``load_model`` fills
@@ -243,19 +244,20 @@ def train(
 def classify_window(
     net: nn.Network, stats: NormalizationStats, window: TorqueWindow
 ) -> ActionScores:
-    """Classify one window; pure (batch norm frozen to running stats)."""
+    """Score one window through ``classify_windows``' path, its lone window
+    on the (1, 0) plan; pure (batch norm frozen to running stats)."""
     if not isinstance(window, TorqueWindow):
         raise TypeError("classify_window expects a TorqueWindow")
-    probs = net.predict_proba(normalize_input(window.samples[None], stats))[0]
-    return ActionScores.from_probabilities(probs)
+    logits = _run_logits(net.frozen().layers, stats, range(1), window.samples)
+    return ActionScores.from_probability_rows(nn.softmax(logits))[0]
 
 
 def classify_windows(
     net: nn.Network, stats: NormalizationStats, windows: range, torques: np.ndarray
 ) -> list[ActionScores]:
     """Score the windows of the (7, n) stream ``torques`` that start at each
-    sample of ``windows``; equal to classify_window on each window up to
-    rounding.
+    sample of ``windows``; equal to the frozen network's forward on each
+    window up to rounding.
 
     After r convs the frozen network sees +-r samples (one per conv of
     kernel 3). So in a flat window, a position at least r samples from

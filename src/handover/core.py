@@ -247,11 +247,6 @@ class ActionScores(JsonCodec):
         object.__setattr__(self, "predicted", ActionClass(self.predicted))
 
     @classmethod
-    def from_probabilities(cls, probabilities: np.ndarray) -> "ActionScores":
-        probs = np.asarray(probabilities, dtype=np.float64)
-        return cls(probabilities=probs, predicted=ActionClass(int(np.argmax(probs))))
-
-    @classmethod
     def from_probability_rows(cls, probabilities: np.ndarray) -> list["ActionScores"]:
         """One ``ActionScores`` per row of an (n, 6) matrix: the matrix takes
         ``__post_init__``'s checks once, then each row is a read-only view."""
@@ -359,19 +354,6 @@ class DetectionBlock(Sequence):
             raise ValueError(NEGATIVE_DEPTH)
         if ((confidence < 0.0) | (confidence > 1.0)).any():
             raise ValueError(CONFIDENCE_RANGE)
-
-    @classmethod
-    def from_frames(cls, frames: Sequence[DetectionFrame]) -> "DetectionBlock":
-        detections = [d for frame in frames for d in frame.detections]
-        return cls(
-            stamps=[frame.timestamp for frame in frames],
-            offsets=np.cumsum([0, *(len(frame.detections) for frame in frames)]),
-            boxes=[d.box for d in detections],
-            positions=[d.position_3d for d in detections],
-            confidence=[d.confidence for d in detections],
-            thumb=[d.finger_type is FingerType.THUMB for d in detections],
-            timestamps=[d.timestamp for d in detections],
-        )
 
     @cached_property
     def _frames(self) -> tuple[DetectionFrame, ...]:

@@ -22,6 +22,8 @@ import numpy as np
 from .classifier import NormalizationStats, classify_windows, torque_vote
 from .core import (
     INLINE,
+    RELEASE_ACTIONS,
+    ActionClass,
     ActionScores,
     JsonCodec,
     ReleaseDecision,
@@ -188,15 +190,6 @@ class ReleaseFsm:
 Step = tuple[dict[str, Any], FusedSample | None]
 
 
-def _fsm_input(line: dict[str, Any]) -> tuple[int, bool]:
-    """(time, vote) of a logged single-modality or unpaired step, an
-    integer and a boolean in the line. An unpaired torque event is a
-    non-vote.
-    """
-    at_ms = json_value(int, line["t"])
-    return at_ms, line["type"] != "unpaired_torque" and json_value(bool, line["vote"])
-
-
 def _run_fsm(config: SyncConfig, steps: Iterable[Step]) -> tuple[list[dict[str, Any]], int | None]:
     """Feed steps through a fresh FSM until it releases.
 
@@ -207,8 +200,8 @@ def _run_fsm(config: SyncConfig, steps: Iterable[Step]) -> tuple[list[dict[str, 
     log: list[dict[str, Any]] = []
     for line, sample in steps:
         seen = len(fsm.transitions)
-        if sample is None:
-            decision, released = None, fsm.advance(*_fsm_input(line))
+        if sample is None:  # a single-modality vote, or an unpaired torque event's non-vote
+            decision, released = None, fsm.advance(line["t"], line["type"] != "unpaired_torque" and line["vote"])
         else:
             decision = fsm.step(sample)
             released = decision is not None
@@ -339,6 +332,31 @@ class ReplayResult:
 _SUMMARY_COUNTS = {"n_samples": ("vote_sample", "fused_sample"), "dropped_torque_events": ("unpaired_torque",)}
 
 
+def _logged_step(number: int, line: dict[str, Any], window_ms: int) -> Step:
+    """Log line ``number``, an FSM input, with its values' JSON types checked
+    and its facts checked against each other: a vote is its own rule's, a
+    fused pair's ``skew_ms`` is its stamps' difference, within ``window_ms``.
+    A failed check raises ``TypeError`` or ``ValueError`` naming the line."""
+    try:
+        if line["type"] == "fused_sample":
+            sample = FusedSample.from_json_dict(line)
+            skew = sample.torque.timestamp - sample.vision.evaluated_at
+            if sample.skew_ms != skew or abs(skew) > window_ms:
+                raise ValueError(f"skew_ms {sample.skew_ms} must be its stamps' difference, {skew} ms, "
+                                 f"within the {window_ms} ms pairing window")
+            return line, sample
+        json_value(int, line["t"])
+        if line["type"] == "vote_sample" and line["source"] == "vision":
+            VisionVerdict.from_json_dict({**line, "evaluated_at": line["t"]})
+        elif line["type"] == "vote_sample":
+            predicted = ActionClass(json_value(int, line["predicted"]))
+            if json_value(bool, line["vote"]) != (predicted in RELEASE_ACTIONS):
+                raise ValueError(f"torque vote {line['vote']} is not the vote of predicted action {int(predicted)}")
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"line {number}: {exc}") from None
+    return line, None
+
+
 def replay_episode_log(path: str | Path) -> ReplayResult:
     """Re-run the decision core over a logged episode and diff the outcome.
 
@@ -347,10 +365,10 @@ def replay_episode_log(path: str | Path) -> ReplayResult:
     steps through a fresh ``ReleaseFsm`` and reports any divergence. The
     summary's counts must equal the logged steps when the episode did not
     release, and be at least those when it did. A file that is not such a
-    log raises ``ValueError`` (or ``TypeError`` for a value of the wrong
-    JSON type).
+    log, or a step that contradicts itself (``_logged_step``), raises
+    ``ValueError`` (or ``TypeError`` for a value of the wrong JSON type).
     """
-    lines = []
+    lines, numbers = [], []
     for number, text in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if text.strip():
             try:
@@ -360,6 +378,7 @@ def replay_episode_log(path: str | Path) -> ReplayResult:
             if not isinstance(line, dict) or "type" not in line:
                 raise ValueError(f"line {number} is not a JSON object with a type")
             lines.append(line)
+            numbers.append(number)
     if not lines or lines[0]["type"] != "header":
         raise ValueError("episode log must start with a header line")
     config = SyncConfig.from_json_dict(lines[0]["sync_config"])
@@ -371,8 +390,8 @@ def replay_episode_log(path: str | Path) -> ReplayResult:
         raise ValueError(f"summary counts must be non-negative, got {counts}")
 
     steps = (
-        (l, FusedSample.from_json_dict(l) if l["type"] == "fused_sample" else None)
-        for l in lines if l["type"] in ("vote_sample", "fused_sample", "unpaired_torque")
+        _logged_step(number, l, config.pairing_window_ms)
+        for number, l in zip(numbers, lines) if l["type"] in ("vote_sample", "fused_sample", "unpaired_torque")
     )
     log, release_time = _run_fsm(config, steps)
     released = release_time is not None

@@ -58,8 +58,9 @@ A conv's bias is not trained: the batch norm after each conv subtracts
 the channel mean, which cancels any bias (Ioffe & Szegedy, arXiv
 1502.03167, §3.2). It stays zero until ``Network.frozen()`` returns an
 inference network with each batch norm folded into a new conv in place
-of the conv before it, its shift in that conv's bias; ``predict_proba``
-runs that network, so inference never runs the training kernels.
+of the conv before it, its shift in that conv's bias; the classifier
+scores only through that network, so inference never runs the training
+kernels.
 """
 from __future__ import annotations
 
@@ -374,9 +375,6 @@ class Network:
         for layer in self.layers:
             out = layer.forward(out, training)
         return out
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return softmax(self.frozen().forward(x))
 
     def frozen(self) -> "Network":
         """An inference network: each BatchNorm1D after a Conv1D is dropped,

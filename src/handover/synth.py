@@ -24,7 +24,6 @@ from .core import (
     WINDOW_SAMPLES,
     ActionClass,
     DetectionBlock,
-    DetectionFrame as DetectionFrame,  # re-exported: hand-built scripts pass frames
     JsonCodec,
     ObjectSlab,
     TorqueWindow,
@@ -298,8 +297,7 @@ class ScenarioScript:
     matrix at 40 Hz and detection frames at 30 Hz, plus the slab geometry
     and a record of which faults were injected.
 
-    ``frames`` is always stored as a ``DetectionBlock``; a sequence of
-    ``DetectionFrame``s passed in is converted once.
+    ``frames`` must be a ``DetectionBlock``, the one frame input.
     """
 
     action: ActionClass
@@ -320,7 +318,7 @@ class ScenarioScript:
         object.__setattr__(self, "torques", arr)
         object.__setattr__(self, "action", ActionClass(self.action))
         if not isinstance(self.frames, DetectionBlock):
-            object.__setattr__(self, "frames", DetectionBlock.from_frames(tuple(self.frames)))
+            raise TypeError(f"scenario frames must be a DetectionBlock, got {type(self.frames).__name__}")
         if np.any(np.diff(self.frames.stamps) <= 0):
             raise ValueError("detection frames must be strictly time-ordered")
         if self.grasp_at_ms is not None and self.grasp_at_ms >= self.action_onset_ms:

@@ -349,7 +349,7 @@ def test_criterion_5_vision_gate_exhaustive():
 def _sample(action, vision_vote, ts, fingers=None):
     probs = np.zeros(6)
     probs[int(action)] = 1.0
-    scores = ActionScores.from_probabilities(probs)
+    scores = ActionScores(probabilities=probs, predicted=action)
     if fingers is None:
         fingers = 4 if vision_vote else 0
     from handover.vision_gate import VisionVerdict

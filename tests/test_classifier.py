@@ -27,7 +27,6 @@ from handover.classifier import (
 )
 from handover.core import (
     ActionClass,
-    ActionScores,
     Decision,
     TorqueWindow,
     expected_decision,
@@ -41,6 +40,7 @@ from handover.synth import (
     generate_dataset,
     generate_window,
 )
+from oracles import scores, window_scores
 from test_json_golden import GOLDEN, MODEL_ARRAYS
 
 JSON_VALUES = st.recursive(
@@ -132,7 +132,7 @@ class TestBuildNetwork:
 
     def test_forward_yields_probability_vector(self, rng):
         net = build_network(TorqueNetConfig())
-        probs = net.predict_proba(rng.standard_normal((3, 1, 280)))
+        probs = nn.softmax(net.frozen().forward(rng.standard_normal((3, 1, 280))))
         assert probs.shape == (3, 6)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(probs >= 0.0)
@@ -334,12 +334,16 @@ def random_stream(seed, length):
 
 
 def assert_matches_single(net, stats, windows, torques):
+    """classify_windows, and classify_window on each window, within 1e-9 of
+    the per-window forward and with its predicted class."""
     batched = classify_windows(net, stats, windows, torques)
     assert len(batched) == len(windows)
-    for start, scores in zip(windows, batched):
-        single = classify_window(net, stats, TorqueWindow(torques[:, start:start + 40], start_time=0))
-        assert np.max(np.abs(scores.probabilities - single.probabilities)) <= 1e-9
-        assert scores.predicted is single.predicted
+    for start, from_run in zip(windows, batched):
+        window = TorqueWindow(torques[:, start:start + 40], start_time=0)
+        want = window_scores(net, stats, window)
+        for got in (from_run, classify_window(net, stats, window)):
+            assert np.max(np.abs(got.probabilities - want.probabilities)) <= 1e-9
+            assert got.predicted is want.predicted
 
 
 networks = dict(seed=st.integers(0, 2**32 - 1))
@@ -347,7 +351,8 @@ networks = dict(seed=st.integers(0, 2**32 - 1))
 
 class TestClassifyWindowsRuns:
     """classify_windows scores the windows of one stream that start at a
-    range of samples; classify_window on each window is the oracle."""
+    range of samples; the per-window forward is the oracle for it and for
+    classify_window."""
 
     # up to 40 windows, so a range can span two plans of 32
     @given(**networks, start=st.integers(0, 50), step=st.integers(1, 60), count=st.integers(1, 40),
@@ -435,13 +440,13 @@ class TestTorqueVote:
     def test_vote_table(self, action, expected):
         probs = np.zeros(6)
         probs[int(action)] = 1.0
-        assert torque_vote(ActionScores.from_probabilities(probs)) is expected
+        assert torque_vote(scores(probs)) is expected
 
     def test_consistent_with_expected_decision(self):
         for action in ActionClass:
             probs = np.zeros(6)
             probs[int(action)] = 1.0
-            vote = torque_vote(ActionScores.from_probabilities(probs))
+            vote = torque_vote(scores(probs))
             assert vote == (expected_decision(action) is Decision.RELEASE)
 
 

@@ -19,6 +19,7 @@ from handover.core import (
 )
 from handover.fusion import FusedSample, ReleaseFsm, SyncConfig, TorqueEvent
 from handover.vision_gate import VisionVerdict
+from oracles import scores
 
 
 class TestExpectedDecision:
@@ -72,13 +73,12 @@ class TestTorqueWindow:
 
 
 class TestActionScores:
-    def test_from_probabilities_picks_argmax(self):
-        probs = np.array([0.1, 0.1, 0.5, 0.1, 0.1, 0.1])
-        assert ActionScores.from_probabilities(probs).predicted is ActionClass.PUSH
-
     def test_tie_breaks_to_lowest_code(self):
         probs = np.array([0.25, 0.25, 0.2, 0.1, 0.1, 0.1])
-        assert ActionScores.from_probabilities(probs).predicted is ActionClass.NO_ACTION
+        assert ActionScores.from_probability_rows(probs[None])[0].predicted is ActionClass.NO_ACTION
+        assert ActionScores(probabilities=probs, predicted=ActionClass.NO_ACTION).predicted is ActionClass.NO_ACTION
+        with pytest.raises(ValueError, match="argmax"):
+            ActionScores(probabilities=probs, predicted=ActionClass.BUMP)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="sum"):
@@ -95,7 +95,7 @@ class TestActionScores:
             ActionScores(probabilities=probs, predicted=ActionClass.NO_ACTION)
 
     def test_json_roundtrip(self):
-        scores = ActionScores.from_probabilities(np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0]))
+        scores = ActionScores(probabilities=np.eye(6)[4], predicted=ActionClass.PULL)
         back = ActionScores.from_json_dict(scores.to_json_dict())
         assert back.predicted is ActionClass.PULL
         assert np.allclose(back.probabilities, scores.probabilities)
@@ -108,7 +108,7 @@ class TestActionScores:
     ])
     def test_rejects_non_finite(self, probs):
         with pytest.raises(ValueError, match="finite"):
-            ActionScores.from_probabilities(np.array(probs))
+            ActionScores(probabilities=np.array(probs), predicted=ActionClass.NO_ACTION)
 
     def test_json_with_nan_rejected(self):
         doc = json.loads('{"probabilities": [NaN, 0, 0, 0, 0, 1], "predicted": 0}')
@@ -131,12 +131,12 @@ class TestProbabilityRows:
         probs[3] = [0.25, 0.25, 0.2, 0.1, 0.1, 0.1]  # a tie goes to the lowest code
         rows = ActionScores.from_probability_rows(probs)
         assert len(rows) == 17
-        for row, scores in zip(probs, rows):
-            want = ActionScores.from_probabilities(row)
-            assert scores.predicted is want.predicted
-            assert np.array_equal(scores.probabilities, want.probabilities)
-            assert not scores.probabilities.flags.writeable
-            assert scores.to_json_dict() == want.to_json_dict()
+        for row, got in zip(probs, rows):
+            want = scores(row)
+            assert got.predicted is want.predicted
+            assert np.array_equal(got.probabilities, want.probabilities)
+            assert not got.probabilities.flags.writeable
+            assert got.to_json_dict() == want.to_json_dict()
 
     def test_copies_its_input(self):
         probs = np.eye(6)
@@ -156,7 +156,7 @@ class TestProbabilityRows:
     @pytest.mark.parametrize("bad", BAD_PROBABILITY_ROWS)
     def test_bulk_checks_give_the_per_row_message(self, bad):
         with pytest.raises(ValueError) as per_row:
-            ActionScores.from_probabilities(np.array(bad))
+            ActionScores(probabilities=np.array(bad), predicted=ActionClass.NO_ACTION)
         matrix = np.vstack([np.eye(6)[:2], bad, np.eye(6)[2:]])
         with pytest.raises(ValueError) as bulk:
             ActionScores.from_probability_rows(matrix)
@@ -315,7 +315,7 @@ class TestReleaseDecision:
     def test_all_vote_combinations(self, tq, vi):
         # a decision exists only for agreeing votes, so it carries no vote of its own
         action = ActionClass.HOLD if tq else ActionClass.BUMP
-        scores = ActionScores.from_probabilities(np.eye(6)[int(action)])
+        scores = ActionScores(probabilities=np.eye(6)[int(action)], predicted=action)
         vision = VisionVerdict(vote=vi, fingers_in_slab=4 if vi else 2, thumb_in_slab=True, evaluated_at=0)
         sample = FusedSample(torque=TorqueEvent(scores=scores, timestamp=5), vision=vision,
                              fused_vote=tq and vi, skew_ms=5)

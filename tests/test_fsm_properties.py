@@ -17,29 +17,9 @@ from handover.fusion import (
     run_episode,
     write_episode_log,
 )
+from handover.harness import default_fault_profiles
 from handover.synth import SAMPLE_DT_MS, FaultProfile, generate_scenario
-
-LADDER = ["holding_idle", "release_armed", "released"]
-
-
-def reference_automaton(steps, debounce):
-    """The release rule state by state: (transitions, release time or None).
-
-    The state follows the run of agreeing votes: an empty run is
-    holding-idle, a short one armed, ``debounce`` long released. Moving up
-    passes every state in between; moving down is one step.
-    """
-    state, run, trail = "holding_idle", 0, []
-    for t, vote in steps:
-        run = run + 1 if vote else 0
-        target = LADDER[(run > 0) + (run >= debounce)]
-        here, there = LADDER.index(state), LADDER.index(target)
-        for nxt in LADDER[here + 1:there + 1] if there >= here else [target]:
-            trail.append((t, state, nxt))
-            state = nxt
-        if state == "released":
-            return trail, t
-    return trail, None
+from oracles import reference_automaton, reference_episode
 
 
 def first_full_debounce(steps, debounce):
@@ -180,3 +160,36 @@ def test_log_lines_state_each_fact_once_and_agree(small_model, pipeline, episode
         last_sample = [e for e in body if e["type"] == "fused_sample"][-1]
         assert decisions == [{"type": "decision", "action": last_sample["torque"]["predicted"],
                               "decided_at": summary["release_time_ms"]}]
+
+
+def without_probabilities(line):
+    """A log line and the torque probabilities it holds (None for a line with none)."""
+    if line["type"] != "fused_sample":
+        return line, None
+    torque = dict(line["torque"])
+    return {**line, "torque": torque}, torque.pop("probabilities")
+
+
+@given(
+    action=st.sampled_from(list(ActionClass)),
+    profile=st.sampled_from([FaultProfile.clean(), *default_fault_profiles().values()]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    # a torque event lies 0, 8, 17, 25 or 33 ms from the frames either side,
+    # so windows of 8, 17 and 25 ms put a candidate exactly on their edge
+    config=st.builds(SyncConfig, pairing_window_ms=st.sampled_from([8, 17, 25]) | st.integers(1, 200),
+                     debounce_frames=st.integers(1, 5)),
+    pipeline=st.sampled_from(list(Pipeline)),
+)
+def test_run_episode_equals_the_brute_force_episode(small_model, action, profile, seed, config, pipeline):
+    # every stage at once against its oracle: per-window forward, per-frame
+    # grasp rule, pairing by scan, and the release rule walked state by state
+    net, stats, _ = small_model
+    script = generate_scenario(action, profile, seed)
+    got = run_episode(script, net, stats, config, pipeline).events
+    want = reference_episode(script, net, stats, config, pipeline)
+    assert len(got) == len(want)
+    for got_line, want_line in zip(got, want):
+        (got_line, got_probs), (want_line, want_probs) = map(without_probabilities, (got_line, want_line))
+        assert got_line == want_line
+        if want_probs is not None:
+            assert max(abs(a - b) for a, b in zip(got_probs, want_probs)) <= 1e-9

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import handover.fusion as fusion
+from handover import cli
 from handover.classifier import classify_window
-from handover.core import ActionClass, ActionScores, FingertipDetection, TorqueWindow
+from handover.core import ActionClass, FingertipDetection, TorqueWindow
 from handover.fusion import (
     FsmState,
     FusedSample,
@@ -23,12 +24,11 @@ from handover.fusion import (
 from handover.harness import ExperimentConfig, run_experiment
 from handover.synth import FaultProfile, ScenarioScript, generate_scenario
 from handover.vision_gate import VisionVerdict, grasp_verdicts
+from oracles import block_from_frames, scores, window_scores
 
 
 def scores_for(action):
-    probs = np.zeros(6)
-    probs[int(action)] = 1.0
-    return ActionScores.from_probabilities(probs)
+    return scores(np.eye(6)[int(action)])
 
 
 def verdict(vote, ts, fingers=None):
@@ -291,7 +291,7 @@ class TestRunEpisode:
         script = generate_scenario(ActionClass.PULL, FaultProfile.clean(), seed=47)
         stripped = ScenarioScript(
             action=script.action, torques=script.torques,
-            torque_start_ms=script.torque_start_ms, frames=(),
+            torque_start_ms=script.torque_start_ms, frames=block_from_frames(()),
             slab=script.slab, faults=script.faults,
             action_onset_ms=script.action_onset_ms, grasp_at_ms=script.grasp_at_ms,
         )
@@ -327,9 +327,27 @@ class TestRunEpisode:
                 samples=script.torques[:, start:start + 40],
                 start_time=script.torque_start_ms + start * 25,
             )
-            single = classify_window(net, stats, window)
-            assert np.max(np.abs(event.scores.probabilities - single.probabilities)) <= 1e-9
-            assert event.scores.predicted is single.predicted
+            want = window_scores(net, stats, window)
+            for got in (event.scores, classify_window(net, stats, window)):
+                assert np.max(np.abs(got.probabilities - want.probabilities)) <= 1e-9
+                assert got.predicted is want.predicted
+
+
+def skew_off_by_one(fused_line):
+    fused_line["skew_ms"] += 1
+
+
+def pair_5_s_apart(fused_line):
+    fused_line["vision"]["evaluated_at"] -= 5000
+    fused_line["skew_ms"] += 5000
+
+
+def torque_vote_on_no_action(vote_line):
+    vote_line["predicted"] = int(ActionClass.NO_ACTION)
+
+
+def vision_vote_without_fingers(vote_line):
+    vote_line["fingers_in_slab"] = 0
 
 
 class TestEpisodeLogReplay:
@@ -423,6 +441,34 @@ class TestEpisodeLogReplay:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="finite"):
             replay_episode_log(path)
+
+    @pytest.mark.parametrize("pipeline, kind, edit, match", [
+        (Pipeline.FUSED, "fused_sample", skew_off_by_one, "skew_ms"),
+        (Pipeline.FUSED, "fused_sample", pair_5_s_apart, "pairing window"),
+        (Pipeline.TORQUE_ONLY, "vote_sample", torque_vote_on_no_action, "predicted"),
+        (Pipeline.VISION_ONLY, "vote_sample", vision_vote_without_fingers, "fingers_in_slab"),
+    ], ids=["skew", "pair-outside-window", "torque-vote", "vision-vote"])
+    def test_replay_rejects_a_step_that_contradicts_itself(self, small_model, tmp_path, pipeline, kind, edit, match):
+        # each edit leaves the FSM's inputs as they were, so the decisions still match
+        path, _ = self.run_and_log(small_model, tmp_path, ActionClass.PULL, pipeline, 51)
+        docs = [json.loads(line) for line in path.read_text().splitlines()]
+        # the first such step (a vote sample that votes), which replay reads before any release
+        k = next(i for i, doc in enumerate(docs) if doc["type"] == kind and doc.get("vote", True))
+        edit(docs[k])
+        path.write_text("".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs))
+        with pytest.raises(ValueError, match=f"^line {k + 1}: .*{match}"):
+            replay_episode_log(path)
+        assert cli.main(["replay", "--log", str(path)]) == 2
+
+    def test_replay_accepts_a_pair_on_the_pairing_window_edge(self, small_model, tmp_path):
+        # the torque events at 1125 ms and every 250 ms after lie 8 ms from a frame
+        net, stats, _ = small_model
+        script = generate_scenario(ActionClass.PUSH, FaultProfile.clean(), seed=51)
+        outcome = run_episode(script, net, stats, SyncConfig(pairing_window_ms=8), Pipeline.FUSED)
+        assert 8 in [abs(e["skew_ms"]) for e in outcome.events if e["type"] == "fused_sample"]
+        path = tmp_path / "edge.jsonl"
+        write_episode_log(path, outcome)
+        assert replay_episode_log(path).matched
 
     def test_replay_requires_header(self, tmp_path):
         path = tmp_path / "broken.jsonl"

@@ -1,5 +1,5 @@
 """Every import in a package module is used. A re-export says so by
-binding the name to itself: ``from .core import DetectionFrame as DetectionFrame``."""
+binding the name to itself: ``from .core import ActionClass as ActionClass``."""
 import ast
 from pathlib import Path
 

@@ -24,7 +24,6 @@ from handover.classifier import (
 )
 from handover.core import (
     ActionClass,
-    ActionScores,
     FingerType,
     FingertipDetection,
     ObjectSlab,
@@ -44,6 +43,7 @@ from handover.fusion import (
 from handover.harness import ReportTable, TrialRecord
 from handover.synth import FaultProfile
 from handover.vision_gate import VisionVerdict
+from oracles import scores
 
 _samples = np.full((7, 40), 0.5)
 _samples[3, 7] = -1.25
@@ -56,7 +56,7 @@ WINDOW_TEXT = (
     + '],"start_time":1200}'
 )
 
-SCORES = ActionScores.from_probabilities([0.1, 0.2, 0.05, 0.4, 0.15, 0.1])
+SCORES = scores([0.1, 0.2, 0.05, 0.4, 0.15, 0.1])
 VERDICT = VisionVerdict(vote=True, fingers_in_slab=4, thumb_in_slab=True, evaluated_at=1340)
 
 GOLDEN = {
@@ -190,7 +190,7 @@ def test_model_file_text_is_pinned(tmp_path):
 # 500 ms around a non-vote at 250 ms, which no verdict lies within 20 ms
 # of, so the fused pipeline logs it as unpaired. Each pipeline arms,
 # disarms, re-arms and releases at 500 ms.
-NO_VOTE = ActionScores.from_probabilities([0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
+NO_VOTE = scores([0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
 EPISODE_EVENTS = [TorqueEvent(scores=s, timestamp=t)
                   for t, s in [(125, SCORES), (250, NO_VOTE), (375, SCORES), (500, SCORES)]]
 EPISODE_VERDICTS = [

@@ -29,6 +29,7 @@ from handover.fusion import FusedSample, SyncConfig, TorqueEvent
 from handover.harness import TrialRecord
 from handover.synth import FaultProfile
 from handover.vision_gate import MIN_FINGERS_FOR_GRASP, VisionVerdict
+from oracles import scores
 
 # infinities included: a type that accepts one must still write strict JSON
 floats = st.floats(allow_nan=False)
@@ -61,7 +62,7 @@ def action_scores(draw):
     weights = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=NUM_CLASSES, max_size=NUM_CLASSES)))
     if weights.sum() == 0.0:
         reject()
-    return built(ActionScores.from_probabilities, weights / weights.sum())
+    return built(scores, weights / weights.sum())
 
 
 @st.composite

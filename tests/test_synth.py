@@ -8,6 +8,7 @@ from handover import synth
 from handover.core import (
     ActionClass,
     DetectionBlock,
+    DetectionFrame,
     FingerType,
     FingertipDetection,
     ObjectSlab,
@@ -19,7 +20,6 @@ from handover.synth import (
     EPISODE_FRAMES,
     EPISODE_SAMPLES,
     ActionProfile,
-    DetectionFrame,
     FaultProfile,
     ProfileShape,
     ScenarioScript,
@@ -30,6 +30,7 @@ from handover.synth import (
     generate_window,
 )
 from handover.vision_gate import evaluate_grasp, grasp_verdicts
+from oracles import block_from_frames
 
 
 def constant_model(shape=ProfileShape.STEP, amp=None, onset=(250.0, 250.0), **kwargs):
@@ -206,7 +207,8 @@ class BoundaryDraws(np.random.Generator):
 class TestScenarioBounds:
     def script(self, **overrides):
         fields = dict(
-            action=ActionClass.HOLD, torques=np.zeros((7, 40)), torque_start_ms=0, frames=(),
+            action=ActionClass.HOLD, torques=np.zeros((7, 40)), torque_start_ms=0,
+            frames=block_from_frames(()),
             slab=ObjectSlab(z_front=0.4, z_back=0.55), faults=(), action_onset_ms=1800, grasp_at_ms=1250,
         )
         fields.update(overrides)
@@ -408,7 +410,7 @@ def reference_scenario(action, profile, seed):
         action=action,
         torques=torques,
         torque_start_ms=0,
-        frames=tuple(frames),
+        frames=block_from_frames(frames),
         slab=slab,
         faults=tuple(faults),
         action_onset_ms=int(round(onset_ms)),
@@ -507,20 +509,20 @@ class TestScenarioFrames:
 
     def test_block_gives_back_hand_made_frames(self):
         frames = hand_made_frames()
-        block = DetectionBlock.from_frames(frames)
+        block = block_from_frames(frames)
         assert len(block) == len(frames)
         assert tuple(block) == frames
         assert block.offsets.tolist() == [0, 0, 2, 2, 8]
 
-    def test_script_stores_a_block_either_way(self):
-        frames = hand_made_frames()
-        script = self.script_with(frames)
-        assert isinstance(script.frames, DetectionBlock)
-        assert tuple(script.frames) == frames
+    def test_script_takes_only_a_block(self):
         generated = generate_scenario(ActionClass.HOLD, FaultProfile.clean(), seed=2)
         assert isinstance(generated.frames, DetectionBlock)
         assert self.script_with(generated.frames).frames is generated.frames
-        assert len(self.script_with(()).frames) == 0
+        assert tuple(self.script_with(block_from_frames(hand_made_frames())).frames) == hand_made_frames()
+        assert len(self.script_with(block_from_frames(())).frames) == 0
+        for frames in (hand_made_frames(), list(hand_made_frames()), ()):
+            with pytest.raises(TypeError, match=f"DetectionBlock, got {type(frames).__name__}"):
+                self.script_with(frames)
 
     @pytest.mark.parametrize("stamps", [(0, 33, 33, 100), (0, 67, 33, 100)])
     def test_frame_stamps_must_rise(self, stamps):
@@ -529,4 +531,4 @@ class TestScenarioFrames:
             for t, f in zip(stamps, hand_made_frames())
         )
         with pytest.raises(ValueError, match="time-ordered"):
-            self.script_with(frames)
+            self.script_with(block_from_frames(frames))

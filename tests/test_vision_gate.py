@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from handover.core import DetectionBlock, DetectionFrame, FingerType, FingertipDetection, ObjectSlab
+from handover.core import DetectionFrame, FingerType, FingertipDetection, ObjectSlab
 from handover.vision_gate import (
     MIN_FINGERS_FOR_GRASP,
     VisionVerdict,
     evaluate_grasp,
     grasp_verdicts,
 )
+from oracles import block_from_frames
 
 SLAB = ObjectSlab(z_front=0.4, z_back=0.6)
 
@@ -220,7 +221,7 @@ class TestArrayRuleMatchesOracle:
     @given(case=gate_cases())
     def test_whole_block(self, case):
         slab, frames = case
-        got = grasp_verdicts(DetectionBlock.from_frames(frames), slab)
+        got = grasp_verdicts(block_from_frames(frames), slab)
         assert got == [oracle_verdict(f.detections, slab, at_ms=f.timestamp) for f in frames]
 
     @pytest.mark.parametrize("thumbs", [(), (0,), (0, 1), (0, 1, 2, 3)])
