@@ -155,8 +155,10 @@ def _codec_fields(cls: type) -> tuple[tuple[str, str | None, bool, Converter, Co
 class JsonCodec:
     """Base of the dataclasses written to JSON: each field maps to one key
     (or, declared INLINE, to its own keys) in a form its annotation fixes.
-    Decoding runs the constructor, so every ``__post_init__`` check holds;
-    fields with ``init=False`` are written, never read."""
+    Decoding runs the constructor on the init fields, so every
+    ``__post_init__`` check holds. A field with ``init=False`` is a fact
+    ``__post_init__`` computes: a document that states it must state the
+    computed value, else ``ValueError`` names both and the init fields."""
 
     def to_json_dict(self) -> dict[str, Any]:
         doc: dict[str, Any] = {}
@@ -177,7 +179,12 @@ class JsonCodec:
                 kwargs[name] = decode(doc)
             elif init and (name in doc or declared != "optional"):
                 kwargs[name] = decode(doc[name])
-        return cls(**kwargs)
+        value = cls(**kwargs)
+        for name, _declared, init, encode, decode in _codec_fields(cls):
+            if not init and name in doc and decode(doc[name]) != getattr(value, name):
+                raise ValueError(f"{name} {json.dumps(doc[name])} is not "
+                                 f"{json.dumps(encode(getattr(value, name)))}, which {', '.join(kwargs)} give")
+        return value
 
 
 def check_torques(samples: np.ndarray) -> None:
@@ -229,22 +236,20 @@ def _check_probabilities(probs: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class ActionScores(JsonCodec):
-    """Classifier output: a 6-way probability vector plus its argmax."""
+    """Classifier output: a 6-way probability vector and its argmax, which
+    ``__post_init__`` computes as the first maximum (the lowest class code)."""
 
     probabilities: np.ndarray
-    predicted: ActionClass
+    predicted: ActionClass = field(init=False)
 
     def __post_init__(self) -> None:
         probs = np.array(self.probabilities, dtype=np.float64)
         if probs.shape != (NUM_CLASSES,):
             raise ValueError(f"expected {NUM_CLASSES} probabilities, got {probs.shape}")
         _check_probabilities(probs)
-        # np.argmax returns the first maximum, i.e. the lowest class code.
-        if int(np.argmax(probs)) != int(self.predicted):
-            raise ValueError("predicted class is not the argmax of the probabilities")
         probs.flags.writeable = False
         object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "predicted", ActionClass(self.predicted))
+        object.__setattr__(self, "predicted", ActionClass(int(np.argmax(probs))))
 
     @classmethod
     def from_probability_rows(cls, probabilities: np.ndarray) -> list["ActionScores"]:

@@ -1,13 +1,13 @@
 """Stream pairing and the release state machine.
 
 Torque classifications (one per sliding window) are paired with the
-nearest vision verdict inside a bounded timestamp skew, each pair fusing
-the two modality votes with AND. ``ReleaseFsm`` is every pipeline's one
-decision core: idle -> armed -> released, releasing on the
+nearest vision verdict inside a bounded timestamp skew; each pair
+computes the AND of the two modality votes. ``ReleaseFsm`` is every
+pipeline's one decision core: idle -> armed -> released, releasing on the
 ``debounce_frames``-th agreeing vote of a run consecutive in time (an
 unpaired torque event is a non-vote, so it breaks the run). Episode logs
-hold every FSM input and transition, so replay re-runs the core over any
-pipeline's log and diffs the outcome.
+hold every FSM input and transition: replay decodes each step, so every
+computed fact is checked, and the log must be the core's output line for line.
 """
 from __future__ import annotations
 
@@ -69,14 +69,16 @@ class TorqueEvent(JsonCodec):
 
 @dataclass(frozen=True)
 class FusedSample(JsonCodec):
+    """A torque event and its paired verdict; computes their AND vote and stamp skew."""
+
     torque: TorqueEvent
     vision: VisionVerdict
-    fused_vote: bool
-    skew_ms: int
+    fused_vote: bool = field(init=False)
+    skew_ms: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.fused_vote != (torque_vote(self.torque.scores) and self.vision.vote):
-            raise ValueError("fused_vote must equal torque_vote AND vision vote")
+        object.__setattr__(self, "fused_vote", torque_vote(self.torque.scores) and self.vision.vote)
+        object.__setattr__(self, "skew_ms", self.torque.timestamp - self.vision.evaluated_at)
 
 
 @dataclass
@@ -124,16 +126,7 @@ def synchronize(
                     key = (gap, -int(v_stamps[cand]), cand)
                     if best is None or key < best:
                         best = key
-        if best is None:
-            partners.append(None)
-            continue
-        verdict = vision_verdicts[best[2]]
-        partners.append(FusedSample(
-            torque=event,
-            vision=verdict,
-            fused_vote=torque_vote(event.scores) and verdict.vote,
-            skew_ms=event.timestamp - verdict.evaluated_at,
-        ))
+        partners.append(None if best is None else FusedSample(event, vision_verdicts[best[2]]))
     return SyncResult(partners)
 
 
@@ -328,25 +321,28 @@ class ReplayResult:
     mismatches: list[str]
 
 
+# the pipeline whose log holds each kind of step line, by type and source
+_STEP_PIPELINE = {("fused_sample", None): Pipeline.FUSED, ("unpaired_torque", None): Pipeline.FUSED,
+                  ("vote_sample", "torque"): Pipeline.TORQUE_ONLY, ("vote_sample", "vision"): Pipeline.VISION_ONLY}
 # each summary count and the log steps it counts
 _SUMMARY_COUNTS = {"n_samples": ("vote_sample", "fused_sample"), "dropped_torque_events": ("unpaired_torque",)}
 
 
-def _logged_step(number: int, line: dict[str, Any], window_ms: int) -> Step:
-    """Log line ``number``, an FSM input, with its values' JSON types checked
-    and its facts checked against each other: a vote is its own rule's, a
-    fused pair's ``skew_ms`` is its stamps' difference, within ``window_ms``.
-    A failed check raises ``TypeError`` or ``ValueError`` naming the line."""
+def _logged_step(number: int, line: dict[str, Any], pipeline: Pipeline, window_ms: int) -> Step:
+    """Log line ``number``, a step of a ``pipeline`` log, decoded, so its
+    JSON types and computed facts are checked; a torque vote must be its
+    predicted action's, and a fused pair must lie within the ``window_ms``
+    pairing window. A failed check raises an error naming the line."""
     try:
+        if _STEP_PIPELINE.get((line["type"], line.get("source"))) is not pipeline:
+            raise ValueError(f"a {pipeline.value} log holds no {line['type']} step from {line.get('source')}")
         if line["type"] == "fused_sample":
             sample = FusedSample.from_json_dict(line)
-            skew = sample.torque.timestamp - sample.vision.evaluated_at
-            if sample.skew_ms != skew or abs(skew) > window_ms:
-                raise ValueError(f"skew_ms {sample.skew_ms} must be its stamps' difference, {skew} ms, "
-                                 f"within the {window_ms} ms pairing window")
+            if abs(sample.skew_ms) > window_ms:
+                raise ValueError(f"skew_ms {sample.skew_ms} lies outside the {window_ms} ms pairing window")
             return line, sample
         json_value(int, line["t"])
-        if line["type"] == "vote_sample" and line["source"] == "vision":
+        if line.get("source") == "vision":
             VisionVerdict.from_json_dict({**line, "evaluated_at": line["t"]})
         elif line["type"] == "vote_sample":
             predicted = ActionClass(json_value(int, line["predicted"]))
@@ -360,13 +356,14 @@ def _logged_step(number: int, line: dict[str, Any], window_ms: int) -> Step:
 def replay_episode_log(path: str | Path) -> ReplayResult:
     """Re-run the decision core over a logged episode and diff the outcome.
 
-    The log is authoritative input (the FSM steps of any pipeline) and
-    expected output (transitions, decision, summary); replay feeds the
-    steps through a fresh ``ReleaseFsm`` and reports any divergence. The
-    summary's counts must equal the logged steps when the episode did not
-    release, and be at least those when it did. A file that is not such a
-    log, or a step that contradicts itself (``_logged_step``), raises
-    ``ValueError`` (or ``TypeError`` for a value of the wrong JSON type).
+    A log is a header, the lines the decision core wrote, and one summary.
+    Any other shape, a step of another pipeline's kind or no later than the
+    step before it, or a step that contradicts itself (``_logged_step``)
+    raises ``ValueError`` (``TypeError`` for a value of the wrong JSON
+    type). Replay feeds the steps through a fresh ``ReleaseFsm``; the first
+    line that differs from the log that gives is a mismatch naming its
+    number, as is a summary whose decision differs, or whose counts are
+    below the logged steps, or above them in an episode that did not release.
     """
     lines, numbers = [], []
     for number, text in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -381,38 +378,35 @@ def replay_episode_log(path: str | Path) -> ReplayResult:
             numbers.append(number)
     if not lines or lines[0]["type"] != "header":
         raise ValueError("episode log must start with a header line")
-    config = SyncConfig.from_json_dict(lines[0]["sync_config"])
-    logged_summary = next((l for l in lines if l["type"] == "summary"), None)
-    if logged_summary is None:
-        raise ValueError("episode log has no summary line")
+    if lines[-1]["type"] != "summary" or [l["type"] for l in lines].count("summary") != 1:
+        raise ValueError("episode log must end with its one summary line")
+    header, body, logged_summary = lines[0], lines[1:-1], lines[-1]
+    pipeline, config = Pipeline(header["pipeline"]), SyncConfig.from_json_dict(header["sync_config"])
     counts = {key: json_value(int, logged_summary[key]) for key in _SUMMARY_COUNTS}
     if min(counts.values()) < 0:
         raise ValueError(f"summary counts must be non-negative, got {counts}")
 
-    steps = (
-        _logged_step(number, l, config.pairing_window_ms)
-        for number, l in zip(numbers, lines) if l["type"] in ("vote_sample", "fused_sample", "unpaired_torque")
-    )
+    steps: list[Step] = []
+    for number, line in zip(numbers[1:], body):
+        if line["type"] in ("vote_sample", "fused_sample", "unpaired_torque"):
+            line, sample = _logged_step(number, line, pipeline, config.pairing_window_ms)
+            t = sample.torque.timestamp if sample else line["t"]
+            if steps and t <= after:
+                raise ValueError(f"line {number}: step at {t} ms does not come after the one before it, at {after} ms")
+            steps.append((line, sample))
+            after = t
     log, release_time = _run_fsm(config, steps)
     released = release_time is not None
-    mismatches: list[str] = []
-    for kind in ("transition", "decision"):
-        replayed = [l for l in log if l["type"] == kind]
-        logged = [l for l in lines if l["type"] == kind]
-        if replayed != logged:
-            mismatches.append(f"{kind}s differ: replay {replayed} vs log {logged}")
+    # the first line that differs; the summary's number if the replay runs on past the body
+    mismatches = [f"line {n} differs: replay {replayed} vs log {logged}"
+                  for n, replayed, logged in zip(numbers[1:], [*log, None], [*body, None]) if replayed != logged][:1]
     for key, value in (("released", released), ("release_time_ms", release_time)):
         if value != logged_summary[key]:
             mismatches.append(f"{key} differs: replay {value} vs log {logged_summary[key]}")
     # the summary counts the whole stream; the logged steps stop at a release
     for key, kinds in _SUMMARY_COUNTS.items():
-        n_logged = sum(l["type"] in kinds for l in lines)
+        n_logged = sum(l["type"] in kinds for l in body)
         if counts[key] < n_logged or (counts[key] > n_logged and not released):
             mismatches.append(f"{key} differs: the log holds {n_logged} such steps vs summary {counts[key]}")
-    return ReplayResult(
-        matched=not mismatches,
-        released=released,
-        release_time_ms=release_time,
-        n_events=len(lines),
-        mismatches=mismatches,
-    )
+    return ReplayResult(matched=not mismatches, released=released, release_time_ms=release_time,
+                        n_events=len(lines), mismatches=mismatches)

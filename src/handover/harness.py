@@ -74,17 +74,21 @@ class ExperimentConfig:
 
 @dataclass
 class TrialRecord(JsonCodec):
+    """One trial; computes ``released``, ``success`` and ``action_name`` from the rest."""
+
     pipeline: Pipeline
     action: ActionClass
     trial_index: int
-    released: bool
-    success: bool
+    released: bool = field(init=False)
+    success: bool = field(init=False)
     release_time_ms: int | None
     faults: tuple[str, ...]
     episode_log: str | None
-    action_name: str = field(init=False)  # written beside the code for readers of trials.jsonl
+    action_name: str = field(init=False)
 
     def __post_init__(self) -> None:
+        self.released = self.release_time_ms is not None
+        self.success = self.released == (expected_decision(self.action) is Decision.RELEASE)
         self.action_name = self.action.name.lower()
 
 
@@ -186,8 +190,6 @@ def run_experiment(
                     pipeline=pipeline,
                     action=action,
                     trial_index=k,
-                    released=outcome.released,
-                    success=outcome.released == (expected_decision(action) is Decision.RELEASE),
                     release_time_ms=outcome.release_time_ms,
                     faults=tuple(script.faults),
                     episode_log=log_ref,

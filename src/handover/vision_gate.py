@@ -3,14 +3,14 @@
 The vision modality votes to release only when at least three confident
 fingertips, the thumb among them, sit inside the depth slab spanned by
 the object's front and back planes. Boundaries are inclusive so a finger
-resting exactly on a plane does not flicker the vote. Each part of the
-rule is written once and works on floats or arrays: ``grasp_verdicts``
-scores all frames of a ``DetectionBlock`` in one pass, ``evaluate_grasp``
-one frame of detection objects.
+resting exactly on a plane does not flicker the vote. ``_counted`` picks
+the fingertips that count, on floats or arrays, for ``grasp_verdicts``
+(every frame of a ``DetectionBlock`` in one pass) and ``evaluate_grasp``
+(one frame of objects); the ``VisionVerdict`` each builds computes the vote.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -23,25 +23,22 @@ MIN_CONFIDENCE = 0.5  # detections below this are ignored
 
 @dataclass(frozen=True)
 class VisionVerdict(JsonCodec):
-    vote: bool
+    """One frame's count of fingertips in the slab and whether the thumb is
+    among them; ``__post_init__`` computes the vote, three of them AND the thumb."""
+
+    vote: bool = field(init=False)
     fingers_in_slab: int
     thumb_in_slab: bool
     evaluated_at: int
 
     def __post_init__(self) -> None:
-        expected = self.fingers_in_slab >= MIN_FINGERS_FOR_GRASP and self.thumb_in_slab
-        if self.vote != expected:
-            raise ValueError("vote must equal (fingers_in_slab >= 3 AND thumb_in_slab)")
+        object.__setattr__(self, "vote", self.fingers_in_slab >= MIN_FINGERS_FOR_GRASP and self.thumb_in_slab)
 
 
 def _counted(confidence, z, slab: ObjectSlab):
     """Detections that count toward a grasp: confident, with depth inside
     the slab, bounds inclusive; on floats or arrays."""
     return (confidence >= MIN_CONFIDENCE) & (slab.z_front <= z) & (z <= slab.z_back)
-
-
-def _verdict(fingers: int, thumb: bool, at_ms: int) -> VisionVerdict:
-    return VisionVerdict(fingers >= MIN_FINGERS_FOR_GRASP and thumb, fingers, thumb, at_ms)
 
 
 def _check_slab(slab: ObjectSlab) -> None:
@@ -59,7 +56,7 @@ def grasp_verdicts(block: DetectionBlock, slab: ObjectSlab) -> list[VisionVerdic
     thumbs = np.concatenate(([0], np.cumsum(counted & block.thumb)))
     start, stop = block.offsets[:-1], block.offsets[1:]
     return [
-        _verdict(n, thumb, stamp)
+        VisionVerdict(n, thumb, stamp)
         for n, thumb, stamp in zip(
             (fingers[stop] - fingers[start]).tolist(),
             (thumbs[stop] > thumbs[start]).tolist(),
@@ -86,4 +83,4 @@ def evaluate_grasp(
     thumb = any(d.finger_type is FingerType.THUMB for d in counted)
     if at_ms is None:
         at_ms = max((d.timestamp for d in detections), default=0)
-    return _verdict(len(counted), thumb, int(at_ms))
+    return VisionVerdict(len(counted), thumb, int(at_ms))

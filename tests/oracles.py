@@ -15,7 +15,6 @@ from handover.classifier import NormalizationStats, normalize_input, torque_vote
 from handover.core import (
     SAMPLE_DT_MS,
     WINDOW_SAMPLES,
-    ActionClass,
     ActionScores,
     DetectionBlock,
     DetectionFrame,
@@ -28,9 +27,8 @@ from handover.vision_gate import VisionVerdict, evaluate_grasp
 
 
 def scores(probabilities) -> ActionScores:
-    """Scores holding a probability vector and its argmax."""
-    probs = np.asarray(probabilities, dtype=np.float64)
-    return ActionScores(probabilities=probs, predicted=ActionClass(int(np.argmax(probs))))
+    """Scores holding a probability vector (and so its argmax)."""
+    return ActionScores(probabilities=np.asarray(probabilities, dtype=np.float64))
 
 
 def window_scores(net: nn.Network, stats: NormalizationStats, window: TorqueWindow) -> ActionScores:
@@ -119,8 +117,10 @@ def reference_episode(
                 steps.append(({"type": "unpaired_torque", "t": e.timestamp}, e.timestamp, False))
                 continue
             vote = torque_vote(e.scores) and v.vote
-            sample = FusedSample(torque=e, vision=v, fused_vote=vote, skew_ms=e.timestamp - v.evaluated_at)
-            steps.append(({"type": "fused_sample", **sample.to_json_dict()}, e.timestamp, vote))
+            # the oracle's own AND and skew, written over the ones FusedSample computes
+            line = {"type": "fused_sample", **FusedSample(torque=e, vision=v).to_json_dict(),
+                    "fused_vote": vote, "skew_ms": e.timestamp - v.evaluated_at}
+            steps.append((line, e.timestamp, vote))
     dropped = sum(line["type"] == "unpaired_torque" for line, _, _ in steps)
 
     trail, released_at = reference_automaton([(t, vote) for _, t, vote in steps], config.debounce_frames)

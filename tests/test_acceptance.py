@@ -349,20 +349,16 @@ def test_criterion_5_vision_gate_exhaustive():
 def _sample(action, vision_vote, ts, fingers=None):
     probs = np.zeros(6)
     probs[int(action)] = 1.0
-    scores = ActionScores(probabilities=probs, predicted=action)
+    scores = ActionScores(probabilities=probs)
     if fingers is None:
         fingers = 4 if vision_vote else 0
     from handover.vision_gate import VisionVerdict
 
     verdict = VisionVerdict(
-        vote=vision_vote, fingers_in_slab=fingers,
-        thumb_in_slab=bool(vision_vote or fingers >= 4), evaluated_at=ts,
+        fingers_in_slab=fingers, thumb_in_slab=bool(vision_vote or fingers >= 4), evaluated_at=ts,
     )
-    tq = action in (ActionClass.HOLD, ActionClass.PULL, ActionClass.PULL_UP)
-    return FusedSample(
-        torque=TorqueEvent(scores=scores, timestamp=ts),
-        vision=verdict, fused_vote=tq and vision_vote, skew_ms=0,
-    )
+    assert verdict.vote == vision_vote
+    return FusedSample(torque=TorqueEvent(scores=scores, timestamp=ts), vision=verdict)
 
 
 def test_criterion_6_fusion_logic(benchmark_model):

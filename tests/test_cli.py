@@ -361,6 +361,7 @@ class TestSynthTrainEvalRejectBadInput:
 HEADER = {"type": "header", "pipeline": "fused", "action": 4, "faults": [],
           "slab": {"z_back": 0.55, "z_front": 0.4},
           "sync_config": {"debounce_frames": 3, "pairing_window_ms": 100}}
+TORQUE_HEADER = {**HEADER, "pipeline": "torque_only"}  # the pipeline whose log holds torque votes
 SUMMARY = {"type": "summary", "released": False, "release_time_ms": None,
            "dropped_torque_events": 0, "n_samples": 0}
 
@@ -382,10 +383,10 @@ class TestReplay:
         (json.dumps(HEADER).replace('"debounce_frames": 3', '"debounce_frames": 1e400') + "\n"
          + json.dumps(SUMMARY) + "\n", "expected a JSON int, got inf"),
         # a logged step's fields keep their JSON types: nothing is cast
-        (json.dumps(HEADER) + "\n" + json.dumps({"type": "vote_sample", "source": "torque", "t": 125,
+        (json.dumps(TORQUE_HEADER) + "\n" + json.dumps({"type": "vote_sample", "source": "torque", "t": 125,
                                                  "vote": "false", "predicted": 0})
          + "\n" + json.dumps(SUMMARY) + "\n", "expected a JSON bool, got 'false'"),
-        (json.dumps(HEADER) + "\n" + json.dumps({"type": "vote_sample", "source": "torque", "t": "abc",
+        (json.dumps(TORQUE_HEADER) + "\n" + json.dumps({"type": "vote_sample", "source": "torque", "t": "abc",
                                                  "vote": False, "predicted": 0})
          + "\n" + json.dumps(SUMMARY) + "\n", "expected a JSON int, got 'abc'"),
         (json.dumps(HEADER) + "\n" + json.dumps({"type": "unpaired_torque", "t": "abc"})

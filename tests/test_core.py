@@ -76,26 +76,26 @@ class TestActionScores:
     def test_tie_breaks_to_lowest_code(self):
         probs = np.array([0.25, 0.25, 0.2, 0.1, 0.1, 0.1])
         assert ActionScores.from_probability_rows(probs[None])[0].predicted is ActionClass.NO_ACTION
-        assert ActionScores(probabilities=probs, predicted=ActionClass.NO_ACTION).predicted is ActionClass.NO_ACTION
-        with pytest.raises(ValueError, match="argmax"):
-            ActionScores(probabilities=probs, predicted=ActionClass.BUMP)
+        assert ActionScores(probabilities=probs).predicted is ActionClass.NO_ACTION
+        with pytest.raises(ValueError, match="^predicted 1 is not 0, which probabilities give$"):
+            ActionScores.from_json_dict({"probabilities": probs.tolist(), "predicted": int(ActionClass.BUMP)})
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="sum"):
-            ActionScores(probabilities=np.full(6, 0.2), predicted=ActionClass.NO_ACTION)
+            ActionScores(probabilities=np.full(6, 0.2))
 
     def test_rejects_wrong_argmax(self):
-        probs = np.array([0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
-        with pytest.raises(ValueError, match="argmax"):
-            ActionScores(probabilities=probs, predicted=ActionClass.PULL)
+        probs = [0.5, 0.1, 0.1, 0.1, 0.1, 0.1]
+        with pytest.raises(ValueError, match="^predicted 4 is not 0, which probabilities give$"):
+            ActionScores.from_json_dict({"probabilities": probs, "predicted": int(ActionClass.PULL)})
 
     def test_rejects_negative(self):
         probs = np.array([1.2, -0.2, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="non-negative"):
-            ActionScores(probabilities=probs, predicted=ActionClass.NO_ACTION)
+            ActionScores(probabilities=probs)
 
     def test_json_roundtrip(self):
-        scores = ActionScores(probabilities=np.eye(6)[4], predicted=ActionClass.PULL)
+        scores = ActionScores(probabilities=np.eye(6)[4])
         back = ActionScores.from_json_dict(scores.to_json_dict())
         assert back.predicted is ActionClass.PULL
         assert np.allclose(back.probabilities, scores.probabilities)
@@ -108,7 +108,7 @@ class TestActionScores:
     ])
     def test_rejects_non_finite(self, probs):
         with pytest.raises(ValueError, match="finite"):
-            ActionScores(probabilities=np.array(probs), predicted=ActionClass.NO_ACTION)
+            ActionScores(probabilities=np.array(probs))
 
     def test_json_with_nan_rejected(self):
         doc = json.loads('{"probabilities": [NaN, 0, 0, 0, 0, 1], "predicted": 0}')
@@ -156,7 +156,7 @@ class TestProbabilityRows:
     @pytest.mark.parametrize("bad", BAD_PROBABILITY_ROWS)
     def test_bulk_checks_give_the_per_row_message(self, bad):
         with pytest.raises(ValueError) as per_row:
-            ActionScores(probabilities=np.array(bad), predicted=ActionClass.NO_ACTION)
+            ActionScores(probabilities=np.array(bad))
         matrix = np.vstack([np.eye(6)[:2], bad, np.eye(6)[2:]])
         with pytest.raises(ValueError) as bulk:
             ActionScores.from_probability_rows(matrix)
@@ -315,10 +315,10 @@ class TestReleaseDecision:
     def test_all_vote_combinations(self, tq, vi):
         # a decision exists only for agreeing votes, so it carries no vote of its own
         action = ActionClass.HOLD if tq else ActionClass.BUMP
-        scores = ActionScores(probabilities=np.eye(6)[int(action)], predicted=action)
-        vision = VisionVerdict(vote=vi, fingers_in_slab=4 if vi else 2, thumb_in_slab=True, evaluated_at=0)
-        sample = FusedSample(torque=TorqueEvent(scores=scores, timestamp=5), vision=vision,
-                             fused_vote=tq and vi, skew_ms=5)
+        scores = ActionScores(probabilities=np.eye(6)[int(action)])
+        vision = VisionVerdict(fingers_in_slab=4 if vi else 2, thumb_in_slab=True, evaluated_at=0)
+        sample = FusedSample(torque=TorqueEvent(scores=scores, timestamp=5), vision=vision)
+        assert (sample.fused_vote, sample.skew_ms) == (tq and vi, 5)
         d = ReleaseFsm(SyncConfig(debounce_frames=1)).step(sample)
         assert d == (ReleaseDecision(action=ActionClass.HOLD, decided_at=5) if tq and vi else None)
 

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import handover.fusion as fusion
 from handover import cli
@@ -34,21 +35,14 @@ def scores_for(action):
 def verdict(vote, ts, fingers=None):
     if fingers is None:
         fingers = 4 if vote else 0
-    return VisionVerdict(
-        vote=vote, fingers_in_slab=fingers,
-        thumb_in_slab=bool(vote or fingers >= 4), evaluated_at=ts,
-    )
+    v = VisionVerdict(fingers_in_slab=fingers, thumb_in_slab=bool(vote or fingers >= 4), evaluated_at=ts)
+    assert v.vote == vote
+    return v
 
 
 def fused(action, vision_vote, ts, fingers=None):
-    v = verdict(vision_vote, ts, fingers)
-    tq_vote = action in (ActionClass.HOLD, ActionClass.PULL, ActionClass.PULL_UP)
-    return FusedSample(
-        torque=TorqueEvent(scores=scores_for(action), timestamp=ts),
-        vision=v,
-        fused_vote=tq_vote and v.vote,
-        skew_ms=0,
-    )
+    return FusedSample(torque=TorqueEvent(scores=scores_for(action), timestamp=ts),
+                       vision=verdict(vision_vote, ts, fingers))
 
 
 class TestSynchronize:
@@ -138,13 +132,10 @@ class TestFusedSample:
         assert sample.fused_vote == (tq and vi)
 
     def test_wrong_fused_vote_rejected(self):
-        with pytest.raises(ValueError, match="AND"):
-            FusedSample(
-                torque=TorqueEvent(scores=scores_for(ActionClass.PUSH), timestamp=0),
-                vision=verdict(True, 0),
-                fused_vote=True,
-                skew_ms=0,
-            )
+        doc = FusedSample(torque=TorqueEvent(scores=scores_for(ActionClass.PUSH), timestamp=0),
+                          vision=verdict(True, 0)).to_json_dict()
+        with pytest.raises(ValueError, match="^fused_vote true is not false, which torque, vision give$"):
+            FusedSample.from_json_dict({**doc, "fused_vote": True})
 
     def test_json_roundtrip(self):
         sample = fused(ActionClass.PULL, True, ts=1500)
@@ -535,3 +526,183 @@ class TestNoDetectionObjects:
         _table, records = run_experiment(config, model=(net, stats))
         assert len(records) == 2
         assert built[0] == 0
+
+
+def logged_docs(small_model, path, action, pipeline, seed):
+    """One clean episode's log lines as documents, written to ``path``."""
+    net, stats, _ = small_model
+    outcome = run_episode(generate_scenario(action, FaultProfile.clean(), seed=seed), net, stats,
+                          pipeline=pipeline)
+    write_episode_log(path, outcome)
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def write_docs(path, docs):
+    path.write_text("".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs))
+
+
+STEP_KINDS = ("vote_sample", "fused_sample", "unpaired_torque")
+
+
+class TestReplayLineOrder:
+    """The header comes first, one summary comes last, and the lines between
+    are the decision core's log of the logged steps, line for line."""
+
+    @pytest.fixture
+    def released(self, small_model, tmp_path):
+        path = tmp_path / "fused.jsonl"
+        docs = logged_docs(small_model, path, ActionClass.PULL, Pipeline.FUSED, 51)
+        assert docs[-1]["released"]
+        return path, docs
+
+    def test_a_copied_step_after_the_release_is_refused(self, released):
+        path, docs = released
+        last_step = max(i for i, doc in enumerate(docs) if doc["type"] in STEP_KINDS)
+        docs.insert(len(docs) - 1, docs[last_step])
+        write_docs(path, docs)
+        with pytest.raises(ValueError, match=f"^line {len(docs) - 1}: "):
+            replay_episode_log(path)
+        assert cli.main(["replay", "--log", str(path)]) == 2
+
+    def test_a_later_step_after_the_release_is_a_mismatch(self, released):
+        # a step that agrees with itself and comes after every other step
+        path, docs = released
+        step = json.loads(json.dumps(next(doc for doc in reversed(docs) if doc["type"] == "fused_sample")))
+        step["torque"]["timestamp"] += 125
+        step["vision"]["evaluated_at"] += 125
+        docs.insert(len(docs) - 1, step)
+        write_docs(path, docs)
+        result = replay_episode_log(path)
+        assert not result.matched
+        assert any(m.startswith(f"line {len(docs) - 1} ") for m in result.mismatches), result.mismatches
+
+    def test_a_transition_moved_to_line_2_is_a_mismatch(self, released):
+        path, docs = released
+        k = next(i for i, doc in enumerate(docs) if doc["type"] == "transition")
+        docs.insert(1, docs.pop(k))
+        write_docs(path, docs)
+        result = replay_episode_log(path)
+        assert not result.matched
+        assert any(m.startswith("line 2 ") for m in result.mismatches), result.mismatches
+
+    @pytest.mark.parametrize("edit", ["moved-to-line-2", "repeated", "repeated-on-line-2"])
+    def test_the_summary_must_be_the_one_last_line(self, released, edit):
+        path, docs = released
+        summary = docs[-1]
+        if edit == "moved-to-line-2":
+            docs.insert(1, docs.pop())
+        elif edit == "repeated":
+            docs.append(summary)
+        else:
+            docs.insert(1, summary)
+        write_docs(path, docs)
+        with pytest.raises(ValueError, match="summary"):
+            replay_episode_log(path)
+        assert cli.main(["replay", "--log", str(path)]) == 2
+
+
+class TestReplayStepKinds:
+    """The header's pipeline fixes which step lines its log may hold."""
+
+    @pytest.mark.parametrize("pipeline, stranger", [
+        (Pipeline.FUSED, "torque"), (Pipeline.FUSED, "vision"),
+        (Pipeline.TORQUE_ONLY, "vision"), (Pipeline.TORQUE_ONLY, "unpaired"),
+        (Pipeline.VISION_ONLY, "torque"), (Pipeline.VISION_ONLY, "unpaired"),
+    ])
+    def test_a_step_of_another_pipeline_is_refused(self, small_model, tmp_path, pipeline, stranger):
+        # the stranger replaces the first step at its time and with its vote
+        # (that step votes no), so the decision core sees the same inputs
+        path = tmp_path / "log.jsonl"
+        docs = logged_docs(small_model, path, ActionClass.PULL, pipeline, 51)
+        k = next(i for i, doc in enumerate(docs) if doc["type"] in STEP_KINDS)
+        if docs[k]["type"] == "fused_sample":
+            t, vote = docs[k]["torque"]["timestamp"], docs[k]["fused_vote"]
+        else:
+            t, vote = docs[k]["t"], docs[k]["vote"]
+        assert not vote
+        docs[k] = {
+            "torque": {"type": "vote_sample", "source": "torque", "t": t, "vote": vote,
+                       "predicted": int(ActionClass.PULL if vote else ActionClass.NO_ACTION)},
+            "vision": {"type": "vote_sample", "source": "vision", "t": t, "vote": vote,
+                       "fingers_in_slab": 4 if vote else 0, "thumb_in_slab": vote},
+            "unpaired": {"type": "unpaired_torque", "t": t},
+        }[stranger]
+        write_docs(path, docs)
+        with pytest.raises(ValueError, match=f"^line {k + 1}: "):
+            replay_episode_log(path)
+        assert cli.main(["replay", "--log", str(path)]) == 2
+
+
+def computed_key_edits(docs):
+    """(line index, edit) for every key a log line computes from its others."""
+    def flip(*keys):
+        def edit(doc):
+            for key in keys[:-1]:
+                doc = doc[key]
+            doc[keys[-1]] = not doc[keys[-1]]
+        return edit
+
+    def shift_skew(doc):
+        doc["skew_ms"] += 1
+
+    def other_prediction(doc):
+        doc["torque"]["predicted"] = (doc["torque"]["predicted"] + 1) % len(ActionClass)
+
+    def other_release_time(doc):
+        doc["release_time_ms"] = 0 if doc["release_time_ms"] is None else None
+
+    edits = []
+    for i, doc in enumerate(docs):
+        if doc["type"] == "vote_sample":
+            edits.append((i, flip("vote")))
+        elif doc["type"] == "fused_sample":
+            edits += [(i, flip("fused_vote")), (i, flip("vision", "vote")), (i, shift_skew), (i, other_prediction)]
+        elif doc["type"] == "summary":
+            edits += [(i, flip("released")), (i, other_release_time)]
+    return edits
+
+
+def leaves_another_streams_log(docs, dropped):
+    """True when dropping line ``dropped`` leaves a log of another stream: a
+    step that voted no while holding idle (no transition follows it) in a
+    released log. Such a step moved no state, and the summary counts the
+    whole stream, so the log holds no trace of it, as it holds no trace of
+    the raw data behind a vote."""
+    doc = docs[dropped]
+    votes = doc["type"] == "vote_sample" and doc["vote"] or doc["type"] == "fused_sample" and doc["fused_vote"]
+    return (docs[-1]["released"] and doc["type"] in STEP_KINDS and not votes
+            and docs[dropped + 1]["type"] != "transition")
+
+
+@settings(max_examples=300)
+@given(pipeline=st.sampled_from(list(Pipeline)), action=st.sampled_from(list(ActionClass)),
+       seed=st.integers(0, 2**16), edit=st.sampled_from(["computed", "drop", "duplicate", "move", "append"]),
+       data=st.data())
+def test_replay_refuses_any_edit_of_what_a_log_computes_or_orders(small_model, tmp_path_factory, pipeline,
+                                                                 action, seed, edit, data):
+    path = tmp_path_factory.mktemp("edits") / "log.jsonl"
+    docs = logged_docs(small_model, path, action, pipeline, seed)
+    lines = list(range(1, len(docs)))  # any line but the header
+    if edit == "computed":
+        k, change = data.draw(st.sampled_from(computed_key_edits(docs)))
+        change(docs[k])
+    elif edit == "drop":
+        k = data.draw(st.sampled_from(lines))
+        assume(not leaves_another_streams_log(docs, k))
+        docs.pop(k)
+    elif edit == "duplicate":
+        k, at = data.draw(st.sampled_from(lines)), data.draw(st.integers(1, len(docs)))
+        docs.insert(at, docs[k])
+    elif edit == "move":
+        k, at = data.draw(st.sampled_from(lines)), data.draw(st.integers(0, len(docs) - 1))
+        assume(at != k)
+        docs.insert(at, docs.pop(k))
+    else:
+        step = data.draw(st.sampled_from([doc for doc in docs if doc["type"] in STEP_KINDS]))
+        docs.insert(len(docs) - 1, step)
+    write_docs(path, docs)
+    try:
+        result = replay_episode_log(path)
+    except (TypeError, ValueError):
+        return
+    assert not result.matched, (edit, docs)

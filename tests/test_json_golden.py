@@ -57,7 +57,7 @@ WINDOW_TEXT = (
 )
 
 SCORES = scores([0.1, 0.2, 0.05, 0.4, 0.15, 0.1])
-VERDICT = VisionVerdict(vote=True, fingers_in_slab=4, thumb_in_slab=True, evaluated_at=1340)
+VERDICT = VisionVerdict(fingers_in_slab=4, thumb_in_slab=True, evaluated_at=1340)
 
 GOLDEN = {
     "TorqueWindow": (WINDOW, WINDOW_TEXT),
@@ -94,8 +94,7 @@ GOLDEN = {
                    '{"debounce_frames":2,"pairing_window_ms":80}'),
     "VisionVerdict": (VERDICT, '{"evaluated_at":1340,"fingers_in_slab":4,"thumb_in_slab":true,"vote":true}'),
     "FusedSample": (
-        FusedSample(torque=TorqueEvent(scores=SCORES, timestamp=1375), vision=VERDICT,
-                    fused_vote=True, skew_ms=35),
+        FusedSample(torque=TorqueEvent(scores=SCORES, timestamp=1375), vision=VERDICT),
         '{"fused_vote":true,"skew_ms":35,"torque":{"predicted":3,'
         '"probabilities":[0.1,0.2,0.05,0.4,0.15,0.1],"timestamp":1375},'
         '"vision":{"evaluated_at":1340,"fingers_in_slab":4,"thumb_in_slab":true,"vote":true}}',
@@ -107,8 +106,8 @@ GOLDEN = {
         '"vision_spurious_grasp":{"0":0.125}}',
     ),
     "TrialRecord": (
-        TrialRecord(pipeline=Pipeline.FUSED, action=ActionClass.PULL_UP, trial_index=7, released=True,
-                    success=True, release_time_ms=1500, faults=("torque_misread",),
+        TrialRecord(pipeline=Pipeline.FUSED, action=ActionClass.PULL_UP, trial_index=7,
+                    release_time_ms=1500, faults=("torque_misread",),
                     episode_log="episodes/fused_pull_up_007.jsonl"),
         '{"action":5,"action_name":"pull_up","episode_log":"episodes/fused_pull_up_007.jsonl",'
         '"faults":["torque_misread"],"pipeline":"fused","release_time_ms":1500,"released":true,'
@@ -116,7 +115,7 @@ GOLDEN = {
     ),
     "TrialRecord-unreleased": (
         TrialRecord(pipeline=Pipeline.TORQUE_ONLY, action=ActionClass.NO_ACTION, trial_index=0,
-                    released=False, success=True, release_time_ms=None, faults=(), episode_log=None),
+                    release_time_ms=None, faults=(), episode_log=None),
         '{"action":0,"action_name":"no_action","episode_log":null,"faults":[],"pipeline":"torque_only",'
         '"release_time_ms":null,"released":false,"success":true,"trial_index":0}',
     ),
@@ -138,7 +137,7 @@ GOLDEN = {
 READ_BACK = {
     "TorqueWindow", "LabeledWindow", "ActionScores", "FingertipDetection", "ObjectSlab",
     "ReleaseDecision", "NormalizationStats", "SyncConfig", "VisionVerdict", "FusedSample",
-    "FaultProfile",
+    "FaultProfile", "TrialRecord", "TrialRecord-unreleased",
 }
 
 
@@ -194,9 +193,8 @@ NO_VOTE = scores([0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
 EPISODE_EVENTS = [TorqueEvent(scores=s, timestamp=t)
                   for t, s in [(125, SCORES), (250, NO_VOTE), (375, SCORES), (500, SCORES)]]
 EPISODE_VERDICTS = [
-    VisionVerdict(vote=vote, fingers_in_slab=fingers, thumb_in_slab=thumb, evaluated_at=t)
-    for t, vote, fingers, thumb in [(100, False, 2, True), (133, True, 3, True), (225, False, 0, False),
-                                    (367, True, 4, True), (500, True, 4, True)]
+    VisionVerdict(fingers_in_slab=fingers, thumb_in_slab=thumb, evaluated_at=t)
+    for t, fingers, thumb in [(100, 2, True), (133, 3, True), (225, 0, False), (367, 4, True), (500, 4, True)]
 ]
 # run_episode reads only these fields of a script once its two streams are given
 EPISODE_SCRIPT = SimpleNamespace(action=ActionClass.HOLD, slab=ObjectSlab(z_front=0.4, z_back=0.55),

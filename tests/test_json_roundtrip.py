@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, reject, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from handover.classifier import LabeledWindow, NormalizationStats, torque_vote
+from handover.classifier import LabeledWindow, NormalizationStats
 from handover.core import (
     NUM_CLASSES,
     NUM_JOINTS,
@@ -28,7 +28,7 @@ from handover.core import (
 from handover.fusion import FusedSample, SyncConfig, TorqueEvent
 from handover.harness import TrialRecord
 from handover.synth import FaultProfile
-from handover.vision_gate import MIN_FINGERS_FOR_GRASP, VisionVerdict
+from handover.vision_gate import VisionVerdict
 from oracles import scores
 
 # infinities included: a type that accepts one must still write strict JSON
@@ -92,10 +92,8 @@ sync_configs = st.builds(SyncConfig, pairing_window_ms=st.integers(1, 2**31),
 def fused_samples(draw):
     scores = draw(action_scores())
     fingers, thumb = draw(st.integers(0, 5)), draw(st.booleans())
-    vision = VisionVerdict(vote=fingers >= MIN_FINGERS_FOR_GRASP and thumb, fingers_in_slab=fingers,
-                           thumb_in_slab=thumb, evaluated_at=draw(stamps))
-    return FusedSample(torque=TorqueEvent(scores=scores, timestamp=draw(stamps)), vision=vision,
-                       fused_vote=torque_vote(scores) and vision.vote, skew_ms=draw(stamps))
+    vision = VisionVerdict(fingers_in_slab=fingers, thumb_in_slab=thumb, evaluated_at=draw(stamps))
+    return FusedSample(torque=TorqueEvent(scores=scores, timestamp=draw(stamps)), vision=vision)
 
 
 @st.composite

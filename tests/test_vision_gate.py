@@ -151,13 +151,14 @@ class TestEvaluateGrasp:
 
 class TestVisionVerdict:
     def test_invariant_enforced(self):
-        with pytest.raises(ValueError, match="vote"):
-            VisionVerdict(vote=True, fingers_in_slab=2, thumb_in_slab=True, evaluated_at=0)
-        with pytest.raises(ValueError, match="vote"):
-            VisionVerdict(vote=False, fingers_in_slab=4, thumb_in_slab=True, evaluated_at=0)
+        counts = {"thumb_in_slab": True, "evaluated_at": 0}
+        with pytest.raises(ValueError, match="^vote true is not false, which fingers_in_slab, thumb_in_slab"):
+            VisionVerdict.from_json_dict({"vote": True, "fingers_in_slab": 2, **counts})
+        with pytest.raises(ValueError, match="^vote false is not true, which fingers_in_slab, thumb_in_slab"):
+            VisionVerdict.from_json_dict({"vote": False, "fingers_in_slab": 4, **counts})
 
     def test_json_roundtrip(self):
-        v = VisionVerdict(vote=True, fingers_in_slab=4, thumb_in_slab=True, evaluated_at=321)
+        v = VisionVerdict(fingers_in_slab=4, thumb_in_slab=True, evaluated_at=321)
         assert VisionVerdict.from_json_dict(v.to_json_dict()) == v
 
     def test_min_fingers_constant(self):
@@ -172,12 +173,9 @@ def oracle_verdict(detections, slab, at_ms=None):
     thumb = any(d.finger_type is FingerType.THUMB for d in inside)
     if at_ms is None:
         at_ms = max((d.timestamp for d in detections), default=0)
-    return VisionVerdict(
-        vote=len(inside) >= MIN_FINGERS_FOR_GRASP and thumb,
-        fingers_in_slab=len(inside),
-        thumb_in_slab=thumb,
-        evaluated_at=int(at_ms),
-    )
+    verdict = VisionVerdict(fingers_in_slab=len(inside), thumb_in_slab=thumb, evaluated_at=int(at_ms))
+    assert verdict.vote == (len(inside) >= MIN_FINGERS_FOR_GRASP and thumb)
+    return verdict
 
 
 def _near(value):
