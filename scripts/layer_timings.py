@@ -3,9 +3,11 @@
 Prints, as the median and interquartile range (IQR) over ``--repeats``
 runs, each layer's training-mode forward and backward at batch 32 (the
 preset's untrained network, on 32 windows of the synthetic dataset), one
-``classify_windows`` call over a 17-window episode, and the minor page
-faults per training step (``getrusage``). One untimed training step and
-one untimed episode run first, so first-touch costs are not counted.
+``classify_windows`` call over a 17-window episode, the minor page
+faults per training step (``getrusage``), and the traced peak of one
+more training step (``tracemalloc``), in MB and in (64, B·L) float64
+activation buffers. One untimed training step and one untimed episode
+run first, so first-touch costs are not counted.
 
 Run from anywhere:
 
@@ -18,6 +20,7 @@ import argparse
 import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from typing import Callable
 
@@ -77,6 +80,13 @@ def main(argv: list[str] | None = None) -> int:
     for _ in range(args.repeats):
         step()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    tracemalloc.start()
+    try:
+        step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    activation = classifier.FILTERS * x.shape[0] * x.shape[2] * x.itemsize
 
     script = synth.generate_scenario(ActionClass.PULL, synth.FaultProfile.fused_nominal(), args.seed)
     starts = range(0, script.torques.shape[1] - WINDOW_SAMPLES + 1, DEFAULT_STRIDE_SAMPLES)
@@ -96,6 +106,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{label:<24}{summary(times[index, 'forward']):>18}{summary(times[index, 'backward']):>18}")
     print(f"classify_windows, {len(starts)} windows: {summary(episode)} ms")
     print(f"minor page faults per training step: {faults / args.repeats:.1f}")
+    print(f"traced peak of one training step: {peak / 1e6:.2f} MB, "
+          f"{peak / activation:.2f} ({classifier.FILTERS}, B·L) buffers of {activation / 1e6:.2f} MB")
     return 0
 
 

@@ -8,14 +8,14 @@ training split, the run plans, the model-file checks), ``nn_kernel.py``
 (the layers' array checks, the training and inference arithmetic, the
 shifted-GEMM conv and its seams) and
 ``cli.py`` (the commands' input checks and exit codes): each compare boundary
-swapped (``<`` and ``<=``, ``>`` and ``>=``), each ``and``/``or``
-swapped, and each ``not`` dropped. Every mutant is written into a
-scratch copy of ``src/``, ``tests/`` and ``pyproject.toml`` and its
-module's test files (``TARGET_TESTS``) run against it; a mutant they
-still pass on survives. One line is printed per mutant, then the
-survivors. The unmutated copy must pass first. The exit code is 0 when
-every mutant is killed, 1 when any survives and 2 when the unmutated
-tests fail.
+swapped (``<`` and ``<=``, ``>`` and ``>=``), each equality negated (``==``
+and ``!=``), each ``and``/``or`` swapped, and each ``not`` dropped. Every
+mutant is written into a scratch copy of ``src/``, ``tests/`` and
+``pyproject.toml`` and its module's test files (``TARGET_TESTS``) run
+against it; a mutant they still pass on survives. One line is printed
+per mutant, then the survivors. The unmutated copy must pass first. The
+exit code is 0 when every mutant is killed, 1 when any survives and 2
+when the unmutated tests fail.
 
 Run from anywhere (about 10-15 s per decision-path mutant, a few
 seconds per kernel mutant, on a 2-core machine):
@@ -61,8 +61,10 @@ TARGET_TESTS = {
     "nn_kernel.py": ["tests/test_nn_kernel.py", "tests/test_gradients.py"],
     "cli.py": ["tests/test_cli.py"],
 }
-BOUNDARY = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
-SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.And: "and", ast.Or: "or"}
+# each compare operator a mutant swaps, and the one it becomes
+SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
+SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
+          ast.And: "and", ast.Or: "or"}
 TIMEOUT_S = 900  # a mutant that hangs the suite counts as killed
 
 
@@ -88,7 +90,7 @@ class Mutator(ast.NodeTransformer):
     def visit_Compare(self, node: ast.Compare) -> ast.AST:
         self.generic_visit(node)
         for k, op in enumerate(node.ops):
-            swap = BOUNDARY.get(type(op))
+            swap = SWAP.get(type(op))
             if swap is not None and self._hit(node.lineno, f"{SYMBOL[type(op)]} -> {SYMBOL[swap]}"):
                 node.ops[k] = swap()
         return node

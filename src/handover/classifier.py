@@ -160,13 +160,14 @@ def _stratified_split(labels: np.ndarray, rng: np.random.Generator) -> tuple[np.
     return np.sort(np.asarray(train_idx)), np.sort(np.asarray(holdout_idx))
 
 
-def _confusion(net: nn.Network, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def _confusion(net: nn.Network, stats: NormalizationStats, x: list[np.ndarray], labels: np.ndarray) -> np.ndarray:
     """The 6x6 confusion matrix (rows true, cols predicted) of ``net`` on
-    ``inputs``, folded once and run 32 windows at a time."""
+    the (7, 40) windows ``x``, folded once and run 32 windows at a time,
+    each 32 normalized as they are run."""
     frozen = net.frozen()
     preds = np.concatenate([
-        np.argmax(nn.softmax(frozen.forward(inputs[start:start + 32])), axis=1)
-        for start in range(0, inputs.shape[0], 32)
+        np.argmax(nn.softmax(frozen.forward(normalize_input(np.stack(x[start:start + 32]), stats))), axis=1)
+        for start in range(0, len(x), 32)
     ])
     confusion = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     np.add.at(confusion, (labels, preds), 1)
@@ -198,12 +199,11 @@ def train(
     rng = np.random.default_rng(config.seed)
     train_idx, holdout_idx = _stratified_split(labels, rng)
 
-    inputs = np.stack([item.window.samples for item in dataset])
-    stats = NormalizationStats.from_samples(inputs[train_idx])
-    inputs = normalize_input(inputs, stats)  # training keeps no raw copy
-    x_train, y_train = inputs[train_idx], labels[train_idx]
-    x_hold, y_hold = inputs[holdout_idx], labels[holdout_idx]
-    del inputs  # nor the full normalized stack, once the splits are cut
+    # the dataset's own windows, each batch normalized when it is run: no normalized copy of a split
+    x_train = [dataset[i].window.samples for i in train_idx]
+    x_hold = [dataset[i].window.samples for i in holdout_idx]
+    y_train, y_hold = labels[train_idx], labels[holdout_idx]
+    stats = NormalizationStats.from_samples(np.stack(x_train))  # a stack freed at once
 
     net = build_network(config)
     optimizer = nn.MomentumSGD(net, config.learning_rate)
@@ -213,18 +213,19 @@ def train(
     epoch_train_acc: list[float] = []
     epoch_hold_acc: list[float] = []
     for _ in range(config.epochs):
-        order = rng.permutation(x_train.shape[0])
+        order = rng.permutation(len(x_train))
         batch_losses = []
         correct = 0
         for start in range(0, order.size, config.batch_size):
             batch = order[start:start + config.batch_size]
-            loss, probs = nn.backward(net, x_train[batch], y_train[batch])
+            inputs = normalize_input(np.stack([x_train[i] for i in batch]), stats)
+            loss, probs = nn.backward(net, inputs, y_train[batch])
             optimizer.step()
             batch_losses.append(loss)
             correct += int(np.sum(np.argmax(probs, axis=1) == y_train[batch]))
         epoch_losses.append(float(np.mean(batch_losses)))
         epoch_train_acc.append(correct / order.size)
-        confusion = _confusion(net, x_hold, y_hold)
+        confusion = _confusion(net, stats, x_hold, y_hold)
         epoch_hold_acc.append(float(np.trace(confusion) / confusion.sum()))
     wall = time.perf_counter() - started
 
@@ -374,9 +375,8 @@ def evaluate(
     net: nn.Network, stats: NormalizationStats, dataset: Sequence[LabeledWindow]
 ) -> tuple[float, np.ndarray]:
     """Accuracy and 6x6 confusion matrix (rows true, cols predicted)."""
-    samples = np.stack([item.window.samples for item in dataset])
     labels = np.asarray([int(item.label) for item in dataset], dtype=np.int64)
-    confusion = _confusion(net, normalize_input(samples, stats), labels)
+    confusion = _confusion(net, stats, [item.window.samples for item in dataset], labels)
     return float(np.trace(confusion) / confusion.sum()), confusion
 
 

@@ -361,8 +361,8 @@ def replay_episode_log(path: str | Path) -> ReplayResult:
     step before it, or a step that contradicts itself (``_logged_step``)
     raises ``ValueError`` (``TypeError`` for a value of the wrong JSON
     type). Replay feeds the steps through a fresh ``ReleaseFsm``; the first
-    line that differs from the log that gives is a mismatch naming its
-    number, as is a summary whose decision differs, or whose counts are
+    line whose JSON text differs from the log that gives is a mismatch naming
+    its number, as is a summary whose decision differs, or whose counts are
     below the logged steps, or above them in an episode that did not release.
     """
     lines, numbers = [], []
@@ -383,6 +383,9 @@ def replay_episode_log(path: str | Path) -> ReplayResult:
     header, body, logged_summary = lines[0], lines[1:-1], lines[-1]
     pipeline, config = Pipeline(header["pipeline"]), SyncConfig.from_json_dict(header["sync_config"])
     counts = {key: json_value(int, logged_summary[key]) for key in _SUMMARY_COUNTS}
+    json_value(bool, logged_summary["released"])  # 1 == True and 2500.0 == 2500 in Python
+    if logged_summary["release_time_ms"] is not None:
+        json_value(int, logged_summary["release_time_ms"])
     if min(counts.values()) < 0:
         raise ValueError(f"summary counts must be non-negative, got {counts}")
 
@@ -397,9 +400,10 @@ def replay_episode_log(path: str | Path) -> ReplayResult:
             after = t
     log, release_time = _run_fsm(config, steps)
     released = release_time is not None
-    # the first line that differs; the summary's number if the replay runs on past the body
+    # the first line whose text differs (2250.0 is not 2250); the summary's number if the replay runs on
     mismatches = [f"line {n} differs: replay {replayed} vs log {logged}"
-                  for n, replayed, logged in zip(numbers[1:], [*log, None], [*body, None]) if replayed != logged][:1]
+                  for n, replayed, logged in zip(numbers[1:], [*log, None], [*body, None])
+                  if dumps_canonical(replayed) != dumps_canonical(logged)][:1]
     for key, value in (("released", released), ("release_time_ms", release_time)):
         if value != logged_summary[key]:
             mismatches.append(f"{key} differs: replay {value} vs log {logged_summary[key]}")

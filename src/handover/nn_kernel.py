@@ -14,26 +14,27 @@ batch-norm reductions and the conv products run on contiguous
 (channels, batch * length) rows, while callers index samples as usual.
 A conv product is one GEMM per tap on the flat (c, B·L) rows, with no
 (c·k, B·L) tap matrix (Anderson et al., arXiv 1709.03395): ``_conv``
-adds each tap's GEMM, through one output-sized scratch buffer, into the
-output shifted by j - p, unless that matrix is no larger than the output
-(c·k <= o: the preset's 1-channel first conv), when it is one GEMM. The
-input gradient is ``_conv`` of the flipped, transposed kernel; the
-weight gradient's tap j is one GEMM of the shifted rows, less the few
-pairs that cross a sample boundary.
+adds each side tap's GEMM, by blocks of whole samples in one scratch of
+at most ``SCRATCH_BYTES``, into the output shifted by j - p, unless that
+matrix is no larger than the output (c·k <= o: the preset's 1-channel
+first conv), when it is one GEMM. The input gradient is ``_conv`` of the
+flipped, transposed kernel; the weight gradient's tap j is one GEMM of
+the shifted rows, less the few pairs that cross a sample boundary.
 
 One rule: a layer writes its result over a same-shape buffer that its
 own network pass made and no longer needs: ReLU's forward and backward
 over their input, batch norm's over its input rows (centred in place)
 and then those rows, the conv's and the pool's backward over the input
-their forward kept. ``Network.forward`` copies the caller's input, so
-no network pass (but a lone layer may) writes over a caller's array.
+their forward kept. ``Network.forward`` and ``backward`` copy their
+input, so no pass (but a lone layer may) writes over a caller's array.
 
 What a training-mode forward keeps for backward, which consumes it, so a
 second backward raises ``ValueError`` (but see ReLU):
 
 - ``Conv1D``: its channel-major input, a reference, not a copy, whenever
   the input has that layout already (the ReLU output before a conv, or a
-  one-channel batch).
+  one-channel batch); ``backward`` drops and rebuilds a batch norm's ReLU
+  (Chen et al., arXiv 1604.06174): a preset step peaks at 4 activations.
 - ``BatchNorm1D``: the centred rows and the per-channel ``1/std``.
 - ``ReLU``: the mask of positive inputs, until the next forward: its
   backward writes only over the gradient, so a repeat is exact (freeing
@@ -42,9 +43,9 @@ second backward raises ``ValueError`` (but see ReLU):
 
 Reductions are row sums: a training-mode batch norm takes its mean,
 variance and gradient sums as one sum or dot product per channel row,
-and each conv tap is a GEMM over all B·L columns. So results agree with
-sums taken over each sample, or over all taps in one GEMM
-(``Conv1D.gemm``), within 1e-12 relative, not bit for bit.
+and each conv tap is a GEMM over B·L columns or a block of samples. So
+results agree with sums taken over each sample, or over all taps in one
+GEMM (``Conv1D.gemm``), within 1e-12 relative, not bit for bit.
 
 Each layer's ``backward`` leaves its parameter gradients in its ``grads``;
 ``backward(net, x, targets)`` returns (loss, probabilities) and
@@ -73,6 +74,7 @@ LOG_CLAMP = 1e-12
 BATCHNORM_EPSILON = 1e-5  # added to each variance before its square root
 RUNNING_MOMENTUM = 0.1  # a training forward's weight in the running statistics
 SGD_MOMENTUM = 0.9  # heavy-ball SGD's velocity decay
+SCRATCH_BYTES = 2**21  # the most a conv's side-tap scratch holds, in whole samples
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +138,8 @@ def _conv(rows: np.ndarray, weight: np.ndarray, length: int, out: np.ndarray | N
     """The same-padded conv of flat channel-major (c, B·L) rows, samples
     ``length`` long, by an (o, c, k) kernel, into ``out`` if given: the
     (o, B·L) sum over taps j of ``weight[:, :, j] @ rows`` shifted by j - p.
-    A tap stack no larger than the output is one GEMM; else each side
+    A tap stack no larger than the output is one GEMM; else, per block of
+    whole samples (``SCRATCH_BYTES`` of scratch, or one sample), each side
     tap's GEMM has its columns across a sample boundary zeroed."""
     o, c, k = weight.shape
     p = k // 2
@@ -145,12 +148,19 @@ def _conv(rows: np.ndarray, weight: np.ndarray, length: int, out: np.ndarray | N
         stack = np.stack([padded[:, :, j:j + length] for j in range(k)], axis=1)
         return np.matmul(weight.reshape(o, -1), stack.reshape(c * k, -1), out=out)
     taps = np.ascontiguousarray(weight.transpose(2, 0, 1))
-    out, scratch = np.matmul(taps[p], rows, out=out), np.empty((o, rows.shape[1]))
-    for j in _live_taps(k, length):
-        if j != p:
-            dst, src = _tap_views(out, np.matmul(taps[j], rows, out=scratch), j - p)
-            _seams(src, length, j - p)[...] = 0.0
-            dst += src
+    out = np.empty((o, rows.shape[1])) if out is None else out
+    n = rows.shape[1] // length if length else 0
+    # the fewest blocks of whole samples, evenly sized, whose scratch fits in SCRATCH_BYTES
+    blocks = -(-n // max(1, SCRATCH_BYTES // max(1, o * length * rows.itemsize)))
+    scratch = np.empty((o, -(-n // max(1, blocks)) * length))
+    for b in range(blocks):
+        cols = slice(n * b // blocks * length, n * (b + 1) // blocks * length)
+        block, into = rows[:, cols], np.matmul(taps[p], rows[:, cols], out=out[:, cols])
+        for j in _live_taps(k, length):
+            if j != p:
+                dst, src = _tap_views(into, np.matmul(taps[j], block, out=scratch[:, :block.shape[1]]), j - p)
+                _seams(src, length, j - p)[...] = 0.0
+                dst += src
     return out
 
 
@@ -271,9 +281,13 @@ class BatchNorm1D(Layer):
         inv_std = 1.0 / np.sqrt(var + BATCHNORM_EPSILON)
         if training:
             self._centred, self._inv_std = centred, inv_std
+        return self._affine(centred, inv_std).reshape(channels, batch, length).transpose(1, 0, 2)
+
+    def _affine(self, centred: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
+        """``gamma * x_hat + beta`` of centred rows, new: the output ``backward`` rebuilds."""
         out = centred * (self.gamma * inv_std)[:, None]
         out += self.beta[:, None]
-        return out.reshape(channels, batch, length).transpose(1, 0, 2)
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._centred is None or self._inv_std is None:
@@ -399,18 +413,30 @@ def backward(net: Network, x: np.ndarray, targets: np.ndarray) -> tuple[float, n
 
     Runs the training-mode forward, then backpropagates the mean cross-
     entropy into each layer's ``grads``; returns (loss, batch probabilities).
+    A conv's input that is a batch norm's ReLU is dropped after its forward
+    and rebuilt by that norm's ``_affine`` and ``max(., 0)`` for its backward.
     """
-    batch = np.asarray(x, dtype=np.float64)
+    out = np.array(x, dtype=np.float64)  # a copy, as Network.forward makes
     idx = np.asarray(targets, dtype=np.int64)
-    if batch.shape[0] != idx.shape[0]:
+    if out.shape[0] != idx.shape[0]:
         raise ValueError("inputs and targets disagree on batch size")
-    probs = softmax(net.forward(batch, training=True))
+    layers = net.layers  # each conv with a ReLU of a batch norm for input, by index, to that batch norm
+    rebuilt = {i + 2: bn for i, (bn, relu, conv) in enumerate(zip(layers, layers[1:], layers[2:]))
+               if isinstance(bn, BatchNorm1D) and isinstance(relu, ReLU) and isinstance(conv, Conv1D)}
+    for i, layer in enumerate(layers):
+        out = layer.forward(out, training=True)
+        if i in rebuilt:
+            layer._x = None
+    probs = softmax(out)
     loss = mean_cross_entropy(probs, idx)
     one_hot = np.zeros_like(probs)
     one_hot[np.arange(idx.shape[0]), idx] = 1.0
     grad = (probs - one_hot) / idx.shape[0]
-    for layer in reversed(net.layers):
-        grad = layer.backward(grad)
+    for i in reversed(range(len(layers))):
+        if (bn := rebuilt.get(i)) is not None:
+            rows = bn._affine(bn._centred, bn._inv_std)
+            layers[i]._x = np.maximum(rows, 0.0, out=rows).reshape(bn.channels, idx.shape[0], -1)
+        grad = layers[i].backward(grad)
     return loss, probs
 
 

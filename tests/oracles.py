@@ -1,7 +1,8 @@
 """Brute-force references the tests hold the package to.
 
 Each oracle is the plain, one-thing-at-a-time form of a stage that the
-package computes in bulk: a window scored by the frozen network's own
+package computes in bulk or in less memory: a training step that keeps
+every layer's input, a window scored by the frozen network's own
 forward, frames turned into a block one detection at a time, pairing by
 scanning every verdict, and the release rule walked state by state.
 ``reference_episode`` composes them into the log ``run_episode`` writes.
@@ -29,6 +30,19 @@ from handover.vision_gate import VisionVerdict, evaluate_grasp
 def scores(probabilities) -> ActionScores:
     """Scores holding a probability vector (and so its argmax)."""
     return ActionScores(probabilities=np.asarray(probabilities, dtype=np.float64))
+
+
+def reference_step(net: nn.Network, x: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """One training step as the layers define it, leaving each layer's
+    gradients in its ``grads``: every layer's training forward, each
+    keeping its whole input, then every layer's backward, nothing dropped
+    or rebuilt. Returns (mean cross-entropy, probabilities)."""
+    probs = nn.softmax(net.forward(x, training=True))
+    targets = np.asarray(targets, dtype=np.int64)
+    grad = (probs - np.eye(probs.shape[1])[targets]) / targets.size
+    for layer in reversed(net.layers):
+        grad = layer.backward(grad)
+    return nn.mean_cross_entropy(probs, targets), probs
 
 
 def window_scores(net: nn.Network, stats: NormalizationStats, window: TorqueWindow) -> ActionScores:

@@ -585,6 +585,27 @@ class TestReplayLineOrder:
         assert not result.matched
         assert any(m.startswith("line 2 ") for m in result.mismatches), result.mismatches
 
+    def test_a_transition_time_written_as_a_float_is_a_mismatch(self, released):
+        # 2250.0 == 2250 in Python, but the decision core writes the integer
+        path, docs = released
+        k = next(i for i, doc in enumerate(docs) if doc["type"] == "transition")
+        docs[k]["t"] = float(docs[k]["t"])
+        write_docs(path, docs)
+        result = replay_episode_log(path)
+        assert not result.matched
+        assert any(m.startswith(f"line {k + 1} ") for m in result.mismatches), result.mismatches
+        assert cli.main(["replay", "--log", str(path)]) == 1
+
+    @pytest.mark.parametrize("key, retype", [("released", int), ("release_time_ms", float)])
+    def test_a_summary_decision_of_another_json_type_is_refused(self, released, key, retype):
+        # 1 == True and 2500.0 == 2500 in Python, yet neither is the JSON type the summary holds
+        path, docs = released
+        docs[-1][key] = retype(docs[-1][key])
+        write_docs(path, docs)
+        with pytest.raises(TypeError, match="expected a JSON"):
+            replay_episode_log(path)
+        assert cli.main(["replay", "--log", str(path)]) == 2
+
     @pytest.mark.parametrize("edit", ["moved-to-line-2", "repeated", "repeated-on-line-2"])
     def test_the_summary_must_be_the_one_last_line(self, released, edit):
         path, docs = released

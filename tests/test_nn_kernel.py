@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import handover.nn_kernel as nn
+from handover.classifier import TorqueNetConfig, build_network
+from oracles import reference_step
 
 
 def conv1d_brute_force(x, weight, bias):
@@ -611,7 +613,8 @@ class TestShiftedGemmConv:
         assert abs(np.vdot(nn._conv(x, weight, length), y) - np.vdot(x, nn._conv(y, flipped, length))) <= 1e-12 * terms
 
     def test_forward_needs_one_output_of_scratch(self, rng):
-        # the output and one reused side-tap buffer; an im2col matrix alone is 3 * x.nbytes
+        # the output and one reused block of side-tap scratch, not a second
+        # output; an im2col matrix alone is 3 * x.nbytes
         layer = nn.Conv1D(he_uniform(rng, 64, 64, 3), np.zeros(64))
         x = channel_major_view(rng.standard_normal((32, 64, 280)))
         tracemalloc.start()
@@ -620,7 +623,7 @@ class TestShiftedGemmConv:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * x.nbytes + 2**20
+        assert peak <= x.nbytes + nn.SCRATCH_BYTES + 2**20
 
     def test_narrow_conv_forward_needs_its_output_and_tap_stack(self, rng):
         # the preset's 1 -> 64 conv: one GEMM over its 3-row tap stack, no side-tap scratch
@@ -660,7 +663,8 @@ class TestShiftedGemmConv:
         assert np.array_equal(layer.grads["weight"], want_dw)
 
     def test_backward_needs_one_input_of_scratch(self, rng):
-        # one reused side-tap buffer; the input gradient is written over the kept input
+        # one reused block of side-tap scratch, not an input's worth; the
+        # input gradient is written over the kept input
         layer = nn.Conv1D(he_uniform(rng, 64, 64, 3), np.zeros(64))
         x = rng.standard_normal((32, 64, 280))
         layer.forward(x, training=True)
@@ -671,7 +675,7 @@ class TestShiftedGemmConv:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= x.nbytes + 2**20
+        assert peak <= nn.SCRATCH_BYTES + 2**20
 
 
 class TestChannelMajorLayout:
@@ -812,3 +816,57 @@ class TestCallerArrays:
         net.forward(x)
         net.frozen().forward(x)
         assert np.array_equal(x, kept_x) and np.array_equal(targets, kept_targets)
+
+
+class TestTrainingStep:
+    """``backward`` drops each conv's kept input that is the ReLU of a batch
+    norm's output and rebuilds it before the conv's backward; the step must
+    equal, bit for bit, the one that keeps every input, in less memory."""
+
+    @staticmethod
+    def assert_same_step(net, x, targets):
+        reference = copy.deepcopy(net)
+        loss, probs = nn.backward(net, x, targets)
+        want_loss, want_probs = reference_step(reference, x, targets)
+        assert loss == want_loss and np.array_equal(probs, want_probs)
+        for got, want in zip(net.layers, reference.layers):
+            assert got.grads.keys() == want.grads.keys()
+            for name, g in want.grads.items():
+                assert np.array_equal(got.grads[name], g), name
+            for name in want.arrays:  # the running statistics moved alike
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @settings(max_examples=20)
+    @given(seed=st.integers(0, 2**16), batch=st.integers(1, 32))
+    def test_a_preset_step_equals_the_step_that_keeps_every_input(self, seed, batch):
+        gen = np.random.default_rng(seed)
+        net = build_network(TorqueNetConfig(seed=seed))
+        for layer in net.layers:
+            if isinstance(layer, nn.BatchNorm1D):  # trained-like, so the rebuild's affine shows
+                layer.gamma[...], layer.beta[...] = gen.uniform(-2.0, 2.0, 64), gen.standard_normal(64)
+        x = gen.standard_normal((batch, 1, 280))
+        self.assert_same_step(net, x, gen.integers(0, 6, batch))
+
+    @given(shape=network_shapes, batch=st.integers(1, 5), length=st.integers(1, 20))
+    def test_any_block_stack_step_equals_the_step_that_keeps_every_input(self, shape, batch, length):
+        net = random_network(*shape)
+        gen = np.random.default_rng(shape[0])
+        x = gen.standard_normal((batch, shape[1], length))
+        self.assert_same_step(net, x, gen.integers(0, 4, batch))
+
+    def test_a_preset_step_at_batch_32_peaks_at_four_activations(self, rng):
+        # conv 3's backward: batch norm 1's and 2's centred rows, the gradient and
+        # the rebuilt input it writes dx over, plus the block scratch and the
+        # ReLU masks; keeping both ReLU outputs made it six activations
+        net = build_network()
+        x, targets = rng.standard_normal((32, 1, 280)), rng.integers(0, 6, 32)
+        nn.backward(net, x, targets)  # the gradients the measured step replaces
+        tracemalloc.start()
+        try:
+            nn.backward(net, x, targets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        activation = 64 * 32 * 280 * 8  # one (64, B·L) float64 buffer, 4.59 MB
+        masks = 3 * activation // 8  # three (64, B·L) boolean masks
+        assert peak <= 4 * activation + nn.SCRATCH_BYTES + masks + 2**20
